@@ -15,7 +15,7 @@ from .atoms import enumerate_atoms
 from .classify import classify, transfer_reduce
 from .config import Budgets, default_enumeration_budget
 from .errors import BudgetError, ContractError, ParseError
-from .kernel import integer_kernel, is_half_factorial, min_delta, min_delta_witness
+from .kernel import is_half_factorial, min_delta, min_delta_witness
 from .lengths import distances_oracle, length_set
 from .sequences import SequenceVec
 from .specparse import parse_sequence, parse_specs
@@ -145,7 +145,8 @@ def run(argv=None) -> int:
         atoms = enumerate_atoms(support, _enumeration_budget(args))
         d = min_delta(atoms)
         hf = is_half_factorial(atoms)
-        kernel_rank = len(integer_kernel(atoms.exponent_matrix))
+        # M has full row rank: every g^ord(g) is an atom
+        kernel_rank = len(atoms) - len(support)
         witness = min_delta_witness(atoms) if args.explain else None
         out.write(rpt.emit_min_delta(support, d, kernel_rank, hf, witness,
                                      args.format))

@@ -148,7 +148,6 @@ def integer_kernel(matrix) -> KernelBasis:
 
 def augmented_atom_rows(atoms: AtomSet) -> list[list[int]]:
     """Echelon basis of the lattice spanned by (exponent vector, 1) per atom."""
-    dim = len(atoms.support) + 1
     rows: list[list[int]] = []
     for a in atoms.atoms:
         echelon_insert(rows, list(a.exponents) + [1])

@@ -72,14 +72,6 @@ class SequenceVec:
     def empty(support: SupportSet) -> "SequenceVec":
         return SequenceVec(support, (0,) * len(support))
 
-    @staticmethod
-    def from_pairs(support: SupportSet, pairs) -> "SequenceVec":
-        """Build from (element, multiplicity) pairs; repeats accumulate."""
-        vec = [0] * len(support)
-        for g, mult in pairs:
-            vec[support.position(g)] += int(mult)
-        return SequenceVec(support, tuple(vec))
-
     # -- basic statistics ------------------------------------------------------
 
     def sigma(self) -> Element:

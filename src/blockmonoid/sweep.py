@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .atoms import enumerate_atoms
 from .errors import BudgetError, ConsistencyError
@@ -84,17 +84,20 @@ class SweepReport:
 def _atom_tables(elements, orders, atoms):
     """Per-atom data: augmented column, support mask, unit/light flags,
     grouped by the lowest support bit."""
+    # k(A) = sum c_i / ord(g_i), scaled by the common multiple n of the orders
+    n = lcm(*orders)
+    weights = [n // o for o in orders]
     by_minbit: dict[int, list] = {}
     for a in atoms.atoms:
         vec = a.exponents
         mask = 0
-        k_val = Fraction(0)
+        scaled = 0
         for i, c in enumerate(vec):
             if c:
                 mask |= 1 << i
-                k_val += Fraction(c, orders[i])
+                scaled += c * weights[i]
         minbit = (mask & -mask).bit_length() - 1
-        entry = (list(vec) + [1], mask, k_val == 1, k_val < 1)
+        entry = (list(vec) + [1], mask, scaled == n, scaled < n)
         by_minbit.setdefault(minbit, []).append(entry)
     return by_minbit
 

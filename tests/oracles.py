@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: full grids, exhaustive coefficient
 enumeration, and a differently-shaped factorization search.  None of it
-shares code with the package internals it checks.
+shares code with the package internals it checks; `seed_enumerate_atoms`
+uses only the group arithmetic.
 """
 from __future__ import annotations
 
@@ -31,6 +32,70 @@ def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
                    for w in zero_sums):
             minimal.append(v)
     return sorted(minimal)
+
+
+def seed_enumerate_atoms(support: SupportSet) -> tuple[tuple[int, ...], ...]:
+    """The atom DFS as it stood before the bitmask rewrite, kept verbatim as
+    a differential reference: the same search with PS and Q held as
+    frozensets of element tuples.  Returns the atom exponent vectors in
+    lexicographic order."""
+    group = support.group
+    k = len(support)
+    gens = support.elements
+    ords = support.orders
+    zero = group.zero
+
+    # subgroup generated by the support suffix starting at each position
+    suffix_span = [None] * (k + 1)
+    suffix_span[k] = frozenset({zero})
+    for i in range(k - 1, -1, -1):
+        suffix_span[i] = group.subgroup_closure(gens[i:])
+
+    # lazily grown "add g" maps, one per support element
+    add_maps: list[dict] = [{} for _ in range(k)]
+
+    def shifted(pos: int, elems):
+        table = add_maps[pos]
+        g = gens[pos]
+        out = set()
+        for x in elems:
+            y = table.get(x)
+            if y is None:
+                y = group.add(x, g)
+                table[x] = y
+            out.add(y)
+        return out
+
+    empty: frozenset = frozenset()
+    found: list[tuple[int, ...]] = []
+    # frame: (position, exponent vector, sigma, PS, Q)
+    stack = [(0, (0,) * k, zero, empty, empty)]
+    while stack:
+        pos, vec, sigma, ps, q = stack.pop()
+        if sigma == zero and any(vec):
+            if zero not in q:
+                found.append(vec)
+            continue  # any extension would contain this zero-sum properly
+        if pos == k:
+            continue
+        if group.neg(sigma) not in suffix_span[pos]:
+            continue  # the deficit cannot be repaired from here on
+        stack.append((pos + 1, vec, sigma, ps, q))
+        if vec[pos] < ords[pos]:
+            g = gens[pos]
+            if any(vec):
+                q2 = frozenset(ps | shifted(pos, q) | {g})
+                if zero in q2:
+                    continue
+            else:
+                q2 = empty
+            sigma2 = group.add(sigma, g)
+            ps2 = q2 | {sigma2}
+            vec2 = vec[:pos] + (vec[pos] + 1,) + vec[pos + 1:]
+            stack.append((pos, vec2, sigma2, ps2, q2))
+
+    found.sort()
+    return tuple(found)
 
 
 def order_by_repeated_addition(group: FiniteAbelianGroup, g) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
-                         SupportSet, enumerate_atoms, enumeration_bound)
-from oracles import grid_atoms
+                         SupportSet, abelian_groups_of_order, build_named_set,
+                         enumerate_atoms, enumeration_bound)
+from blockmonoid.atoms import _Box
+from oracles import grid_atoms, seed_enumerate_atoms
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -154,3 +157,106 @@ class TestRestrict:
         direct = enumerate_atoms(sub)
         assert [a.exponents for a in atoms.restrict(sub)] == \
             [a.exponents for a in direct]
+
+
+def vectors(support):
+    return tuple(a.exponents for a in enumerate_atoms(support))
+
+
+SMALL_GROUPS = [g for n in range(1, 11) for g in abelian_groups_of_order(n)]
+FULL_SUPPORT_GROUPS = [g for n in range(11, 17)
+                       for g in abelian_groups_of_order(n)]
+FULL_SUPPORT_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
+C1000_3 = FiniteAbelianGroup((1000, 1000, 1000))
+C4_C2_C3 = FiniteAbelianGroup((4, 2, 3))
+WIDE_SUPPORTS = {
+    "remark-4.6.1-r3": build_named_set("remark-4.6.1", r=3),
+    "remark-4.6.1-r4": build_named_set("remark-4.6.1", r=4),
+    "pm-C997": build_named_set("pm", FiniteAbelianGroup((997,))),
+    "axis-pair-C1000^3": SupportSet(C1000_3, ((1, 0, 0), (999, 0, 0))),
+    "unsorted-C4xC2xC3": SupportSet(
+        C4_C2_C3, ((1, 1, 2), (2, 0, 1), (3, 1, 0), (0, 1, 1), (2, 1, 0))),
+}
+
+
+class TestSeedOracle:
+    """The bitmask DFS against the set-of-tuples DFS it replaced: the same
+    atoms in the same order."""
+
+    @pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+    def test_every_support(self, group):
+        nonzero = group.nonzero_elements
+        for size in range(len(nonzero) + 1):
+            for subset in itertools.combinations(nonzero, size):
+                support = SupportSet(group, subset)
+                assert vectors(support) == seed_enumerate_atoms(support)
+
+    @pytest.mark.parametrize("group", FULL_SUPPORT_GROUPS, ids=str)
+    def test_full_support(self, group):
+        support = SupportSet(group, group.nonzero_elements)
+        assert vectors(support) == seed_enumerate_atoms(support)
+
+    @pytest.mark.parametrize("name", sorted(WIDE_SUPPORTS))
+    def test_wide_groups(self, name):
+        support = WIDE_SUPPORTS[name]
+        assert vectors(support) == seed_enumerate_atoms(support)
+
+
+def translate(mask, steps):
+    """Apply the steps of `_Box.translation` as its docstring specifies."""
+    for low, up, down in steps:
+        lo = mask & low
+        mask = (lo << up) | ((mask ^ lo) >> down)
+    return mask
+
+
+@st.composite
+def box_cases(draw):
+    """(group, box generators, a set A of box elements, a box element g)."""
+    orders = draw(st.lists(st.integers(2, 6), max_size=3).map(tuple))
+    group = FiniteAbelianGroup(orders)
+    everything = list(group.elements())
+    gens = draw(st.lists(st.sampled_from(everything), max_size=3))
+    box = _Box(group, gens)
+    inside = [x for x in everything
+              if all(c % d == 0 for c, d in zip(x, box.divisors))]
+    subset = draw(st.sets(st.sampled_from(inside)))
+    g = draw(st.sampled_from(inside))
+    return group, gens, subset, g
+
+
+class TestBoxCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(box_cases())
+    def test_box_holds_generators_and_fills_the_width(self, case):
+        group, gens, _, _ = case
+        box = _Box(group, gens)
+        inside = [x for x in group.elements()
+                  if all(c % d == 0 for c, d in zip(x, box.divisors))]
+        assert set(gens) <= set(inside)
+        assert box.width == len(inside) <= group.size
+        assert box.encode_set(inside) == (1 << box.width) - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_cases())
+    def test_translation(self, case):
+        group, gens, subset, g = case
+        box = _Box(group, gens)
+        moved = {group.add(a, g) for a in subset}
+        assert translate(box.encode_set(subset), box.translation(g)) == \
+            box.encode_set(moved)
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_cases())
+    def test_span_is_encoded_closure(self, case):
+        group, gens, _, _ = case
+        box = _Box(group, gens)
+        span = 1  # {0}
+        while True:
+            grown = span
+            for g in gens:
+                grown |= translate(span, box.translation(g))
+            if grown == span:
+                break
+            span = grown
+        assert span == box.encode_set(group.subgroup_closure(gens))

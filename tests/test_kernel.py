@@ -1,7 +1,10 @@
+import random
+
 from hypothesis import given, settings
 
 from blockmonoid import (ConsistencyError, FiniteAbelianGroup, SequenceVec,
-                         SupportSet, enumerate_atoms, integer_kernel,
+                         SupportSet, build_named_set, enumerate_atoms,
+                         integer_kernel,
                          is_half_factorial, length_set, min_delta,
                          min_delta_witness)
 from test_atoms import EPS33, FAMILY, PM5, small_support
@@ -42,6 +45,40 @@ class TestIntegerKernel:
         for z in basis.vectors:
             for row in matrix:
                 assert sum(r * c for r, c in zip(row, z)) == 0
+
+
+class TestKernelRank:
+    """The rank `min-delta` reports, len(atoms) - len(support), is the rank
+    of the kernel of the exponent matrix M: every g^ord(g) is an atom, so M
+    has full row rank."""
+
+    NAMED = (
+        build_named_set("pm", FiniteAbelianGroup((7,))),
+        build_named_set("pm", FiniteAbelianGroup((2, 6))),
+        build_named_set("eps", FiniteAbelianGroup((3, 3))),
+        build_named_set("eps", FiniteAbelianGroup((2, 2, 2))),
+        build_named_set("remark-4.6.1", r=3),
+        build_named_set("remark-4.6.2", r=3),
+        build_named_set("remark-4.6.2", r=4),
+    )
+
+    @staticmethod
+    def check(support):
+        atoms = enumerate_atoms(support)
+        assert len(integer_kernel(atoms.exponent_matrix)) == \
+            len(atoms) - len(support)
+
+    def test_named_sets(self):
+        for support in self.NAMED:
+            self.check(support)
+
+    def test_random_supports(self):
+        rng = random.Random(11)
+        for orders in ((12,), (2, 6), (3, 3), (2, 2, 4), (4, 4)):
+            group = FiniteAbelianGroup(orders)
+            for size in (1, 3, 5):
+                self.check(SupportSet(group, tuple(
+                    rng.sample(group.nonzero_elements, size))))
 
 
 class TestMinDelta:
