@@ -27,20 +27,21 @@ positions (it lies outside the subgroup H they generate).  Since H is a
 subgroup, -sigma(w) lies in H exactly when sigma(w) does, so the test needs
 no negation.
 
-The branch state is held in bitmasks.  Every subsequence sum lies in the box
-prod_c d_c Z/n_c, where d_c is the gcd of n_c and the support's c-th
-coordinates; `_Box` numbers the box's elements as mixed-radix ints (at most
-|G| of them), and PS, Q, sigma and the suffix spans H are Python ints with
-one bit per element.  sigma is a single set bit, and sigma = 0 is bit 0.
-Translating a set by g takes one masked shift pair per nonzero component of
-g: the positions whose digit does not wrap move up, the others move down.
+The branch state is held in bitmasks.  Every subsequence sum lies in the
+subgroup <S> that the support generates; `_Span` gives <S> mixed-radix
+coordinates as a product of cyclic groups, read off a diagonal form of the
+support's coordinate matrix, so its elements are numbered 0 .. |<S>| - 1.
+PS, Q, sigma and the suffix spans H are Python ints with one bit per element
+of <S>.  sigma is a single set bit, and sigma = 0 is bit 0.  Translating a
+set by g takes one masked shift pair per nonzero digit of g: the positions
+whose digit does not wrap move up, the others move down.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 
 from .errors import BudgetError, ContractError
 from .groups import Element, FiniteAbelianGroup
@@ -113,21 +114,71 @@ def enumeration_bound(support: SupportSet) -> int:
     return prod(o + 1 for o in support.orders)
 
 
-class _Box:
-    """Mixed-radix numbering of the subgroup box that holds every subsequence
-    sum of a support.
+def _diagonalize(matrix) -> tuple[list[list[int]], list[int]]:
+    """(P, d) with P unimodular and P A Q = diag(d) for some unimodular Q.
 
-    Component c is cut down to the cyclic subgroup d_c Z/n_c, where
-    d_c = gcd(n_c, c-th coordinates of the generators); its digit is x_c / d_c
-    in radix m_c = n_c / d_c, and the last component is least significant.
-    The width, prod m_c bits, never exceeds |G|. A set of box elements is an
-    int mask with bit `encode(x)` set for each member.
+    A is an integer r x m matrix of rank r, given as rows.  Each pivot is a
+    least nonzero entry, and Euclid steps by row and column operations clear
+    its row and column; only the row operations are recorded.  The column
+    lattice of A is {P^-1 y : d_j | y_j}.
+    """
+    a = [list(row) for row in matrix]
+    r = len(a)
+    p = [[int(i == j) for j in range(r)] for i in range(r)]
+    diag = []
+    for t in range(r):
+        # rows above t are already zero from column t on
+        while True:
+            _, i, j = min((abs(x), i, j) for i in range(t, r)
+                          for j, x in enumerate(a[i][t:], t) if x)
+            a[t], a[i] = a[i], a[t]
+            p[t], p[i] = p[i], p[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            pivot = a[t][t]
+            clear = True
+            for i in range(t + 1, r):
+                if a[i][t]:
+                    q = a[i][t] // pivot
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    p[i] = [x - q * y for x, y in zip(p[i], p[t])]
+                    clear = clear and not a[i][t]
+            for j in range(t + 1, len(a[t])):
+                if a[t][j]:
+                    q = a[t][j] // pivot
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+                    clear = clear and not a[t][j]
+            if clear:
+                break
+        if pivot < 0:
+            p[t] = [-x for x in p[t]]
+        diag.append(abs(pivot))
+    return p, diag
+
+
+class _Span:
+    """Mixed-radix coordinates on the subgroup <S> generated by a support.
+
+    Scaling component c by e/n_c, e = exp(G), embeds G in (Z/e)^r; the
+    preimage of <S> in Z^r is the column lattice of A = [scaled generators |
+    e*I].  With P A Q = diag(d), y = P x carries that lattice onto the
+    product of the d_j Z, so digit j of x in <S> is (P x)_j / d_j in radix
+    m_j = e/d_j, and the digits give an isomorphism of <S> onto the product
+    of the Z/m_j.  Digits with m_j = 1 are dropped; the last digit is least
+    significant.  The width, prod m_j bits, is |<S>|.  A set of elements of
+    <S> is an int mask with bit `encode(x)` set for each member.
     """
 
     def __init__(self, group: FiniteAbelianGroup, gens):
-        self.divisors = tuple(gcd(n, *(g[c] for g in gens))
-                              for c, n in enumerate(group.orders))
-        self.radices = tuple(n // d for n, d in zip(group.orders, self.divisors))
+        e = group.exponent
+        scale = [e // n for n in group.orders]
+        r = len(scale)
+        p, diag = _diagonalize(
+            [[g[c] * scale[c] for g in gens] + [e * (c == j) for j in range(r)]
+             for c in range(r)])
+        kept = [(row, d) for row, d in zip(p, diag) if d < e]
+        self.radices = tuple(e // d for _, d in kept)
         strides = []
         width = 1
         for m in reversed(self.radices):
@@ -135,9 +186,24 @@ class _Box:
             width *= m
         self.strides = tuple(reversed(strides))
         self.width = width
+        # digit j reads row j of P on the unscaled coordinates, kept as its
+        # nonzero (c, weight) terms; reducing a weight mod e keeps (P x)_j
+        # mod e, hence the digit
+        rows = []
+        for (row, d), stride in zip(kept, self.strides):
+            weights = [w * s % e for w, s in zip(row, scale)]
+            terms = tuple((c, w) for c, w in enumerate(weights) if w)
+            rows.append((terms, d, e // d, stride))
+        self._digit_rows = tuple(rows)
 
     def encode(self, x: Element) -> int:
-        return sum(c // d * s for c, d, s in zip(x, self.divisors, self.strides))
+        code = 0
+        for terms, d, m, stride in self._digit_rows:
+            y = 0
+            for c, w in terms:
+                y += w * x[c]
+            code += y // d % m * stride
+        return code
 
     def encode_set(self, elements) -> int:
         bits = bytearray((self.width + 7) // 8)
@@ -153,18 +219,21 @@ class _Box:
         mask = (lo << up) | ((mask ^ lo) >> down)` translates a mask by g:
         digit t of radix m and stride s moves the positions with digit < m - t
         up by t*s and the rest down by (m - t)*s. The low mask is one block
-        pattern, (m - t)*s set bits out of every m*s, times a repeat factor
-        with one set bit per block.
+        pattern, (m - t)*s set bits out of every m*s, copied across the
+        width by doubling.
         """
-        everything = (1 << self.width) - 1
+        code = self.encode(g)
         steps = []
-        for c, d, m, s in zip(g, self.divisors, self.radices, self.strides):
-            t = c // d
+        for m, s in zip(self.radices, self.strides):
+            t = code // s % m
             if t:
                 block = m * s
-                repeat = everything // ((1 << block) - 1)
-                low = ((1 << ((m - t) * s)) - 1) * repeat
-                steps.append((low, t * s, (m - t) * s))
+                low, copies = (1 << ((m - t) * s)) - 1, 1
+                while copies * block < self.width:
+                    low |= low << (copies * block)
+                    copies *= 2
+                steps.append((low & ((1 << self.width) - 1), t * s,
+                              (m - t) * s))
         return tuple(steps)
 
 
@@ -184,17 +253,17 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     k = len(support)
     gens = support.elements
     ords = support.orders
-    box = _Box(group, gens)
-    steps = [box.translation(g) for g in gens]
-    gbits = [1 << box.encode(g) for g in gens]
+    span = _Span(group, gens)
+    steps = [span.translation(g) for g in gens]
+    gbits = [1 << span.encode(g) for g in gens]
 
     # subgroup generated by the support suffix starting at each position
-    suffix_span = [box.encode_set(group.subgroup_closure(gens[i:]))
+    suffix_span = [span.encode_set(group.subgroup_closure(gens[i:]))
                    for i in range(k)]
     suffix_span.append(1)
 
     found: list[tuple[int, ...]] = []
-    # frame: (position, exponent vector, sigma, PS, Q); sets as box masks
+    # frame: (position, exponent vector, sigma, PS, Q); sets as masks over <S>
     stack = [(0, (0,) * k, 1, 0, 0)]
     while stack:
         pos, vec, sig, ps, q = stack.pop()

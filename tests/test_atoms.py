@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          SupportSet, abelian_groups_of_order, build_named_set,
                          enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import _Box
+from blockmonoid.atoms import _Span
 from oracles import grid_atoms, seed_enumerate_atoms
 
 C5 = FiniteAbelianGroup((5,))
@@ -174,6 +174,10 @@ WIDE_SUPPORTS = {
     "remark-4.6.1-r4": build_named_set("remark-4.6.1", r=4),
     "pm-C997": build_named_set("pm", FiniteAbelianGroup((997,))),
     "axis-pair-C1000^3": SupportSet(C1000_3, ((1, 0, 0), (999, 0, 0))),
+    "diagonal-pair-C1000^3": SupportSet(
+        C1000_3, ((1, 1, 1), (999, 999, 999))),
+    "diagonal-pair-C100^4": SupportSet(
+        FiniteAbelianGroup((100,) * 4), ((1, 1, 1, 1), (99, 99, 99, 99))),
     "unsorted-C4xC2xC3": SupportSet(
         C4_C2_C3, ((1, 1, 2), (2, 0, 1), (3, 1, 0), (0, 1, 1), (2, 1, 0))),
 }
@@ -199,11 +203,14 @@ class TestSeedOracle:
     @pytest.mark.parametrize("name", sorted(WIDE_SUPPORTS))
     def test_wide_groups(self, name):
         support = WIDE_SUPPORTS[name]
+        # the masks are |<S>| bits wide, however large G is
+        span = support.group.subgroup_closure(support.elements)
+        assert _Span(support.group, support.elements).width == len(span)
         assert vectors(support) == seed_enumerate_atoms(support)
 
 
 def translate(mask, steps):
-    """Apply the steps of `_Box.translation` as its docstring specifies."""
+    """Apply the steps of `_Span.translation` as its docstring specifies."""
     for low, up, down in steps:
         lo = mask & low
         mask = (lo << up) | ((mask ^ lo) >> down)
@@ -211,52 +218,47 @@ def translate(mask, steps):
 
 
 @st.composite
-def box_cases(draw):
-    """(group, box generators, a set A of box elements, a box element g)."""
+def span_cases(draw):
+    """(group, generators, <generators>, a subset A of it, an element g)."""
     orders = draw(st.lists(st.integers(2, 6), max_size=3).map(tuple))
     group = FiniteAbelianGroup(orders)
-    everything = list(group.elements())
-    gens = draw(st.lists(st.sampled_from(everything), max_size=3))
-    box = _Box(group, gens)
-    inside = [x for x in everything
-              if all(c % d == 0 for c, d in zip(x, box.divisors))]
-    subset = draw(st.sets(st.sampled_from(inside)))
-    g = draw(st.sampled_from(inside))
-    return group, gens, subset, g
+    gens = draw(st.lists(st.sampled_from(list(group.elements())), max_size=3))
+    span = sorted(group.subgroup_closure(gens))
+    subset = draw(st.sets(st.sampled_from(span)))
+    g = draw(st.sampled_from(span))
+    return group, gens, span, subset, g
 
 
-class TestBoxCodec:
+class TestSpanCodec:
     @settings(max_examples=200, deadline=None)
-    @given(box_cases())
-    def test_box_holds_generators_and_fills_the_width(self, case):
-        group, gens, _, _ = case
-        box = _Box(group, gens)
-        inside = [x for x in group.elements()
-                  if all(c % d == 0 for c, d in zip(x, box.divisors))]
-        assert set(gens) <= set(inside)
-        assert box.width == len(inside) <= group.size
-        assert box.encode_set(inside) == (1 << box.width) - 1
+    @given(span_cases())
+    def test_span_is_numbered_onto_the_width(self, case):
+        group, gens, span, _, _ = case
+        codec = _Span(group, gens)
+        assert codec.width == len(span)
+        assert codec.encode(group.zero) == 0
+        assert codec.encode_set(span) == (1 << codec.width) - 1
 
     @settings(max_examples=200, deadline=None)
-    @given(box_cases())
+    @given(span_cases())
     def test_translation(self, case):
-        group, gens, subset, g = case
-        box = _Box(group, gens)
+        group, gens, _, subset, g = case
+        codec = _Span(group, gens)
         moved = {group.add(a, g) for a in subset}
-        assert translate(box.encode_set(subset), box.translation(g)) == \
-            box.encode_set(moved)
+        assert translate(codec.encode_set(subset), codec.translation(g)) == \
+            codec.encode_set(moved)
 
     @settings(max_examples=200, deadline=None)
-    @given(box_cases())
+    @given(span_cases())
     def test_span_is_encoded_closure(self, case):
-        group, gens, _, _ = case
-        box = _Box(group, gens)
-        span = 1  # {0}
+        group, gens, span, _, _ = case
+        codec = _Span(group, gens)
+        mask = 1  # {0}
         while True:
-            grown = span
+            grown = mask
             for g in gens:
-                grown |= translate(span, box.translation(g))
-            if grown == span:
+                grown |= translate(mask, codec.translation(g))
+            if grown == mask:
                 break
-            span = grown
-        assert span == box.encode_set(group.subgroup_closure(gens))
+            mask = grown
+        assert mask == codec.encode_set(span)
