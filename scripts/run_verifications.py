@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every verification routine end to end and summarize.
 
-Usage: python scripts/run_verifications.py [--max-order N] [--jobs N]
+Usage: python scripts/run_verifications.py [--max-order N]
 Exits nonzero if any check fails.
 """
 import argparse
@@ -17,15 +17,13 @@ from blockmonoid.verify import (verify_extremal_structure, verify_main_theorem,
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-order", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     reports: dict = {}
     runs = []
     t0 = time.time()
-    runs.append(verify_main_theorem(args.max_order, jobs=args.jobs,
-                                    reports=reports))
-    runs.append(verify_p_group_m(jobs=args.jobs))
+    runs.append(verify_main_theorem(args.max_order, reports=reports))
+    runs.append(verify_p_group_m())
     runs.append(verify_pm_and_basis_families())
     runs.append(verify_named_family(1, r=3))
     runs.append(verify_named_family(2, r=3))

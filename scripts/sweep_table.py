@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep every abelian group up to a given order and print a summary table.
 
-Usage: python scripts/sweep_table.py [--max-order 16] [--jobs N]
+Usage: python scripts/sweep_table.py [--max-order 16]
 """
 import argparse
 import time
@@ -12,7 +12,6 @@ from blockmonoid import abelian_groups_of_order, delta_star
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-order", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     header = (f"{'group':<12} {'exp':>3} {'rank':>4} {'max d*':>6} "
@@ -22,7 +21,7 @@ def main():
     for order in range(3, args.max_order + 1):
         for group in abelian_groups_of_order(order):
             t0 = time.time()
-            report = delta_star(group, sweep_max_group=None, jobs=args.jobs)
+            report = delta_star(group, sweep_max_group=None)
             dt = time.time() - t0
             dstar = "{" + ",".join(map(str, report.delta_star)) + "}"
             print(f"{group.spec_string():<12} {group.exponent:>3} "

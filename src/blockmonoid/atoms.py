@@ -91,6 +91,18 @@ class AtomSet:
             raise ContractError("cross number of an empty atom set")
         return max(self.cross_numbers)
 
+    @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """Per atom, the bitmask of the support positions it uses."""
+        out = []
+        for a in self.atoms:
+            mask = 0
+            for i, c in enumerate(a.exponents):
+                if c:
+                    mask |= 1 << i
+            out.append(mask)
+        return tuple(out)
+
     def restrict(self, subset: SupportSet) -> "AtomSet":
         """Atoms supported inside a subset of the support, re-indexed to it.
 
@@ -98,15 +110,12 @@ class AtomSet:
         iff it is minimal over the larger support.
         """
         positions = [self.support.position(g) for g in subset.elements]
-        keep_zero = [i for i in range(len(self.support))
-                     if self.support.elements[i] not in subset]
-        picked = []
-        for a in self.atoms:
-            if all(a.exponents[i] == 0 for i in keep_zero):
-                picked.append(SequenceVec(
-                    subset, tuple(a.exponents[i] for i in positions)))
-        picked.sort(key=lambda a: a.exponents)
-        return AtomSet(subset, tuple(picked))
+        inside = sum(1 << i for i in positions)
+        picked = sorted(tuple(a.exponents[i] for i in positions)
+                        for a, mask in zip(self.atoms, self.support_masks)
+                        if not mask & ~inside)
+        return AtomSet(subset, tuple(SequenceVec._unchecked(subset, v)
+                                     for v in picked))
 
 
 def enumeration_bound(support: SupportSet) -> int:
@@ -298,4 +307,5 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
             stack.append((pos, vec2, sig2, q2 | sig2, q2))
 
     found.sort()
-    return AtomSet(support, tuple(SequenceVec(support, v) for v in found))
+    return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
+                                 for v in found))

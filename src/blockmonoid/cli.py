@@ -70,14 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, subset=False, budget=False)
     p.add_argument("--budget", type=int, default=16,
                    help="largest |G| the sweep accepts (default 16)")
-    p.add_argument("--symmetry", action="store_true",
-                   help="reuse results across coordinate-permutation orbits")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("m-of-g", help="max of min Delta over non-HF LCN subsets")
     _add_common(p, subset=False, budget=False)
     p.add_argument("--budget", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("transfer-reduce",
                        help="reduce a minimal non-HF set to span form")
@@ -91,16 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("thm-1.1")
     v.add_argument("--max-order", type=int, default=16)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("prop-3.2")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("thm-4.5")
     v.add_argument("--group", required=True)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("remark-4.6")
@@ -171,14 +164,13 @@ def run(argv=None) -> int:
 
     if args.command == "delta-star":
         group, _ = parse_specs(args.group, None)
-        report = delta_star(group, sweep_max_group=args.budget,
-                            jobs=args.jobs, symmetry=args.symmetry)
+        report = delta_star(group, sweep_max_group=args.budget)
         out.write(rpt.emit_sweep(report, args.format))
         return 0
 
     if args.command == "m-of-g":
         group, _ = parse_specs(args.group, None)
-        report = delta_star(group, sweep_max_group=args.budget, jobs=args.jobs)
+        report = delta_star(group, sweep_max_group=args.budget)
         if args.format == "json":
             out.write(json.dumps({"group": group.spec_string(),
                                   "m_of_g": report.m_of_g}, indent=2) + "\n")
@@ -209,12 +201,12 @@ def run(argv=None) -> int:
 
     if args.command == "verify":
         if args.target == "thm-1.1":
-            result = verify_main_theorem(args.max_order, jobs=args.jobs)
+            result = verify_main_theorem(args.max_order)
         elif args.target == "prop-3.2":
-            result = verify_p_group_m(jobs=args.jobs)
+            result = verify_p_group_m()
         elif args.target == "thm-4.5":
             group, _ = parse_specs(args.group, None)
-            result = verify_extremal_structure(group, jobs=args.jobs)
+            result = verify_extremal_structure(group)
         elif args.target == "remark-4.6":
             result = verify_named_family(args.which, r=args.r,
                                          oracle_max_len=args.max_len)

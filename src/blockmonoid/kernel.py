@@ -8,6 +8,12 @@ case.  min_delta reads that generator off an echelon basis of the lattice
 spanned by the augmented atom columns (exponent vector, 1): the minimal
 positive t with (0,...,0,t) in the lattice.  All arithmetic is exact
 arbitrary-precision integer arithmetic.
+
+Every echelon basis here is pivot-indexed: a list with one slot per
+coordinate, where slot j holds the row whose leading index is j, or None.
+Inserting never mutates a row, it only replaces slots, so a basis is copied
+with basis[:] and rows are shared freely between copies.  The tail
+generator is the last entry of slot dim - 1.
 """
 from __future__ import annotations
 
@@ -19,45 +25,38 @@ from .errors import ConsistencyError, ContractError
 from .sequences import SequenceVec
 
 
-def _leading_index(row) -> int:
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return -1
+def echelon_insert(basis: list, vec) -> None:
+    """Insert vec into a pivot-indexed integer echelon basis.
 
-
-def echelon_insert(rows: list[list[int]], vec: list[int]) -> None:
-    """Insert vec into an integer echelon basis (pivot columns strictly ascending).
-
+    basis has one slot per coordinate: basis[j] is the row whose leading
+    (first nonzero) index is j, or None.  The leading index of vec is found
+    once; each reduction clears it and the scan resumes after it.
     Unimodular row operations only, so the spanned lattice is preserved.
+    Rows are never mutated, vec included: a slot is only ever replaced by a
+    new list, and vec itself may become a row.  So basis[:] is an
+    independent copy of a basis, and rows may be shared between bases.
     """
-    v = list(vec)
-    while True:
-        j = _leading_index(v)
-        if j < 0:
+    dim = len(basis)
+    j = 0
+    while j < dim and not vec[j]:
+        j += 1
+    v = vec
+    while j < dim:
+        row = basis[j]
+        if row is None:
+            basis[j] = v
             return
-        pos = None
-        for idx, row in enumerate(rows):
-            pj = _leading_index(row)
-            if pj == j:
-                pos = idx
-                break
-            if pj > j:
-                rows.insert(idx, v)
-                return
-        if pos is None:
-            rows.append(v)
-            return
-        row = rows[pos]
         a, b = row[j], v[j]
         if b % a == 0:
             q = b // a
             v = [x - q * y for x, y in zip(v, row)]
         else:
             g, x, y = _ext_gcd(a, b)
-            new_row = [x * p + y * q2 for p, q2 in zip(row, v)]
+            basis[j] = [x * p + y * q2 for p, q2 in zip(row, v)]
             v = [(a // g) * q2 - (b // g) * p for p, q2 in zip(row, v)]
-            rows[pos] = new_row
+        j += 1
+        while j < dim and not v[j]:
+            j += 1
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -73,17 +72,14 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def lattice_tail_generator(rows: list[list[int]], dim: int) -> int:
+def lattice_tail_generator(basis: list, dim: int) -> int:
     """Generator of {t : (0,...,0,t) in the lattice}, nonnegative; 0 if trivial.
 
-    With an echelon basis this is the last-coordinate entry of the row whose
-    pivot is the final coordinate, if such a row exists.
+    In a pivot-indexed echelon basis this is the last entry of the row in
+    slot dim - 1, if that slot is filled.
     """
-    if rows:
-        row = rows[-1]
-        if _leading_index(row) == dim - 1:
-            return abs(row[-1])
-    return 0
+    row = basis[dim - 1]
+    return abs(row[-1]) if row is not None else 0
 
 
 @dataclass(frozen=True)
@@ -105,13 +101,12 @@ class KernelBasis:
 
     def contains(self, vector) -> bool:
         """Membership of an integer vector in the spanned lattice."""
-        rows: list[list[int]] = []
+        basis: list = [None] * self.columns
         for v in self.vectors:
-            echelon_insert(rows, list(v))
+            echelon_insert(basis, v)
         probe = list(vector)
-        for row in rows:
-            j = _leading_index(row)
-            if probe[j] % row[j] == 0:
+        for j, row in enumerate(basis):
+            if row is not None and probe[j] % row[j] == 0:
                 q = probe[j] // row[j]
                 probe = [x - q * y for x, y in zip(probe, row)]
         return not any(probe)
@@ -130,15 +125,13 @@ def integer_kernel(matrix) -> KernelBasis:
     n_cols = len(matrix[0]) if matrix else 0
     if any(len(row) != n_cols for row in matrix):
         raise ContractError("matrix rows have unequal lengths")
-    rows: list[list[int]] = []
+    rows: list = [None] * (n_rows + n_cols)
     for j in range(n_cols):
         aug = [matrix[i][j] for i in range(n_rows)]
         aug.extend(1 if i == j else 0 for i in range(n_cols))
         echelon_insert(rows, aug)
-    basis = []
-    for row in rows:
-        if not any(row[:n_rows]):
-            basis.append(tuple(row[n_rows:]))
+    # rows pivoting past the matrix part have a vanishing matrix part
+    basis = [tuple(row[n_rows:]) for row in rows[n_rows:] if row is not None]
     for z in basis:
         for i in range(n_rows):
             if sum(matrix[i][j] * z[j] for j in range(n_cols)) != 0:
@@ -146,11 +139,12 @@ def integer_kernel(matrix) -> KernelBasis:
     return KernelBasis(tuple(basis), n_cols)
 
 
-def augmented_atom_rows(atoms: AtomSet) -> list[list[int]]:
-    """Echelon basis of the lattice spanned by (exponent vector, 1) per atom."""
-    rows: list[list[int]] = []
+def augmented_atom_rows(atoms: AtomSet) -> list:
+    """Pivot-indexed echelon basis of the lattice spanned by
+    (exponent vector, 1) per atom."""
+    rows: list = [None] * (len(atoms.support) + 1)
     for a in atoms.atoms:
-        echelon_insert(rows, list(a.exponents) + [1])
+        echelon_insert(rows, [*a.exponents, 1])
     return rows
 
 

@@ -68,6 +68,17 @@ class SequenceVec:
         if any(v < 0 for v in exps):
             raise ContractError(f"exponents must be >= 0, got {exps}")
 
+    @classmethod
+    def _unchecked(cls, support: SupportSet,
+                   exponents: tuple[int, ...]) -> "SequenceVec":
+        """Package-internal constructor that skips validation, for exponent
+        tuples of ints that are valid by construction (the right length,
+        no negative entry)."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "support", support)
+        object.__setattr__(seq, "exponents", exponents)
+        return seq
+
     @staticmethod
     def empty(support: SupportSet) -> "SequenceVec":
         return SequenceVec(support, (0,) * len(support))

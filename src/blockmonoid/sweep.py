@@ -4,8 +4,7 @@ The sweep classifies every nonempty subset of the nonzero elements.  Three
 structural facts make this cheap:
 
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
-  support lies inside the subset, so atoms are enumerated once per group and
-  filtered by support bitmask;
+  support lies inside the subset, so atoms are enumerated once per group;
 * min Delta of a subset is the positive generator of {t : (0,...,0,t)} inside
   the lattice spanned by the augmented atom columns (exponent vector, 1), and
   that lattice grows monotonically along a subset-inclusion chain, so one
@@ -14,25 +13,26 @@ structural facts make this cheap:
   generator divides 1), so the whole subtree is counted arithmetically and
   skipped ("saturation pruning").
 
-Work is partitioned into units by fixed patterns of the highest element bits;
-a unit stays silent when a proper prefix of its pattern already saturated
-(that region is accounted by the unit owning the prefix), which makes the
-merged report identical for every degree of parallelism.
+Subsets are formed by adding element bits in descending order, so a node that
+adds bit b to a mask of higher bits gains exactly the atoms whose support is
+b plus a submask of that mask.  The atoms are indexed by support mask, and
+each mask's augmented columns are reduced, on first lookup, to a small
+echelon basis (at most one row per support position, plus one).  A node
+looks up bit b joined with each submask of its mask and inserts those few
+rows into a copy of its parent's basis; once the generator reaches 1 it
+stops inserting, since min Delta 1 is final.
 """
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .atoms import enumerate_atoms
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import echelon_insert, lattice_tail_generator
 from .sequences import SupportSet
-
-_WORKER_STATE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -79,172 +79,51 @@ class SweepReport:
         return tuple(g for i, g in enumerate(self.elements) if mask >> i & 1)
 
 
-# -- per-unit search -------------------------------------------------------------
+# -- the sweep --------------------------------------------------------------------
 
-def _atom_tables(elements, orders, atoms):
-    """Per-atom data: augmented column, support mask, unit/light flags,
-    grouped by the lowest support bit."""
+class _MaskAtoms:
+    """The atoms with one support mask: whether some has k(A) != 1
+    (`nonunit`) or k(A) < 1 (`light`), and their augmented columns
+    (exponent vector, 1), replaced on first use by the rows of their own
+    echelon basis (at most one per support position, plus one).  Reducing
+    lazily pays where the sweep saturates early and never looks most masks
+    up, as in prime cyclic groups."""
+
+    __slots__ = ("rows", "reduced", "nonunit", "light")
+
+    def __init__(self):
+        self.rows: list = []
+        self.reduced = self.nonunit = self.light = False
+
+    def reduced_rows(self, dim: int) -> list:
+        if not self.reduced:
+            basis: list = [None] * dim
+            for column in self.rows:
+                echelon_insert(basis, column)
+            self.rows = [row for row in basis if row is not None]
+            self.reduced = True
+        return self.rows
+
+
+def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
+    """The atoms grouped by support mask."""
     # k(A) = sum c_i / ord(g_i), scaled by the common multiple n of the orders
     n = lcm(*orders)
     weights = [n // o for o in orders]
-    by_minbit: dict[int, list] = {}
-    for a in atoms.atoms:
-        vec = a.exponents
-        mask = 0
-        scaled = 0
-        for i, c in enumerate(vec):
-            if c:
-                mask |= 1 << i
-                scaled += c * weights[i]
-        minbit = (mask & -mask).bit_length() - 1
-        entry = (list(vec) + [1], mask, scaled == n, scaled < n)
-        by_minbit.setdefault(minbit, []).append(entry)
-    return by_minbit
+    index: dict[int, _MaskAtoms] = {}
+    for a, mask in zip(atoms.atoms, atoms.support_masks):
+        scaled = sum(map(mul, a.exponents, weights))
+        entry = index.get(mask)
+        if entry is None:
+            entry = index[mask] = _MaskAtoms()
+        entry.rows.append([*a.exponents, 1])
+        entry.nonunit = entry.nonunit or scaled != n
+        entry.light = entry.light or scaled < n
+    return index
 
-
-def _unit_payload(pattern: int, state: dict):
-    """Run one work unit: all subsets whose high-bit part equals the pattern."""
-    k = state["k"]
-    boundary = state["boundary"]  # bits >= boundary form the pattern space
-    by_minbit = state["by_minbit"]
-    dim = k + 1
-    symmetry = state["symmetry"]
-    canon_cache: dict[int, tuple[int, bool, bool]] = {}
-
-    records: list[tuple[int, int, bool, bool]] = []
-    counters = {"computed": 0, "pruned": 0, "symmetry_reused": 0}
-
-    rows: list[list[int]] = []
-    has_nonunit = False
-    has_light = False
-    pattern_bits = [b for b in range(k - 1, boundary - 1, -1) if pattern >> b & 1]
-    partial = 0
-    for b in pattern_bits:
-        if partial and lattice_tail_generator(rows, dim) == 1:
-            return None  # a proper prefix saturated; its own unit accounts for us
-        partial |= 1 << b
-        for vec, smask, unit, light in by_minbit.get(b, ()):
-            if smask & ~partial == 0:
-                echelon_insert(rows, vec)
-                has_nonunit = has_nonunit or not unit
-                has_light = has_light or light
-
-    def readout(mask: int, rows, has_nonunit: bool) -> int:
-        d = lattice_tail_generator(rows, dim)
-        if (d == 0) != (not has_nonunit):
-            raise ConsistencyError(
-                f"half-factoriality routes disagree on subset mask {mask}")
-        return d
-
-    def emit(mask: int, rows, has_nonunit, has_light) -> bool:
-        """Record a formed subset; True when its subtree saturates."""
-        if symmetry:
-            canon = state["canonical"][mask]
-            hit = canon_cache.get(canon)
-            if hit is None:
-                d = readout(mask, rows, has_nonunit)
-                counters["computed"] += 1
-                canon_cache[canon] = (d, has_nonunit, has_light)
-            else:
-                d = hit[0]
-                counters["symmetry_reused"] += 1
-                if (hit[1], hit[2]) != (has_nonunit, has_light):
-                    raise ConsistencyError(
-                        f"orbit flags disagree on subset mask {mask}")
-        else:
-            d = readout(mask, rows, has_nonunit)
-            counters["computed"] += 1
-        records.append((mask, d, d == 0, not has_light))
-        if d == 1:
-            # every superset inherits min delta 1; count its subtree and skip
-            low = (mask & -mask).bit_length() - 1
-            counters["pruned"] += (1 << low) - 1
-            return True
-        return False
-
-    def descend(mask: int, top_bit: int, rows, has_nonunit, has_light):
-        for b in range(top_bit, -1, -1):
-            new_mask = mask | (1 << b)
-            batch = [entry for entry in by_minbit.get(b, ())
-                     if entry[1] & ~new_mask == 0]
-            nu, nl = has_nonunit, has_light
-            if batch:
-                new_rows = [row[:] for row in rows]
-                for vec, smask, unit, light in batch:
-                    echelon_insert(new_rows, vec)
-                    nu = nu or not unit
-                    nl = nl or light
-            else:
-                new_rows = rows  # shared read-only; every writer copies first
-            if not emit(new_mask, new_rows, nu, nl):
-                descend(new_mask, b - 1, new_rows, nu, nl)
-
-    if pattern:
-        if emit(pattern, rows, has_nonunit, has_light):
-            return records, counters
-    descend(pattern, boundary - 1, rows, has_nonunit, has_light)
-    return records, counters
-
-
-def _worker_init(state):
-    _WORKER_STATE["state"] = state
-
-
-def _worker_run(pattern):
-    return _unit_payload(pattern, _WORKER_STATE["state"])
-
-
-# -- symmetry orbits --------------------------------------------------------------
-
-def _coordinate_symmetries(group: FiniteAbelianGroup, elements) -> list[tuple[int, ...]]:
-    """Element-index permutations induced by permuting equal-order components."""
-    k = len(group.orders)
-    blocks: dict[int, list[int]] = {}
-    for i, n in enumerate(group.orders):
-        blocks.setdefault(n, []).append(i)
-    index_of = {g: i for i, g in enumerate(elements)}
-    perms = []
-    grouped = [blocks[n] for n in sorted(blocks)]
-    for combo in itertools.product(*(itertools.permutations(b) for b in grouped)):
-        coord_perm = list(range(k))
-        for block, image in zip(grouped, combo):
-            for src, dst in zip(block, image):
-                coord_perm[src] = dst
-        mapping = []
-        for g in elements:
-            h = [0] * k
-            for src, dst in enumerate(coord_perm):
-                h[dst] = g[src]
-            mapping.append(index_of[tuple(h)])
-        perms.append(tuple(mapping))
-    return perms
-
-
-def _canonical_masks(k: int, perms) -> list[int]:
-    canon = list(range(1 << k))
-    if len(perms) <= 1:
-        return canon
-    for mask in range(1 << k):
-        best = mask
-        for perm in perms:
-            image = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                image |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-            if image < best:
-                best = image
-        canon[mask] = best
-    return canon
-
-
-# -- the sweep --------------------------------------------------------------------
 
 def delta_star(group: FiniteAbelianGroup, *,
-               sweep_max_group: int | None = 16,
-               jobs: int = 1,
-               symmetry: bool = False) -> SweepReport:
+               sweep_max_group: int | None = 16) -> SweepReport:
     """Classify every nonempty subset of the nonzero elements and collect the
     set of minimal distances, its maximum, the LCN maximum, and the extremal
     minimal non-half-factorial subsets."""
@@ -257,48 +136,56 @@ def delta_star(group: FiniteAbelianGroup, *,
     k = len(elements)
     if k == 0:
         return SweepReport(group, (), (), 0, 0, (), {
-            "subsets_total": 0, "subsets_computed": 0, "subsets_pruned": 0,
-            "symmetry_reused": 0}, ())
+            "subsets_total": 0, "subsets_computed": 0, "subsets_pruned": 0},
+            ())
 
     support = SupportSet(group, elements)
     atoms = enumerate_atoms(support, budget=None)
-    by_minbit = _atom_tables(elements, support.orders, atoms)
+    index = _atom_index(support.orders, atoms)
+    dim = k + 1
 
-    jobs = max(1, jobs)
-    prefix_bits = 0
-    if jobs > 1:
-        while (1 << prefix_bits) < 4 * jobs and prefix_bits < max(k - 2, 0):
-            prefix_bits += 1
-    boundary = k - prefix_bits
+    merged: dict[int, tuple[int, bool, bool]] = {}  # mask -> (d, hf, lcn)
+    pruned = 0
 
-    state = {
-        "k": k,
-        "boundary": boundary,
-        "by_minbit": by_minbit,
-        "symmetry": symmetry,
-        "canonical": _canonical_masks(k, _coordinate_symmetries(group, elements))
-        if symmetry else None,
-    }
-    patterns = [bits << boundary for bits in range(1 << prefix_bits)]
+    def descend(mask: int, top_bit: int, basis: list, has_nonunit: bool,
+                has_light: bool):
+        nonlocal pruned
+        for b in range(top_bit, -1, -1):
+            bit = 1 << b
+            new_basis = basis  # shared until the first insert copies it
+            nu, nl = has_nonunit, has_light
+            saturated = False
+            sub = mask
+            while True:
+                entry = index.get(bit | sub)
+                if entry is not None:
+                    nu = nu or entry.nonunit
+                    nl = nl or entry.light
+                    if not saturated:
+                        if new_basis is basis:
+                            new_basis = basis[:]
+                        for row in entry.reduced_rows(dim):
+                            echelon_insert(new_basis, row)
+                        # min Delta 1 is final, so further inserts are skipped
+                        tail = new_basis[dim - 1]
+                        saturated = tail is not None and abs(tail[-1]) == 1
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            new_mask = mask | bit
+            d = lattice_tail_generator(new_basis, dim)
+            if (d == 0) == nu:
+                raise ConsistencyError(
+                    f"half-factoriality routes disagree on subset mask {new_mask}")
+            merged[new_mask] = (d, d == 0, not nl)
+            if d == 1:
+                # every superset inherits min delta 1; count its subtree and skip
+                pruned += bit - 1
+            else:
+                descend(new_mask, b - 1, new_basis, nu, nl)
 
-    if jobs == 1:
-        results = [_unit_payload(p, state) for p in patterns]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(state,)) as pool:
-            results = pool.map(_worker_run, patterns)
+    descend(0, k - 1, [None] * dim, False, False)
 
-    merged: dict[int, tuple[int, bool, bool]] = {}
-    computed = pruned = reused = 0
-    for result in results:
-        if result is None:
-            continue
-        unit_records, counters = result
-        computed += counters["computed"]
-        pruned += counters["pruned"]
-        reused += counters["symmetry_reused"]
-        for mask, d, hf, lcn in unit_records:
-            merged[mask] = (d, hf, lcn)
     total = (1 << k) - 1
     if len(merged) + pruned != total:
         raise ConsistencyError(
@@ -337,9 +224,8 @@ def delta_star(group: FiniteAbelianGroup, *,
         extremal=extremal,
         counters={
             "subsets_total": total,
-            "subsets_computed": computed,
+            "subsets_computed": len(merged),
             "subsets_pruned": pruned,
-            "symmetry_reused": reused,
         },
         records=tuple(records),
     )
@@ -356,8 +242,6 @@ def extremal_sets(group: FiniteAbelianGroup, **kwargs) -> tuple[ExtremalSetRepor
 
 def _extremal_report(group, elements, full_atoms, rec: SubsetRecord) -> ExtremalSetReport:
     subset_elems = tuple(g for i, g in enumerate(elements) if rec.mask >> i & 1)
-    subset = SupportSet(group, subset_elems)
-    atoms = full_atoms.restrict(subset)
     n = group.exponent
     r = group.rank
 
@@ -383,6 +267,9 @@ def _extremal_report(group, elements, full_atoms, rec: SubsetRecord) -> Extremal
     unit_bound: bool | None = None
     heavy_bound: bool | None = None
     if rec.lcn:
+        # the atom inventory is read only here, so restrict only here
+        subset = SupportSet(group, subset_elems)
+        atoms = full_atoms.restrict(subset)
         unit_bound = all(
             2 * len(a.supp()) <= n
             for a, kv in zip(atoms.atoms, atoms.cross_numbers) if kv == 1)

@@ -37,7 +37,7 @@ def expected_max_delta_star(group: FiniteAbelianGroup) -> int:
     return max(group.exponent - 2, group.rank - 1)
 
 
-def verify_main_theorem(max_order: int = 16, jobs: int = 1,
+def verify_main_theorem(max_order: int = 16,
                         reports: dict | None = None) -> VerifyResult:
     """Sweep every abelian group of order <= max_order and compare
     max of the minimal distances against max{exp(G)-2, r(G)-1}
@@ -45,7 +45,7 @@ def verify_main_theorem(max_order: int = 16, jobs: int = 1,
     result = VerifyResult("thm-1.1")
     for order in range(1, max_order + 1):
         for group in abelian_groups_of_order(order):
-            report = delta_star(group, sweep_max_group=None, jobs=jobs)
+            report = delta_star(group, sweep_max_group=None)
             if reports is not None:
                 reports[group.orders] = report
             if order <= 2:
@@ -73,19 +73,19 @@ P_GROUP_M_CASES: tuple[tuple[int, ...], ...] = (
     (2, 2), (2, 2, 2), (2, 4), (4,), (8,), (9,), (3, 3))
 
 
-def verify_p_group_m(jobs: int = 1) -> VerifyResult:
+def verify_p_group_m() -> VerifyResult:
     """m(G) = r(G) - 1 for the fixed list of small p-groups."""
     result = VerifyResult("prop-3.2")
     for orders in P_GROUP_M_CASES:
         group = FiniteAbelianGroup(orders)
-        report = delta_star(group, sweep_max_group=None, jobs=jobs)
+        report = delta_star(group, sweep_max_group=None)
         result.check(
             f"{group.spec_string()}: m(G) = {report.m_of_g} = r-1 = {group.rank - 1}",
             report.m_of_g == group.rank - 1)
     return result
 
 
-def verify_extremal_structure(group: FiniteAbelianGroup, jobs: int = 1,
+def verify_extremal_structure(group: FiniteAbelianGroup,
                               report: SweepReport | None = None) -> VerifyResult:
     """Structure of the minimal non-half-factorial sets attaining the maximum:
 
@@ -97,7 +97,7 @@ def verify_extremal_structure(group: FiniteAbelianGroup, jobs: int = 1,
     """
     result = VerifyResult("thm-4.5")
     if report is None:
-        report = delta_star(group, sweep_max_group=None, jobs=jobs)
+        report = delta_star(group, sweep_max_group=None)
     n = group.exponent
     r = group.rank
     name = group.spec_string()

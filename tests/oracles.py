@@ -3,13 +3,17 @@
 Everything here is deliberately naive: full grids, exhaustive coefficient
 enumeration, and a differently-shaped factorization search.  None of it
 shares code with the package internals it checks; `seed_enumerate_atoms`
-uses only the group arithmetic.
+uses only the group arithmetic.  The seed sweep descent takes its atoms from
+`enumerate_atoms` and its extremal reports from the sweep module.
 """
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
-from blockmonoid import FiniteAbelianGroup, SequenceVec, SupportSet
+from blockmonoid import (ConsistencyError, FiniteAbelianGroup, SequenceVec,
+                         SupportSet, enumerate_atoms)
+from blockmonoid.sweep import SubsetRecord, _extremal_report
 
 
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
@@ -171,3 +175,201 @@ def naive_length_set(seq: SequenceVec, atom_vectors) -> set[int]:
         return out
 
     return rec(seq.exponents)
+
+
+# -- the sweep descent as it stood before the pivot-indexed basis ------------------
+
+def _seed_leading_index(row) -> int:
+    for i, x in enumerate(row):
+        if x:
+            return i
+    return -1
+
+
+def seed_echelon_insert(rows: list[list[int]], vec: list[int]) -> None:
+    """The echelon insert before the pivot-indexed basis, kept verbatim
+    (helpers renamed) as a differential reference: rows are kept in
+    ascending pivot order and every pivot is found by rescanning the row."""
+    v = list(vec)
+    while True:
+        j = _seed_leading_index(v)
+        if j < 0:
+            return
+        pos = None
+        for idx, row in enumerate(rows):
+            pj = _seed_leading_index(row)
+            if pj == j:
+                pos = idx
+                break
+            if pj > j:
+                rows.insert(idx, v)
+                return
+        if pos is None:
+            rows.append(v)
+            return
+        row = rows[pos]
+        a, b = row[j], v[j]
+        if b % a == 0:
+            q = b // a
+            v = [x - q * y for x, y in zip(v, row)]
+        else:
+            g, x, y = _seed_ext_gcd(a, b)
+            new_row = [x * p + y * q2 for p, q2 in zip(row, v)]
+            v = [(a // g) * q2 - (b // g) * p for p, q2 in zip(row, v)]
+            rows[pos] = new_row
+
+
+def _seed_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def seed_lattice_tail_generator(rows: list[list[int]], dim: int) -> int:
+    if rows:
+        row = rows[-1]
+        if _seed_leading_index(row) == dim - 1:
+            return abs(row[-1])
+    return 0
+
+
+def seed_atom_tables(orders, atoms):
+    """Per-atom (augmented column, support mask, unit, light), grouped by the
+    lowest support bit."""
+    n = lcm(*orders)
+    weights = [n // o for o in orders]
+    by_minbit: dict[int, list] = {}
+    for a in atoms.atoms:
+        vec = a.exponents
+        mask = 0
+        scaled = 0
+        for i, c in enumerate(vec):
+            if c:
+                mask |= 1 << i
+                scaled += c * weights[i]
+        minbit = (mask & -mask).bit_length() - 1
+        entry = (list(vec) + [1], mask, scaled == n, scaled < n)
+        by_minbit.setdefault(minbit, []).append(entry)
+    return by_minbit
+
+
+def seed_unit_payload(pattern: int, state: dict):
+    """The sweep's work unit before the support-mask index, verbatim except
+    for renamed helpers and the removed symmetry option's branch and
+    counter: every node filters the atoms by their lowest support bit and
+    copies every row of its basis."""
+    k = state["k"]
+    boundary = state["boundary"]  # bits >= boundary form the pattern space
+    by_minbit = state["by_minbit"]
+    dim = k + 1
+
+    records: list[tuple[int, int, bool, bool]] = []
+    counters = {"computed": 0, "pruned": 0}
+
+    rows: list[list[int]] = []
+    has_nonunit = False
+    has_light = False
+    pattern_bits = [b for b in range(k - 1, boundary - 1, -1) if pattern >> b & 1]
+    partial = 0
+    for b in pattern_bits:
+        if partial and seed_lattice_tail_generator(rows, dim) == 1:
+            return None  # a proper prefix saturated; its own unit accounts for us
+        partial |= 1 << b
+        for vec, smask, unit, light in by_minbit.get(b, ()):
+            if smask & ~partial == 0:
+                seed_echelon_insert(rows, vec)
+                has_nonunit = has_nonunit or not unit
+                has_light = has_light or light
+
+    def readout(mask: int, rows, has_nonunit: bool) -> int:
+        d = seed_lattice_tail_generator(rows, dim)
+        if (d == 0) != (not has_nonunit):
+            raise ConsistencyError(
+                f"half-factoriality routes disagree on subset mask {mask}")
+        return d
+
+    def emit(mask: int, rows, has_nonunit, has_light) -> bool:
+        """Record a formed subset; True when its subtree saturates."""
+        d = readout(mask, rows, has_nonunit)
+        counters["computed"] += 1
+        records.append((mask, d, d == 0, not has_light))
+        if d == 1:
+            # every superset inherits min delta 1; count its subtree and skip
+            low = (mask & -mask).bit_length() - 1
+            counters["pruned"] += (1 << low) - 1
+            return True
+        return False
+
+    def descend(mask: int, top_bit: int, rows, has_nonunit, has_light):
+        for b in range(top_bit, -1, -1):
+            new_mask = mask | (1 << b)
+            batch = [entry for entry in by_minbit.get(b, ())
+                     if entry[1] & ~new_mask == 0]
+            nu, nl = has_nonunit, has_light
+            if batch:
+                new_rows = [row[:] for row in rows]
+                for vec, smask, unit, light in batch:
+                    seed_echelon_insert(new_rows, vec)
+                    nu = nu or not unit
+                    nl = nl or light
+            else:
+                new_rows = rows  # shared read-only; every writer copies first
+            if not emit(new_mask, new_rows, nu, nl):
+                descend(new_mask, b - 1, new_rows, nu, nl)
+
+    if pattern:
+        if emit(pattern, rows, has_nonunit, has_light):
+            return records, counters
+    descend(pattern, boundary - 1, rows, has_nonunit, has_light)
+    return records, counters
+
+
+def seed_delta_star(group: FiniteAbelianGroup) -> dict:
+    """The sweep's results by the seed descent, in one unit over all bits,
+    with the minimal-non-HF flags and extremal selection of the seed sweep.
+    The extremal reports are built by `sweep._extremal_report`."""
+    elements = group.nonzero_elements
+    k = len(elements)
+    if k == 0:
+        return {"records": (), "extremal": (), "delta_star": (), "m_of_g": 0,
+                "subsets_computed": 0, "subsets_pruned": 0}
+    support = SupportSet(group, elements)
+    atoms = enumerate_atoms(support, budget=None)
+    state = {"k": k, "boundary": k,
+             "by_minbit": seed_atom_tables(support.orders, atoms)}
+    unit_records, counters = seed_unit_payload(0, state)
+    merged = {mask: (d, hf, lcn) for mask, d, hf, lcn in unit_records}
+    assert len(merged) + counters["pruned"] == (1 << k) - 1
+
+    def subset_is_hf(mask: int) -> bool:
+        if mask == 0:
+            return True
+        hit = merged.get(mask)
+        return hit[1] if hit is not None else False
+
+    records = []
+    for mask in sorted(merged):
+        d, hf, lcn = merged[mask]
+        minimal = (not hf) and all(
+            subset_is_hf(mask ^ (1 << b)) for b in range(k) if mask >> b & 1)
+        records.append(SubsetRecord(mask, d, hf, lcn, minimal))
+    non_hf = [rec for rec in records if not rec.half_factorial]
+    dstar = sorted({rec.min_delta for rec in non_hf})
+    maximum = dstar[-1] if dstar else 0
+    return {
+        "records": tuple(records),
+        "extremal": tuple(
+            _extremal_report(group, elements, atoms, rec)
+            for rec in records
+            if rec.minimal_non_hf and rec.min_delta == maximum and maximum > 0),
+        "delta_star": tuple(dstar),
+        "m_of_g": max((rec.min_delta for rec in non_hf if rec.lcn), default=0),
+        "subsets_computed": counters["computed"],
+        "subsets_pruned": counters["pruned"],
+    }

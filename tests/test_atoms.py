@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
-                         SupportSet, abelian_groups_of_order, build_named_set,
-                         enumerate_atoms, enumeration_bound)
+                         SequenceVec, SupportSet, abelian_groups_of_order,
+                         build_named_set, enumerate_atoms, enumeration_bound)
 from blockmonoid.atoms import _Span
 from oracles import grid_atoms, seed_enumerate_atoms
 
@@ -157,6 +157,28 @@ class TestRestrict:
         direct = enumerate_atoms(sub)
         assert [a.exponents for a in atoms.restrict(sub)] == \
             [a.exponents for a in direct]
+
+    @pytest.mark.parametrize("orders", [(2, 2, 2), (3, 3), (2, 4)])
+    def test_every_subset_of_the_nonzero_elements(self, orders):
+        group = FiniteAbelianGroup(orders)
+        full = SupportSet(group, group.nonzero_elements)
+        atoms = enumerate_atoms(full)
+        for size in range(1, len(full) + 1):
+            for combo in itertools.combinations(full.elements, size):
+                sub = SupportSet(group, combo)
+                restricted = atoms.restrict(sub)
+                assert restricted.support == sub
+                assert [a.exponents for a in restricted] == \
+                    [a.exponents for a in enumerate_atoms(sub)]
+
+    def test_sequences_equal_validated_ones(self):
+        # restrict and enumerate_atoms skip SequenceVec validation
+        atoms = enumerate_atoms(FAMILY)
+        sub = SupportSet(C244, ((0, 1, 0), (0, 0, 1), (1, 0, 1)))
+        for atom_set in (atoms, atoms.restrict(sub)):
+            for a in atom_set:
+                assert a == SequenceVec(atom_set.support, a.exponents)
+                assert all(type(v) is int for v in a.exponents)
 
 
 def vectors(support):

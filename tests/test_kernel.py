@@ -1,13 +1,81 @@
 import random
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmonoid import (ConsistencyError, FiniteAbelianGroup, SequenceVec,
                          SupportSet, build_named_set, enumerate_atoms,
                          integer_kernel,
                          is_half_factorial, length_set, min_delta,
                          min_delta_witness)
+from blockmonoid.kernel import echelon_insert, lattice_tail_generator
+from oracles import seed_echelon_insert, seed_lattice_tail_generator
 from test_atoms import EPS33, FAMILY, PM5, small_support
+
+
+def _pivot(row) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _residue(rows, vec) -> list[int]:
+    """vec reduced against echelon rows listed in ascending pivot order;
+    all zero exactly when vec lies in their lattice."""
+    v = list(vec)
+    for row in rows:
+        j = _pivot(row)
+        if v[j] % row[j] == 0:
+            q = v[j] // row[j]
+            v = [x - q * y for x, y in zip(v, row)]
+    return v
+
+
+@st.composite
+def integer_vectors(draw):
+    dim = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6) | st.integers(-10**6, 10**6)
+    return dim, draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                              max_size=10))
+
+
+class TestPivotBasis:
+    """The pivot-indexed echelon insert against the seed row-list insert."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_vectors())
+    def test_matches_seed_insert(self, drawn):
+        dim, vectors = drawn
+        basis: list = [None] * dim
+        seed_rows: list[list[int]] = []
+        seen = {}  # id -> (row object, contents when first seen)
+        for v in vectors:
+            seen[id(v)] = (v, list(v))
+            echelon_insert(basis, v)
+            seed_echelon_insert(seed_rows, v)
+            for row in basis:
+                if row is not None and id(row) not in seen:
+                    seen[id(row)] = (row, list(row))
+        # every slot holds a row with its own pivot
+        for j, row in enumerate(basis):
+            assert row is None or _pivot(row) == j
+        rows = [row for row in basis if row is not None]
+        # the same lattice: each side reduces the other's generators to zero
+        for v in vectors:
+            assert not any(_residue(rows, v))
+        for row in rows:
+            assert not any(_residue(seed_rows, row))
+        assert lattice_tail_generator(basis, dim) == \
+            seed_lattice_tail_generator(seed_rows, dim)
+        # neither the vectors passed in nor any row was ever mutated
+        for obj, contents in seen.values():
+            assert list(obj) == contents
+
+    def test_copy_is_independent(self):
+        basis: list = [None] * 3
+        echelon_insert(basis, [2, 0, 1])
+        copy = basis[:]
+        echelon_insert(copy, [3, 1, 0])
+        assert basis == [[2, 0, 1], None, None]
+        assert copy == [[1, 1, -1], [0, 2, -3], None]
 
 
 class TestIntegerKernel:

@@ -1,9 +1,11 @@
 import pytest
 
 from blockmonoid import (BudgetError, FiniteAbelianGroup, SupportSet,
-                         delta_star, enumerate_atoms, expected_max_delta_star,
-                         is_half_factorial, m_of_g, min_delta)
+                         abelian_groups_of_order, delta_star, enumerate_atoms,
+                         expected_max_delta_star, is_half_factorial, m_of_g,
+                         min_delta)
 from blockmonoid.verify import verify_cyclic_second_maximum
+from oracles import seed_delta_star
 
 
 class TestDeltaStarExamples:
@@ -70,6 +72,29 @@ class TestCrossValidation:
                 assert rec.lcn == all(x >= 1 for x in atoms.cross_numbers)
 
 
+SEED_ORACLE_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
+SEED_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 2)), FiniteAbelianGroup((2, 2, 4))]
+
+
+class TestSeedOracle:
+    """The support-mask descent on pivot-indexed bases against the seed
+    descent (per-atom filter, row-list bases) kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("group", SEED_ORACLE_GROUPS,
+                             ids=lambda g: g.spec_string())
+    def test_matches_seed_descent(self, sweep_cache, group):
+        report = sweep_cache(group)
+        got = {
+            "records": report.records,
+            "extremal": report.extremal,
+            "delta_star": report.delta_star,
+            "m_of_g": report.m_of_g,
+            "subsets_computed": report.counters["subsets_computed"],
+            "subsets_pruned": report.counters["subsets_pruned"],
+        }
+        assert got == seed_delta_star(group)
+
+
 class TestMembershipAndBounds:
     @pytest.mark.parametrize("orders", [(5,), (8,), (2, 4), (3, 3), (2, 2, 2)])
     def test_known_memberships(self, sweep_cache, orders):
@@ -100,30 +125,9 @@ class TestMembershipAndBounds:
 
 
 class TestDeterminism:
-    def test_jobs_do_not_change_the_report(self):
-        group = FiniteAbelianGroup((2, 2, 3))
-        base = delta_star(group)
-        for jobs in (2, 3, 8):
-            assert delta_star(group, jobs=jobs) == base
-
     def test_repeat_runs_identical(self):
         group = FiniteAbelianGroup((2, 4))
         assert delta_star(group) == delta_star(group)
-
-    def test_symmetry_matches_plain(self):
-        for orders in ((2, 2, 2), (3, 3), (2, 4)):
-            group = FiniteAbelianGroup(orders)
-            plain = delta_star(group)
-            sym = delta_star(group, symmetry=True)
-            assert sym.records == plain.records
-            assert sym.delta_star == plain.delta_star
-            assert sym.extremal == plain.extremal
-            assert sym.m_of_g == plain.m_of_g
-            assert sym.counters["subsets_pruned"] == \
-                plain.counters["subsets_pruned"]
-            assert (sym.counters["subsets_computed"]
-                    + sym.counters["symmetry_reused"]) == \
-                plain.counters["subsets_computed"]
 
 
 class TestExtremal:
