@@ -1,7 +1,6 @@
 """Per-subset classification, the transfer reduction, and named example subsets."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,48 +62,43 @@ def is_minimal_non_half_factorial(atoms: AtomSet) -> bool:
 def is_decomposable(support: SupportSet) -> bool:
     """Some bipartition G1 + G2 spans the whole span as a direct sum.
 
-    Uses |<G1>| * |<G2>| = |<G0>| as the direct-sum criterion; searches all
+    Uses |<G1>| * |<G2>| = |<G0>| as the direct-sum criterion, with the
+    sizes read as popcounts of the support's span masks; searches all
     2^(|G0|-1) - 1 bipartitions with the first element pinned to G1.
     """
     n = len(support)
     if n < 2:
         return False
-    group = support.group
-    elems = support.elements
-    total = len(support.span())
-    span_size: dict[frozenset, int] = {}
-
-    def size_of(idxs: frozenset) -> int:
-        hit = span_size.get(idxs)
-        if hit is None:
-            hit = len(group.subgroup_closure([elems[i] for i in idxs]))
-            span_size[idxs] = hit
-        return hit
-
-    rest = range(1, n)
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            part1 = frozenset((0,) + extra)
-            part2 = frozenset(i for i in range(n) if i not in part1)
-            if size_of(part1) * size_of(part2) == total:
-                return True
+    full = (1 << n) - 1
+    total = support.span_mask(full).bit_count()
+    # part1 = position 0 plus `extra`, a subset of the positions 1 .. n-1
+    for extra in range(0, full - 1, 2):
+        part1 = extra | 1
+        if (support.span_mask(part1).bit_count()
+                * support.span_mask(full ^ part1).bit_count() == total):
+            return True
     return False
 
 
 def is_simple(support: SupportSet) -> bool:
     """Some g has an independent complement that spans g, with no proper
-    subset of the complement spanning g."""
-    group = support.group
-    elems = support.elements
-    for i, g in enumerate(elems):
-        rest = elems[:i] + elems[i + 1:]
-        if not group.is_independent(rest):
+    subset of the complement spanning g.
+
+    Spans grow with the family, so it is enough to test the subsets that
+    drop one element of the complement.
+    """
+    n = len(support)
+    full = (1 << n) - 1
+    codec = support.codec
+    for i, g in enumerate(support.elements):
+        rest = full ^ (1 << i)
+        if not support.is_independent(rest):
             continue
-        if g not in group.subgroup_closure(rest):
+        bit = codec.encode(g)
+        if not support.span_mask(rest) >> bit & 1:
             continue
-        if any(g in group.subgroup_closure(sub)
-               for r in range(len(rest))
-               for sub in itertools.combinations(rest, r)):
+        if any(support.span_mask(rest ^ (1 << j)) >> bit & 1
+               for j in range(n) if j != i):
             continue
         return True
     return False
@@ -135,11 +129,11 @@ def classify(support: SupportSet, budget: int | None = None,
 
 def satisfies_span_property(support: SupportSet) -> bool:
     """Every g lies in the span of the other elements."""
-    group = support.group
-    elems = support.elements
+    full = (1 << len(support)) - 1
+    codec = support.codec
     return all(
-        g in group.subgroup_closure(elems[:i] + elems[i + 1:])
-        for i, g in enumerate(elems))
+        support.span_mask(full ^ (1 << i)) >> codec.encode(g) & 1
+        for i, g in enumerate(support.elements))
 
 
 @dataclass(frozen=True)
@@ -180,9 +174,10 @@ def transfer_reduce(support: SupportSet, budget: int | None = None,
     span of the others, replacing one g by m*g per round.
 
     m = min{k : k*g in <G0 minus g>} always divides ord(g), so each round
-    strictly decreases the order sum and the loop terminates.  The
-    lexicographically first reducible g is picked each round to make the
-    output deterministic.
+    strictly decreases the order sum and the loop terminates.  It is the
+    order of g modulo <G0 minus g>, the index |<G0>| / |<G0 minus g>|, read
+    off the support's span masks.  The lexicographically first reducible g
+    is picked each round to make the output deterministic.
     """
     if atoms is None:
         atoms = enumerate_atoms(support, budget)
@@ -194,9 +189,11 @@ def transfer_reduce(support: SupportSet, budget: int | None = None,
     steps: list[ReductionStep] = []
     for _ in range(sum(support.orders)):
         elems = current.elements
+        full = (1 << len(elems)) - 1
+        total = current.span_mask(full).bit_count()
         candidates = []
         for i, g in enumerate(elems):
-            m = group.min_multiple_in_span(g, elems[:i] + elems[i + 1:])
+            m = total // current.span_mask(full ^ (1 << i)).bit_count()
             if m > 1:
                 candidates.append((g, i, m))
         if not candidates:

@@ -6,14 +6,14 @@ falsify the implementation), 2 parse or budget errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
 from . import report as rpt
 from .atoms import enumerate_atoms
 from .classify import classify, transfer_reduce
-from .config import Budgets, default_enumeration_budget
+from .config import (DEFAULT_SWEEP_MAX_GROUP, Budgets,
+                     default_enumeration_budget)
 from .errors import BudgetError, ContractError, ParseError
 from .kernel import is_half_factorial, min_delta, min_delta_witness
 from .lengths import distances_oracle, length_set
@@ -36,6 +36,13 @@ def _add_common(p, subset=True, fmt=True, budget=True):
         p.add_argument("--budget", type=int, default=None,
                        help="atom enumeration budget "
                             "(grid size bound; default from environment)")
+
+
+def _add_sweep_common(p):
+    _add_common(p, subset=False, budget=False)
+    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
+                   help=f"largest |G| the sweep accepts "
+                        f"(default {DEFAULT_SWEEP_MAX_GROUP})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,13 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("delta-star", help="whole-group sweep of minimal distances")
-    _add_common(p, subset=False, budget=False)
-    p.add_argument("--budget", type=int, default=16,
-                   help="largest |G| the sweep accepts (default 16)")
+    _add_sweep_common(p)
 
     p = sub.add_parser("m-of-g", help="max of min Delta over non-HF LCN subsets")
-    _add_common(p, subset=False, budget=False)
-    p.add_argument("--budget", type=int, default=16)
+    _add_sweep_common(p)
 
     p = sub.add_parser("transfer-reduce",
                        help="reduce a minimal non-HF set to span form")
@@ -128,7 +132,7 @@ def run(argv=None) -> int:
         group, support = parse_specs(args.group, args.subset)
         atoms = enumerate_atoms(support, _enumeration_budget(args))
         seq = parse_sequence(args.sequence, support)
-        budgets = Budgets.from_environment()
+        budgets = Budgets()
         lengths = length_set(seq, atoms, memo_limit=budgets.memo_limit)
         out.write(rpt.emit_lengths(seq, lengths, args.format))
         return 0
@@ -148,7 +152,7 @@ def run(argv=None) -> int:
     if args.command == "delta-observed":
         group, support = parse_specs(args.group, args.subset)
         atoms = enumerate_atoms(support, _enumeration_budget(args))
-        budgets = Budgets.from_environment()
+        budgets = Budgets()
         observed = distances_oracle(
             support, atoms, args.max_len,
             vector_limit=budgets.oracle_vector_limit,
@@ -171,13 +175,7 @@ def run(argv=None) -> int:
     if args.command == "m-of-g":
         group, _ = parse_specs(args.group, None)
         report = delta_star(group, sweep_max_group=args.budget)
-        if args.format == "json":
-            out.write(json.dumps({"group": group.spec_string(),
-                                  "m_of_g": report.m_of_g}, indent=2) + "\n")
-        elif args.format == "csv":
-            out.write(f"group,m_of_g\n{group.spec_string()},{report.m_of_g}\n")
-        else:
-            out.write(f"m({group.spec_string()}) = {report.m_of_g}\n")
+        out.write(rpt.emit_m_of_g(report, args.format))
         return 0
 
     if args.command == "transfer-reduce":

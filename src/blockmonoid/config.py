@@ -33,11 +33,5 @@ def default_enumeration_budget() -> int:
 class Budgets:
     """Resource limits applied by the CLI; library calls may pass None for no limit."""
 
-    enumeration: int | None = None
-    sweep_max_group: int = DEFAULT_SWEEP_MAX_GROUP
     memo_limit: int | None = DEFAULT_MEMO_LIMIT
     oracle_vector_limit: int | None = DEFAULT_ORACLE_VECTOR_LIMIT
-
-    @staticmethod
-    def from_environment() -> "Budgets":
-        return Budgets(enumeration=default_enumeration_budget())

@@ -1,12 +1,149 @@
-"""Sequences over a finite set of nonzero group elements, as exponent vectors."""
+"""Sequences over a finite set of nonzero group elements, as exponent vectors.
+
+A `SupportSet` also answers every question about what a sub-family of its
+elements spans.  `_Span` gives the subgroup <S> that the whole support
+generates mixed-radix coordinates, read off a diagonal form of the support's
+coordinate matrix, so its elements are numbered 0 .. |<S>| - 1 and a set of
+elements of <S> is a Python int with one bit per element.  The subgroup
+spanned by the elements at a set of positions T (a bitmask over positions) is
+`span_mask(T)`, built from span_mask(T minus its lowest position i) by OR-ing
+the cosets H + t*g_i until a translate contains 0 again; the table is
+memoized per support.  Then |<T>| is `span_mask(T).bit_count()`, g in <T>
+is one bit test, and T is independent iff |<T>| is the product of the orders
+of its elements (`is_independent`).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .errors import ContractError
 from .groups import Element, FiniteAbelianGroup
+
+
+def _diagonalize(matrix) -> tuple[list[list[int]], list[int]]:
+    """(P, d) with P unimodular and P A Q = diag(d) for some unimodular Q.
+
+    A is an integer r x m matrix of rank r, given as rows.  Each pivot is a
+    least nonzero entry, and Euclid steps by row and column operations clear
+    its row and column; only the row operations are recorded.  The column
+    lattice of A is {P^-1 y : d_j | y_j}.
+    """
+    a = [list(row) for row in matrix]
+    r = len(a)
+    p = [[int(i == j) for j in range(r)] for i in range(r)]
+    diag = []
+    for t in range(r):
+        # rows above t are already zero from column t on
+        while True:
+            _, i, j = min((abs(x), i, j) for i in range(t, r)
+                          for j, x in enumerate(a[i][t:], t) if x)
+            a[t], a[i] = a[i], a[t]
+            p[t], p[i] = p[i], p[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            pivot = a[t][t]
+            clear = True
+            for i in range(t + 1, r):
+                if a[i][t]:
+                    q = a[i][t] // pivot
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    p[i] = [x - q * y for x, y in zip(p[i], p[t])]
+                    clear = clear and not a[i][t]
+            for j in range(t + 1, len(a[t])):
+                if a[t][j]:
+                    q = a[t][j] // pivot
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+                    clear = clear and not a[t][j]
+            if clear:
+                break
+        if pivot < 0:
+            p[t] = [-x for x in p[t]]
+        diag.append(abs(pivot))
+    return p, diag
+
+
+class _Span:
+    """Mixed-radix coordinates on the subgroup <S> generated by a support.
+
+    Scaling component c by e/n_c, e = exp(G), embeds G in (Z/e)^r; the
+    preimage of <S> in Z^r is the column lattice of A = [scaled generators |
+    e*I].  With P A Q = diag(d), y = P x carries that lattice onto the
+    product of the d_j Z, so digit j of x in <S> is (P x)_j / d_j in radix
+    m_j = e/d_j, and the digits give an isomorphism of <S> onto the product
+    of the Z/m_j.  Digits with m_j = 1 are dropped; the last digit is least
+    significant.  The width, prod m_j bits, is |<S>|.  A set of elements of
+    <S> is an int mask with bit `encode(x)` set for each member.
+    """
+
+    def __init__(self, group: FiniteAbelianGroup, gens):
+        e = group.exponent
+        scale = [e // n for n in group.orders]
+        r = len(scale)
+        p, diag = _diagonalize(
+            [[g[c] * scale[c] for g in gens] + [e * (c == j) for j in range(r)]
+             for c in range(r)])
+        kept = [(row, d) for row, d in zip(p, diag) if d < e]
+        self.radices = tuple(e // d for _, d in kept)
+        strides = []
+        width = 1
+        for m in reversed(self.radices):
+            strides.append(width)
+            width *= m
+        self.strides = tuple(reversed(strides))
+        self.width = width
+        # digit j reads row j of P on the unscaled coordinates, kept as its
+        # nonzero (c, weight) terms; reducing a weight mod e keeps (P x)_j
+        # mod e, hence the digit
+        rows = []
+        for (row, d), stride in zip(kept, self.strides):
+            weights = [w * s % e for w, s in zip(row, scale)]
+            terms = tuple((c, w) for c, w in enumerate(weights) if w)
+            rows.append((terms, d, e // d, stride))
+        self._digit_rows = tuple(rows)
+
+    def encode(self, x: Element) -> int:
+        code = 0
+        for terms, d, m, stride in self._digit_rows:
+            y = 0
+            for c, w in terms:
+                y += w * x[c]
+            code += y // d % m * stride
+        return code
+
+    def encode_set(self, elements) -> int:
+        bits = bytearray((self.width + 7) // 8)
+        for x in elements:
+            code = self.encode(x)
+            bits[code >> 3] |= 1 << (code & 7)
+        return int.from_bytes(bits, "little")
+
+    def translation(self, g: Element) -> tuple[tuple[int, int, int], ...]:
+        """Steps (low mask, up shift, down shift), one per nonzero digit of g.
+
+        Applying every step as `lo = mask & low;
+        mask = (lo << up) | ((mask ^ lo) >> down)` translates a mask by g:
+        digit t of radix m and stride s moves the positions with digit < m - t
+        up by t*s and the rest down by (m - t)*s. The low mask is one block
+        pattern, (m - t)*s set bits out of every m*s, copied across the
+        width by doubling.
+        """
+        code = self.encode(g)
+        steps = []
+        for m, s in zip(self.radices, self.strides):
+            t = code // s % m
+            if t:
+                block = m * s
+                low, copies = (1 << ((m - t) * s)) - 1, 1
+                while copies * block < self.width:
+                    low |= low << (copies * block)
+                    copies *= 2
+                steps.append((low & ((1 << self.width) - 1), t * s,
+                              (m - t) * s))
+        return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -44,8 +181,56 @@ class SupportSet:
         except KeyError:
             raise ContractError(f"{tuple(g)} is not in the support set")
 
-    def span(self) -> frozenset[Element]:
-        return self.group.subgroup_closure(self.elements)
+    # -- spans of sub-families, as bitmasks over <S> ------------------------------
+
+    @cached_property
+    def codec(self) -> _Span:
+        """Mixed-radix coordinates on the span <S> of the whole support."""
+        return _Span(self.group, self.elements)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per position, the `_Span.translation` steps of its element."""
+        codec = self.codec
+        return tuple(codec.translation(g) for g in self.elements)
+
+    @cached_property
+    def _span_masks(self) -> dict[int, int]:
+        return {0: 1}
+
+    def span_mask(self, positions: int) -> int:
+        """The subgroup spanned by the elements at the set bits of
+        `positions`, as a mask over <S>; span_mask(0) == 1, the mask of {0}.
+
+        With i the lowest position and H the span of the others, the result
+        is the union of the cosets H + t*g_i for t = 0, 1, ...; the first
+        translate that contains 0 is H again.
+        """
+        masks = self._span_masks
+        hit = masks.get(positions)
+        if hit is None:
+            if positions < 0 or positions >> len(self.elements):
+                raise ContractError(
+                    f"position mask {positions} is outside the support")
+            low = positions & -positions
+            hit = coset = self.span_mask(positions ^ low)
+            steps = self.steps[low.bit_length() - 1]
+            while True:
+                for lo_mask, up, down in steps:
+                    lo = coset & lo_mask
+                    coset = (lo << up) | ((coset ^ lo) >> down)
+                if coset & 1:
+                    break
+                hit |= coset
+            masks[positions] = hit
+        return hit
+
+    def is_independent(self, positions: int) -> bool:
+        """Whether the elements at `positions` are independent: the sum of
+        their cyclic subgroups is direct exactly when its size is the
+        product of their orders."""
+        size = prod(o for i, o in enumerate(self.orders) if positions >> i & 1)
+        return self.span_mask(positions).bit_count() == size
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from math import lcm
 from operator import mul
 
 from .atoms import enumerate_atoms
+from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import echelon_insert, lattice_tail_generator
@@ -123,7 +124,7 @@ def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
 
 
 def delta_star(group: FiniteAbelianGroup, *,
-               sweep_max_group: int | None = 16) -> SweepReport:
+               sweep_max_group: int | None = DEFAULT_SWEEP_MAX_GROUP) -> SweepReport:
     """Classify every nonempty subset of the nonzero elements and collect the
     set of minimal distances, its maximum, the LCN maximum, and the extremal
     minimal non-half-factorial subsets."""
@@ -242,6 +243,7 @@ def extremal_sets(group: FiniteAbelianGroup, **kwargs) -> tuple[ExtremalSetRepor
 
 def _extremal_report(group, elements, full_atoms, rec: SubsetRecord) -> ExtremalSetReport:
     subset_elems = tuple(g for i, g in enumerate(elements) if rec.mask >> i & 1)
+    subset = SupportSet(group, subset_elems)
     n = group.exponent
     r = group.rank
 
@@ -249,26 +251,22 @@ def _extremal_report(group, elements, full_atoms, rec: SubsetRecord) -> Extremal
                and subset_elems[1] == group.neg(subset_elems[0])
                and group.order_of(subset_elems[0]) == n)
 
-    no_gap = True
-    for i, h in enumerate(subset_elems):
-        others = subset_elems[:i] + subset_elems[i + 1:]
-        for j in range(len(others)):
-            rest = others[:j] + others[j + 1:]
-            if h in group.subgroup_closure(rest):
-                no_gap = False
-                break
-        if not no_gap:
-            break
+    # spans of the subset minus one or two of its elements, as masks
+    size = len(subset_elems)
+    full = (1 << size) - 1
+    codec = subset.codec
+    no_gap = not any(
+        subset.span_mask(full ^ (1 << i) ^ (1 << j)) >> codec.encode(h) & 1
+        for i, h in enumerate(subset_elems)
+        for j in range(size) if j != i)
 
     independent_complement = any(
-        group.is_independent(subset_elems[:i] + subset_elems[i + 1:])
-        for i in range(len(subset_elems)))
+        subset.is_independent(full ^ (1 << i)) for i in range(size))
 
     unit_bound: bool | None = None
     heavy_bound: bool | None = None
     if rec.lcn:
         # the atom inventory is read only here, so restrict only here
-        subset = SupportSet(group, subset_elems)
         atoms = full_atoms.restrict(subset)
         unit_bound = all(
             2 * len(a.supp()) <= n

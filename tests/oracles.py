@@ -3,7 +3,7 @@
 Everything here is deliberately naive: full grids, exhaustive coefficient
 enumeration, and a differently-shaped factorization search.  None of it
 shares code with the package internals it checks; `seed_enumerate_atoms`
-uses only the group arithmetic.  The seed sweep descent takes its atoms from
+and the seed span predicates use only the group arithmetic.  The seed sweep descent takes its atoms from
 `enumerate_atoms` and its extremal reports from the sweep module.
 """
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from blockmonoid import (ConsistencyError, FiniteAbelianGroup, SequenceVec,
-                         SupportSet, enumerate_atoms)
+from blockmonoid import (ConsistencyError, ContractError, FiniteAbelianGroup,
+                         SequenceVec, SupportSet, TransferReduction,
+                         enumerate_atoms, is_minimal_non_half_factorial)
+from blockmonoid.classify import ReductionStep
 from blockmonoid.sweep import SubsetRecord, _extremal_report
 
 
@@ -175,6 +177,116 @@ def naive_length_set(seq: SequenceVec, atom_vectors) -> set[int]:
         return out
 
     return rec(seq.exponents)
+
+
+# -- span predicates as they stood before the span-mask table ----------------------
+#
+# Kept verbatim apart from names, all on `subgroup_closure`;
+# `seed_is_decomposable` reads the whole span as `subgroup_closure` of the
+# support, which is what the deleted `SupportSet.span` returned.
+
+def seed_is_decomposable(support: SupportSet) -> bool:
+    n = len(support)
+    if n < 2:
+        return False
+    group = support.group
+    elems = support.elements
+    total = len(group.subgroup_closure(elems))
+    span_size: dict[frozenset, int] = {}
+
+    def size_of(idxs: frozenset) -> int:
+        hit = span_size.get(idxs)
+        if hit is None:
+            hit = len(group.subgroup_closure([elems[i] for i in idxs]))
+            span_size[idxs] = hit
+        return hit
+
+    rest = range(1, n)
+    for r in range(0, n - 1):
+        for extra in itertools.combinations(rest, r):
+            part1 = frozenset((0,) + extra)
+            part2 = frozenset(i for i in range(n) if i not in part1)
+            if size_of(part1) * size_of(part2) == total:
+                return True
+    return False
+
+
+def seed_is_simple(support: SupportSet) -> bool:
+    group = support.group
+    elems = support.elements
+    for i, g in enumerate(elems):
+        rest = elems[:i] + elems[i + 1:]
+        if not group.is_independent(rest):
+            continue
+        if g not in group.subgroup_closure(rest):
+            continue
+        if any(g in group.subgroup_closure(sub)
+               for r in range(len(rest))
+               for sub in itertools.combinations(rest, r)):
+            continue
+        return True
+    return False
+
+
+def seed_satisfies_span_property(support: SupportSet) -> bool:
+    group = support.group
+    elems = support.elements
+    return all(
+        g in group.subgroup_closure(elems[:i] + elems[i + 1:])
+        for i, g in enumerate(elems))
+
+
+def seed_transfer_reduce(support: SupportSet, atoms) -> TransferReduction:
+    """The reduction with m from `min_multiple_in_span`, a walk over the
+    multiples of g against the closure of the others."""
+    if not is_minimal_non_half_factorial(atoms):
+        raise ContractError(
+            "transfer reduction is defined for minimal non-half-factorial sets")
+    group = support.group
+    current = support
+    steps: list[ReductionStep] = []
+    for _ in range(sum(support.orders)):
+        elems = current.elements
+        candidates = []
+        for i, g in enumerate(elems):
+            m = group.min_multiple_in_span(g, elems[:i] + elems[i + 1:])
+            if m > 1:
+                candidates.append((g, i, m))
+        if not candidates:
+            break
+        g, i, m = min(candidates)
+        mg = group.mul(m, g)
+        if not any(mg):
+            raise ConsistencyError(f"reduction of {g} collapsed to 0")
+        if mg in current:
+            raise ConsistencyError(
+                f"replacement {mg} already present in {current.elements}")
+        steps.append(ReductionStep(i, g, m, mg))
+        current = SupportSet(
+            group, elems[:i] + (mg,) + elems[i + 1:])
+    else:
+        raise ConsistencyError("transfer reduction failed to terminate")
+    return TransferReduction(support, current, tuple(steps))
+
+
+def seed_extremal_span_flags(group: FiniteAbelianGroup,
+                             subset_elems) -> tuple[bool, bool]:
+    """(no_two_element_span_gap, has_independent_complement) of an extremal
+    report, as `sweep._extremal_report` computed them by closures."""
+    no_gap = True
+    for i, h in enumerate(subset_elems):
+        others = subset_elems[:i] + subset_elems[i + 1:]
+        for j in range(len(others)):
+            rest = others[:j] + others[j + 1:]
+            if h in group.subgroup_closure(rest):
+                no_gap = False
+                break
+        if not no_gap:
+            break
+    independent_complement = any(
+        group.is_independent(subset_elems[:i] + subset_elems[i + 1:])
+        for i in range(len(subset_elems)))
+    return no_gap, independent_complement
 
 
 # -- the sweep descent as it stood before the pivot-indexed basis ------------------

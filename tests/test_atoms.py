@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          SequenceVec, SupportSet, abelian_groups_of_order,
                          build_named_set, enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import _Span
+from blockmonoid.sequences import _Span
 from oracles import grid_atoms, seed_enumerate_atoms
 
 C5 = FiniteAbelianGroup((5,))

@@ -175,10 +175,27 @@ class TestCli:
         assert code == 0
         assert "(0,2)" in out
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "m(C2^2xC3) = 1\n"),
+        ("json", '{\n  "group": "C2^2xC3",\n  "m_of_g": 1\n}\n'),
+        ("csv", "group,m_of_g\nC2^2xC3,1\n"),
+    ])
+    def test_m_of_g_formats(self, fmt, expected):
+        code, out = run_cli("m-of-g", "--group", "C2^2xC3", "--format", fmt)
+        assert code == 0
+        assert out == expected
+
     def test_sweep_budget_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run_cli_main("delta-star", "--group", "C17")
         assert info.value.code == 2
+
+    def test_m_of_g_shares_the_sweep_budget(self):
+        with pytest.raises(SystemExit) as info:
+            run_cli_main("m-of-g", "--group", "C17")
+        assert info.value.code == 2
+        code, out = run_cli("m-of-g", "--group", "C17", "--budget", "17")
+        assert code == 0 and out == "m(C17) = 0\n"
 
     def test_parse_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
