@@ -7,7 +7,7 @@ from fractions import Fraction
 from .atoms import AtomSet, enumerate_atoms
 from .errors import ConsistencyError, ContractError
 from .groups import Element, FiniteAbelianGroup, prime_factors
-from .kernel import is_half_factorial, min_delta
+from .kernel import min_delta
 from .sequences import SequenceVec, SupportSet
 
 
@@ -109,16 +109,16 @@ def classify(support: SupportSet, budget: int | None = None,
     """Full classification of one support set."""
     if atoms is None:
         atoms = enumerate_atoms(support, budget)
-    hf = is_half_factorial(atoms)
-    d = min_delta(atoms)
+    # half-factorial by unit cross numbers; the record checks this route
+    # against min Delta = 0
     return ClassificationRecord(
         subset=support.elements,
-        half_factorial=hf,
+        half_factorial=all(k == 1 for k in atoms.cross_numbers),
         lcn=all(k >= 1 for k in atoms.cross_numbers),
         minimal_non_hf=is_minimal_non_half_factorial(atoms),
         decomposable=is_decomposable(support),
         simple=is_simple(support),
-        min_delta=d,
+        min_delta=min_delta(atoms),
         davenport=atoms.davenport_constant() if len(atoms) else 0,
         max_cross_number=atoms.cross_number() if len(atoms) else Fraction(0),
         atom_count=len(atoms),

@@ -12,34 +12,36 @@ import sys
 from . import report as rpt
 from .atoms import enumerate_atoms
 from .classify import classify, transfer_reduce
-from .config import (DEFAULT_SWEEP_MAX_GROUP, Budgets,
-                     default_enumeration_budget)
+from .config import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_MEMO_LIMIT,
+                     DEFAULT_ORACLE_VECTOR_LIMIT, DEFAULT_SWEEP_MAX_GROUP)
 from .errors import BudgetError, ContractError, ParseError
+from .groups import abelian_groups_of_order
 from .kernel import is_half_factorial, min_delta, min_delta_witness
 from .lengths import distances_oracle, length_set
 from .sequences import SequenceVec
 from .specparse import parse_sequence, parse_specs
 from .sweep import delta_star
-from .verify import (verify_extremal_structure, verify_main_theorem,
-                     verify_named_family, verify_p_group_m,
+from .verify import (verify_all, verify_extremal_structure,
+                     verify_main_theorem, verify_named_family, verify_p_group_m,
                      verify_pm_and_basis_families)
 
 
-def _add_common(p, subset=True, fmt=True, budget=True):
-    p.add_argument("--group", required=True, help="group spec, e.g. C2^2xC4")
+def _add_common(p, subset=True, fmt=True, budget=True, group=True):
+    if group:
+        p.add_argument("--group", required=True, help="group spec, e.g. C2^2xC4")
     if subset:
         p.add_argument("--subset", required=True,
                        help="subset spec, e.g. \"(1);(4)\"")
     if fmt:
         p.add_argument("--format", choices=rpt.FORMATS, default="text")
     if budget:
-        p.add_argument("--budget", type=int, default=None,
-                       help="atom enumeration budget "
-                            "(grid size bound; default from environment)")
+        p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+                       help="atom enumeration budget (grid size bound; "
+                            f"default {DEFAULT_ENUMERATION_BUDGET})")
 
 
-def _add_sweep_common(p):
-    _add_common(p, subset=False, budget=False)
+def _add_sweep_common(p, group=True):
+    _add_common(p, subset=False, budget=False, group=group)
     p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
                    help=f"largest |G| the sweep accepts "
                         f"(default {DEFAULT_SWEEP_MAX_GROUP})")
@@ -74,7 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("delta-star", help="whole-group sweep of minimal distances")
-    _add_sweep_common(p)
+    _add_sweep_common(p, group=False)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--group", help="group spec, e.g. C2^2xC4")
+    which.add_argument("--max-order", type=int, metavar="N",
+                       help="one summary row per abelian group of order "
+                            "3 .. N, with no |G| cap")
 
     p = sub.add_parser("m-of-g", help="max of min Delta over non-HF LCN subsets")
     _add_sweep_common(p)
@@ -111,11 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-n", type=int, default=10)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
+    v = vsub.add_parser("all", help="every routine above; thm-4.5 on each "
+                                    "swept group with extremal sets")
+    v.add_argument("--max-order", type=int, default=16)
+    v.add_argument("--format", choices=rpt.FORMATS, default="text")
+
     return parser
-
-
-def _enumeration_budget(args) -> int:
-    return args.budget if args.budget is not None else default_enumeration_budget()
 
 
 def run(argv=None) -> int:
@@ -124,22 +132,21 @@ def run(argv=None) -> int:
 
     if args.command == "atoms":
         group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, _enumeration_budget(args))
+        atoms = enumerate_atoms(support, args.budget)
         out.write(rpt.emit_atoms(atoms, args.format))
         return 0
 
     if args.command == "lengths":
         group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, _enumeration_budget(args))
+        atoms = enumerate_atoms(support, args.budget)
         seq = parse_sequence(args.sequence, support)
-        budgets = Budgets()
-        lengths = length_set(seq, atoms, memo_limit=budgets.memo_limit)
+        lengths = length_set(seq, atoms, memo_limit=DEFAULT_MEMO_LIMIT)
         out.write(rpt.emit_lengths(seq, lengths, args.format))
         return 0
 
     if args.command == "min-delta":
         group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, _enumeration_budget(args))
+        atoms = enumerate_atoms(support, args.budget)
         d = min_delta(atoms)
         hf = is_half_factorial(atoms)
         # M has full row rank: every g^ord(g) is an atom
@@ -151,22 +158,27 @@ def run(argv=None) -> int:
 
     if args.command == "delta-observed":
         group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, _enumeration_budget(args))
-        budgets = Budgets()
+        atoms = enumerate_atoms(support, args.budget)
         observed = distances_oracle(
             support, atoms, args.max_len,
-            vector_limit=budgets.oracle_vector_limit,
-            memo_limit=budgets.memo_limit)
+            vector_limit=DEFAULT_ORACLE_VECTOR_LIMIT,
+            memo_limit=DEFAULT_MEMO_LIMIT)
         out.write(rpt.emit_distances(support, args.max_len, observed, args.format))
         return 0
 
     if args.command == "classify":
         group, support = parse_specs(args.group, args.subset)
-        record = classify(support, _enumeration_budget(args))
+        record = classify(support, args.budget)
         out.write(rpt.emit_classify(record, args.format))
         return 0
 
     if args.command == "delta-star":
+        if args.max_order is not None:
+            reports = [delta_star(group, sweep_max_group=None)
+                       for order in range(3, args.max_order + 1)
+                       for group in abelian_groups_of_order(order)]
+            out.write(rpt.emit_sweep_table(reports, args.format))
+            return 0
         group, _ = parse_specs(args.group, None)
         report = delta_star(group, sweep_max_group=args.budget)
         out.write(rpt.emit_sweep(report, args.format))
@@ -180,7 +192,7 @@ def run(argv=None) -> int:
 
     if args.command == "transfer-reduce":
         group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, _enumeration_budget(args))
+        atoms = enumerate_atoms(support, args.budget)
         reduction = transfer_reduce(support, atoms=atoms)
         probes = 0
         if args.check:
@@ -208,8 +220,10 @@ def run(argv=None) -> int:
         elif args.target == "remark-4.6":
             result = verify_named_family(args.which, r=args.r,
                                          oracle_max_len=args.max_len)
-        else:
+        elif args.target == "lemma-3.1":
             result = verify_pm_and_basis_families(args.max_n)
+        else:
+            result = verify_all(args.max_order)
         out.write(rpt.emit_verify(result, args.format))
         return 0 if result.ok else 1
 

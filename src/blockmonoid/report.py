@@ -197,6 +197,29 @@ def emit_sweep(report: SweepReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def emit_sweep_table(reports, fmt: str) -> str:
+    """One summary row per swept group."""
+    rows = [(r.group.spec_string(), r.group.exponent, r.group.rank,
+             r.max_delta_star, r.m_of_g, len(r.extremal), r.delta_star)
+            for r in reports]
+    if fmt == "json":
+        return _json({"groups": [
+            {"group": g, "exponent": e, "rank": rk, "max_delta_star": mx,
+             "m_of_g": m, "extremal_count": x, "delta_star": list(ds)}
+            for g, e, rk, mx, m, x, ds in rows]})
+    if fmt == "csv":
+        return _csv(("group", "exponent", "rank", "max_delta_star", "m_of_g",
+                     "extremal_count", "delta_star"),
+                    [(*row[:-1], " ".join(map(str, row[-1]))) for row in rows])
+    header = (f"{'group':<12} {'exp':>3} {'rank':>4} {'max d*':>6} "
+              f"{'m(G)':>4} {'#extremal':>9} delta*")
+    lines = [header, "-" * len(header)]
+    for g, e, rk, mx, m, x, ds in rows:
+        lines.append(f"{g:<12} {e:>3} {rk:>4} {mx:>6} {m:>4} {x:>9} "
+                     f"{{{','.join(map(str, ds))}}}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_m_of_g(report: SweepReport, fmt: str) -> str:
     spec = report.group.spec_string()
     if fmt == "json":

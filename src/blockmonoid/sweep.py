@@ -13,9 +13,13 @@ structural facts make this cheap:
   generator divides 1), so the whole subtree is counted arithmetically and
   skipped ("saturation pruning").
 
-Subsets are formed by adding element bits in descending order, so a node that
-adds bit b to a mask of higher bits gains exactly the atoms whose support is
-b plus a submask of that mask.  The atoms are indexed by support mask, and
+Each chain adds element bits below those of its mask, so a node that adds
+bit b to a mask of higher bits gains exactly the atoms whose support is b
+plus a submask of that mask.  Siblings go in ascending order of b, so the
+masks are formed in increasing integer order: every proper subset of a mask
+is decided before the mask itself (a skipped mask has min Delta 1), and each
+subset's record, minimal-non-half-factorial flag included, is written once,
+in place, already sorted.  The atoms are indexed by support mask, and
 each mask's augmented columns are reduced, on first lookup, to a small
 echelon basis (at most one row per support position, plus one).  A node
 looks up bit b joined with each submask of its mask and inserts those few
@@ -36,7 +40,7 @@ from .kernel import echelon_insert, lattice_tail_generator
 from .sequences import SupportSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetRecord:
     mask: int
     min_delta: int
@@ -145,13 +149,14 @@ def delta_star(group: FiniteAbelianGroup, *,
     index = _atom_index(support.orders, atoms)
     dim = k + 1
 
-    merged: dict[int, tuple[int, bool, bool]] = {}  # mask -> (d, hf, lcn)
+    records: list[SubsetRecord] = []
+    hf_masks = {0}  # the half-factorial masks formed so far, and the empty one
     pruned = 0
 
     def descend(mask: int, top_bit: int, basis: list, has_nonunit: bool,
                 has_light: bool):
         nonlocal pruned
-        for b in range(top_bit, -1, -1):
+        for b in range(top_bit + 1):
             bit = 1 << b
             new_basis = basis  # shared until the first insert copies it
             nu, nl = has_nonunit, has_light
@@ -178,7 +183,14 @@ def delta_star(group: FiniteAbelianGroup, *,
             if (d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")
-            merged[new_mask] = (d, d == 0, not nl)
+            if d == 0:
+                hf_masks.add(new_mask)
+                minimal = False
+            else:
+                # every proper subset is smaller, so already decided
+                minimal = all(new_mask ^ (1 << i) in hf_masks
+                              for i in range(b, k) if new_mask >> i & 1)
+            records.append(SubsetRecord(new_mask, d, d == 0, not nl, minimal))
             if d == 1:
                 # every superset inherits min delta 1; count its subtree and skip
                 pruned += bit - 1
@@ -188,29 +200,15 @@ def delta_star(group: FiniteAbelianGroup, *,
     descend(0, k - 1, [None] * dim, False, False)
 
     total = (1 << k) - 1
-    if len(merged) + pruned != total:
+    if len(records) + pruned != total:
         raise ConsistencyError(
-            f"sweep accounting is off: {len(merged)} visited + {pruned} pruned "
+            f"sweep accounting is off: {len(records)} visited + {pruned} pruned "
             f"!= {total}")
 
-    def subset_is_hf(mask: int) -> bool:
-        if mask == 0:
-            return True
-        hit = merged.get(mask)
-        # absent masks were pruned, hence non-half-factorial
-        return hit[1] if hit is not None else False
-
-    records = []
-    for mask in sorted(merged):
-        d, hf, lcn = merged[mask]
-        minimal = (not hf) and all(
-            subset_is_hf(mask ^ (1 << b)) for b in range(k) if mask >> b & 1)
-        records.append(SubsetRecord(mask, d, hf, lcn, minimal))
-
-    non_hf = [rec for rec in records if not rec.half_factorial]
-    dstar = sorted({rec.min_delta for rec in non_hf})
+    # min Delta is 0 exactly on the half-factorial subsets
+    dstar = sorted({rec.min_delta for rec in records} - {0})
     maximum = dstar[-1] if dstar else 0
-    m_of_g = max((rec.min_delta for rec in non_hf if rec.lcn), default=0)
+    m_of_g = max((rec.min_delta for rec in records if rec.lcn), default=0)
     extremal = tuple(
         _extremal_report(group, elements, atoms, rec)
         for rec in records
@@ -225,20 +223,11 @@ def delta_star(group: FiniteAbelianGroup, *,
         extremal=extremal,
         counters={
             "subsets_total": total,
-            "subsets_computed": len(merged),
+            "subsets_computed": len(records),
             "subsets_pruned": pruned,
         },
         records=tuple(records),
     )
-
-
-def m_of_g(group: FiniteAbelianGroup, **kwargs) -> int:
-    """max of min Delta over the non-half-factorial LCN subsets (0 when none)."""
-    return delta_star(group, **kwargs).m_of_g
-
-
-def extremal_sets(group: FiniteAbelianGroup, **kwargs) -> tuple[ExtremalSetReport, ...]:
-    return delta_star(group, **kwargs).extremal
 
 
 def _extremal_report(group, elements, full_atoms, rec: SubsetRecord) -> ExtremalSetReport:

@@ -250,3 +250,23 @@ def verify_named_family(which: int, r: int = 3,
     result.data["atom_count"] = len(atoms)
     result.data["min_delta"] = d
     return result
+
+
+def verify_all(max_order: int = 16) -> VerifyResult:
+    """Every routine above in one result: thm-1.1 up to max_order, prop-3.2,
+    lemma-3.1, remark-4.6.1 and 4.6.2 at r = 3, and thm-4.5 on every swept
+    group with extremal sets, reusing the thm-1.1 sweeps.  Each check line
+    is prefixed with the name of its routine."""
+    reports: dict = {}
+    runs = [verify_main_theorem(max_order, reports=reports),
+            verify_p_group_m(),
+            verify_pm_and_basis_families(),
+            verify_named_family(1, r=3),
+            verify_named_family(2, r=3)]
+    runs += [verify_extremal_structure(report.group, report=report)
+             for _, report in sorted(reports.items()) if report.extremal]
+    result = VerifyResult("all")
+    for run in runs:
+        result.lines.extend(f"{run.name}: {line}" for line in run.lines)
+        result.ok = result.ok and run.ok
+    return result

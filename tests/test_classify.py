@@ -1,9 +1,10 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from blockmonoid import (ContractError, FiniteAbelianGroup,
+from blockmonoid import (ConsistencyError, ContractError, FiniteAbelianGroup,
                          SequenceVec, SupportSet, build_named_set, classify,
                          delta_star, enumerate_atoms, is_decomposable,
                          is_simple, min_delta, satisfies_span_property,
@@ -47,6 +48,13 @@ class TestClassify:
         rec = classify(SupportSet(group, ((1,), (2,))))
         assert rec.half_factorial and rec.min_delta == 0
         assert not rec.minimal_non_hf
+
+    def test_half_factoriality_routes_are_checked(self, monkeypatch):
+        # the package re-exports the function under the module's name
+        module = importlib.import_module("blockmonoid.classify")
+        monkeypatch.setattr(module, "min_delta", lambda atoms: 0)
+        with pytest.raises(ConsistencyError):
+            classify(PM5)
 
 
 class TestDecomposable:

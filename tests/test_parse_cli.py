@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 
@@ -99,6 +100,39 @@ class TestRoundTrips:
             assert parse_sequence(seq.format(), support) == seq
 
 
+# `delta-star --group C2xC3 --format csv`, byte for byte
+DELTA_STAR_C2XC3_CSV = (
+    'subset,min_delta,half_factorial,lcn,minimal_non_hf\n'
+    '"(0,1)",0,True,True,False\n'
+    '"(0,2)",0,True,True,False\n'
+    '"(0,1);(0,2)",1,False,False,True\n'
+    '"(1,0)",0,True,True,False\n'
+    '"(0,1);(1,0)",0,True,True,False\n'
+    '"(0,2);(1,0)",0,True,True,False\n'
+    '"(0,1);(0,2);(1,0)",1,False,False,False\n'
+    '"(1,1)",0,True,True,False\n'
+    '"(0,1);(1,1)",1,False,False,True\n'
+    '"(0,2);(1,1)",0,True,True,False\n'
+    '"(0,1);(0,2);(1,1)",1,False,False,False\n'
+    '"(1,0);(1,1)",0,True,True,False\n'
+    '"(0,1);(1,0);(1,1)",1,False,False,False\n'
+    '"(0,2);(1,0);(1,1)",0,True,True,False\n'
+    '"(0,1);(0,2);(1,0);(1,1)",1,False,False,False\n'
+    '"(1,2)",0,True,True,False\n'
+    '"(0,1);(1,2)",0,True,True,False\n'
+    '"(0,2);(1,2)",1,False,False,True\n'
+    '"(1,0);(1,2)",0,True,True,False\n'
+    '"(0,1);(1,0);(1,2)",0,True,True,False\n'
+    '"(0,2);(1,0);(1,2)",1,False,False,False\n'
+    '"(1,1);(1,2)",4,False,False,True\n'
+    '"(0,1);(1,1);(1,2)",1,False,False,False\n'
+    '"(0,2);(1,1);(1,2)",1,False,False,False\n'
+    '"(1,0);(1,1);(1,2)",2,False,False,False\n'
+    '"(0,1);(1,0);(1,1);(1,2)",1,False,False,False\n'
+    '"(0,2);(1,0);(1,1);(1,2)",1,False,False,False\n'
+)
+
+
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -162,11 +196,42 @@ class TestCli:
         assert all(set(e) == {"subset", "flags"} for e in payload["extremal"])
 
     def test_delta_star_csv(self):
-        code, out = run_cli("delta-star", "--group", "C3", "--format", "csv")
+        # 27 computed subsets in mask order; the 4 pruned supersets of a
+        # min Delta 1 subset have no row
+        code, out = run_cli("delta-star", "--group", "C2xC3", "--format", "csv")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "subset,min_delta,half_factorial,lcn,minimal_non_hf"
-        assert len(lines) == 4  # three subsets of C3 minus zero
+        assert out == DELTA_STAR_C2XC3_CSV
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "group        exp rank max d* m(G) #extremal delta*\n"
+                 "--------------------------------------------------\n"
+                 "C3             3    1      1    0         1 {1}\n"
+                 "C2^2           2    2      1    1         1 {1}\n"
+                 "C4             4    1      2    0         1 {1,2}\n"),
+        ("csv", "group,exponent,rank,max_delta_star,m_of_g,extremal_count,"
+                "delta_star\nC3,3,1,1,0,1,1\nC2^2,2,2,1,1,1,1\n"
+                "C4,4,1,2,0,1,1 2\n"),
+    ])
+    def test_delta_star_table(self, fmt, expected):
+        code, out = run_cli("delta-star", "--max-order", "4", "--format", fmt)
+        assert code == 0
+        assert out == expected
+
+    def test_delta_star_table_json(self):
+        code, out = run_cli("delta-star", "--max-order", "6", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["groups"]
+        assert [r["group"] for r in rows] == ["C3", "C2^2", "C4", "C5", "C2xC3"]
+        assert rows[-1] == {"group": "C2xC3", "exponent": 6, "rank": 1,
+                            "max_delta_star": 4, "m_of_g": 0,
+                            "extremal_count": 1, "delta_star": [1, 2, 4]}
+
+    def test_delta_star_needs_group_or_max_order(self):
+        for argv in (("delta-star",),
+                     ("delta-star", "--group", "C3", "--max-order", "4")):
+            with pytest.raises(SystemExit) as info:
+                run_cli_main(*argv)
+            assert info.value.code == 2
 
     def test_transfer_reduce(self):
         code, out = run_cli("transfer-reduce", "--group", "C2xC3",
@@ -212,6 +277,27 @@ class TestCli:
         assert code == 0
         assert "verify lemma-3.1: OK" in out
 
+    def test_verify_all(self):
+        code, out = run_cli("verify", "all", "--max-order", "6")
+        assert code == 0
+        assert out.endswith("verify all: OK\n")
+        names = {line.split(":")[0] for line in out.splitlines()[:-1]}
+        assert names == {"thm-1.1", "prop-3.2", "lemma-3.1", "remark-4.6.1",
+                         "remark-4.6.2", "thm-4.5"}
+        # thm-4.5 runs on each swept group with extremal sets, C3 .. C2xC3
+        assert "thm-4.5: C2xC3 ((1, 1), (1, 2)): pm pair of full order OK" in out
+        assert run_cli("verify", "all", "--max-order", "6") == (code, out)
+
+    def test_verify_all_fails_with_any_routine(self, monkeypatch):
+        module = importlib.import_module("blockmonoid.verify")
+        monkeypatch.setattr(module, "expected_max_delta_star", lambda group: -1)
+        code, out = run_cli("verify", "all", "--max-order", "4",
+                            "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verify"] == "all" and payload["ok"] is False
+        assert "thm-1.1: C3: max delta* = 1 = max{1,0} FAIL" in payload["checks"]
+
 
 def run_cli_main(*argv):
     import sys
@@ -224,3 +310,4 @@ def run_cli_main(*argv):
             main()
     finally:
         sys.argv = old
+

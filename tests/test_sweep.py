@@ -2,7 +2,7 @@ import pytest
 
 from blockmonoid import (BudgetError, FiniteAbelianGroup, SupportSet,
                          abelian_groups_of_order, delta_star, enumerate_atoms,
-                         expected_max_delta_star, is_half_factorial, m_of_g,
+                         expected_max_delta_star, is_half_factorial,
                          min_delta)
 from blockmonoid.verify import verify_cyclic_second_maximum
 from oracles import seed_delta_star
@@ -46,7 +46,7 @@ class TestMOfG:
         assert sweep_cache(FiniteAbelianGroup(orders)).m_of_g == expected
 
     def test_direct_call(self):
-        assert m_of_g(FiniteAbelianGroup((2, 2, 2))) == 2
+        assert delta_star(FiniteAbelianGroup((2, 2, 2))).m_of_g == 2
 
 
 class TestCrossValidation:
