@@ -71,13 +71,6 @@ class AtomSet:
     def cross_numbers(self) -> tuple[Fraction, ...]:
         return tuple(a.cross_number() for a in self.atoms)
 
-    @cached_property
-    def _by_exponents(self) -> dict[tuple[int, ...], int]:
-        return {a.exponents: j for j, a in enumerate(self.atoms)}
-
-    def contains_vector(self, exponents) -> bool:
-        return tuple(exponents) in self._by_exponents
-
     def davenport_constant(self) -> int:
         """Maximal atom length."""
         if not self.atoms:
@@ -89,32 +82,6 @@ class AtomSet:
         if not self.atoms:
             raise ContractError("cross number of an empty atom set")
         return max(self.cross_numbers)
-
-    @cached_property
-    def support_masks(self) -> tuple[int, ...]:
-        """Per atom, the bitmask of the support positions it uses."""
-        out = []
-        for a in self.atoms:
-            mask = 0
-            for i, c in enumerate(a.exponents):
-                if c:
-                    mask |= 1 << i
-            out.append(mask)
-        return tuple(out)
-
-    def restrict(self, subset: SupportSet) -> "AtomSet":
-        """Atoms supported inside a subset of the support, re-indexed to it.
-
-        Valid because a zero-sum sequence over the subset is minimal there
-        iff it is minimal over the larger support.
-        """
-        positions = [self.support.position(g) for g in subset.elements]
-        inside = sum(1 << i for i in positions)
-        picked = sorted(tuple(a.exponents[i] for i in positions)
-                        for a, mask in zip(self.atoms, self.support_masks)
-                        if not mask & ~inside)
-        return AtomSet(subset, tuple(SequenceVec._unchecked(subset, v)
-                                     for v in picked))
 
 
 def enumeration_bound(support: SupportSet) -> int:

@@ -26,6 +26,20 @@ from .verify import (verify_all, verify_extremal_structure,
                      verify_pm_and_basis_families)
 
 
+def _at_least(low: int):
+    """An argparse type for ints >= low, so a limit that would leave a run
+    with nothing to check is refused with exit code 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(p, subset=True, fmt=True, budget=True, group=True):
     if group:
         p.add_argument("--group", required=True, help="group spec, e.g. C2^2xC4")
@@ -70,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-observed",
                        help="distances observed among short zero-sum sequences")
     _add_common(p)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_at_least(1), required=True)
 
     p = sub.add_parser("classify", help="full classification of one subset")
     _add_common(p)
@@ -79,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_common(p, group=False)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--group", help="group spec, e.g. C2^2xC4")
-    which.add_argument("--max-order", type=int, metavar="N",
+    which.add_argument("--max-order", type=_at_least(3), metavar="N",
                        help="one summary row per abelian group of order "
                             "3 .. N, with no |G| cap")
 
@@ -97,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="target", required=True)
 
     v = vsub.add_parser("thm-1.1")
-    v.add_argument("--max-order", type=int, default=16)
+    v.add_argument("--max-order", type=_at_least(1), default=16)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("prop-3.2")
@@ -110,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("remark-4.6")
     v.add_argument("--which", type=int, choices=(1, 2), required=True)
     v.add_argument("--r", type=int, default=3)
-    v.add_argument("--max-len", type=int, default=None,
+    v.add_argument("--max-len", type=_at_least(1), default=None,
                    help="oracle length bound (default 2*D(G0))")
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("lemma-3.1")
-    v.add_argument("--max-n", type=int, default=10)
+    v.add_argument("--max-n", type=_at_least(3), default=10)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("all", help="every routine above; thm-4.5 on each "
                                     "swept group with extremal sets")
-    v.add_argument("--max-order", type=int, default=16)
+    v.add_argument("--max-order", type=_at_least(1), default=16)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     return parser

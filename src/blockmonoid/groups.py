@@ -159,19 +159,6 @@ class FiniteAbelianGroup:
         target = prod(self.order_of(g) for g in family)
         return len(self.subgroup_closure(family)) == target
 
-    def min_multiple_in_span(self, g: Element, others) -> int:
-        """Smallest d >= 1 with d*g in <others>; always divides ord(g)."""
-        g = self.element(g)
-        if not any(g):
-            raise ContractError("min_multiple_in_span requires g != 0")
-        span = self.subgroup_closure(others)
-        x = g
-        d = 1
-        while x not in span:
-            x = self.add(x, g)
-            d += 1
-        return d
-
     # -- presentation ----------------------------------------------------------
 
     def spec_string(self) -> str:

@@ -99,18 +99,6 @@ class KernelBasis:
             out = gcd(out, sum(b))
         return abs(out)
 
-    def contains(self, vector) -> bool:
-        """Membership of an integer vector in the spanned lattice."""
-        basis: list = [None] * self.columns
-        for v in self.vectors:
-            echelon_insert(basis, v)
-        probe = list(vector)
-        for j, row in enumerate(basis):
-            if row is not None and probe[j] % row[j] == 0:
-                q = probe[j] // row[j]
-                probe = [x - q * y for x, y in zip(probe, row)]
-        return not any(probe)
-
 
 def integer_kernel(matrix) -> KernelBasis:
     """Basis of the integer kernel of a matrix given as a sequence of rows.

@@ -25,12 +25,16 @@ echelon basis (at most one row per support position, plus one).  A node
 looks up bit b joined with each submask of its mask and inserts those few
 rows into a copy of its parent's basis; once the generator reaches 1 it
 stops inserting, since min Delta 1 is final.
+
+The extremal reports read the same two stores: their span flags come from
+the whole-group support's span table, on position masks, and the atoms of
+an LCN set from the index entries of its submasks, with cross numbers as
+integers scaled by exp(G).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
 
 from .atoms import enumerate_atoms
 from .config import DEFAULT_SWEEP_MAX_GROUP
@@ -87,26 +91,26 @@ class SweepReport:
 # -- the sweep --------------------------------------------------------------------
 
 class _MaskAtoms:
-    """The atoms with one support mask: whether some has k(A) != 1
-    (`nonunit`) or k(A) < 1 (`light`), and their augmented columns
-    (exponent vector, 1), replaced on first use by the rows of their own
-    echelon basis (at most one per support position, plus one).  Reducing
-    lazily pays where the sweep saturates early and never looks most masks
-    up, as in prime cyclic groups."""
+    """The atoms with one support mask: their exponent tuples (`atoms`),
+    whether some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`), and, on
+    first use, the rows of the echelon basis of their augmented columns
+    (exponent vector, 1), at most one per support position plus one.
+    Reducing lazily pays where the sweep saturates early and never looks
+    most masks up, as in prime cyclic groups."""
 
-    __slots__ = ("rows", "reduced", "nonunit", "light")
+    __slots__ = ("atoms", "rows", "nonunit", "light")
 
     def __init__(self):
-        self.rows: list = []
-        self.reduced = self.nonunit = self.light = False
+        self.atoms: list[tuple[int, ...]] = []
+        self.rows: list | None = None
+        self.nonunit = self.light = False
 
     def reduced_rows(self, dim: int) -> list:
-        if not self.reduced:
+        if self.rows is None:
             basis: list = [None] * dim
-            for column in self.rows:
-                echelon_insert(basis, column)
+            for exps in self.atoms:
+                echelon_insert(basis, [*exps, 1])
             self.rows = [row for row in basis if row is not None]
-            self.reduced = True
         return self.rows
 
 
@@ -116,12 +120,17 @@ def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
     n = lcm(*orders)
     weights = [n // o for o in orders]
     index: dict[int, _MaskAtoms] = {}
-    for a, mask in zip(atoms.atoms, atoms.support_masks):
-        scaled = sum(map(mul, a.exponents, weights))
+    for a in atoms.atoms:
+        exps = a.exponents
+        mask = scaled = 0
+        for i, c in enumerate(exps):
+            if c:
+                mask |= 1 << i
+                scaled += c * weights[i]
         entry = index.get(mask)
         if entry is None:
             entry = index[mask] = _MaskAtoms()
-        entry.rows.append([*a.exponents, 1])
+        entry.atoms.append(exps)
         entry.nonunit = entry.nonunit or scaled != n
         entry.light = entry.light or scaled < n
     return index
@@ -145,8 +154,7 @@ def delta_star(group: FiniteAbelianGroup, *,
             ())
 
     support = SupportSet(group, elements)
-    atoms = enumerate_atoms(support, budget=None)
-    index = _atom_index(support.orders, atoms)
+    index = _atom_index(support.orders, enumerate_atoms(support, budget=None))
     dim = k + 1
 
     records: list[SubsetRecord] = []
@@ -210,7 +218,7 @@ def delta_star(group: FiniteAbelianGroup, *,
     maximum = dstar[-1] if dstar else 0
     m_of_g = max((rec.min_delta for rec in records if rec.lcn), default=0)
     extremal = tuple(
-        _extremal_report(group, elements, atoms, rec)
+        _extremal_report(support, index, rec)
         for rec in records
         if rec.minimal_non_hf and rec.min_delta == maximum and maximum > 0)
 
@@ -230,52 +238,71 @@ def delta_star(group: FiniteAbelianGroup, *,
     )
 
 
-def _extremal_report(group, elements, full_atoms, rec: SubsetRecord) -> ExtremalSetReport:
-    subset_elems = tuple(g for i, g in enumerate(elements) if rec.mask >> i & 1)
-    subset = SupportSet(group, subset_elems)
+def _extremal_report(support: SupportSet, index: dict[int, _MaskAtoms],
+                     rec: SubsetRecord) -> ExtremalSetReport:
+    """The structural checks on one subset of the whole-group support, read
+    off the support's span table and the sweep's support-mask index."""
+    group = support.group
     n = group.exponent
     r = group.rank
+    mask = rec.mask
+    positions = [i for i in range(len(support)) if mask >> i & 1]
+    subset_elems = tuple(support.elements[i] for i in positions)
 
-    pm_pair = (len(subset_elems) == 2
+    pm_pair = (len(positions) == 2
                and subset_elems[1] == group.neg(subset_elems[0])
-               and group.order_of(subset_elems[0]) == n)
+               and support.orders[positions[0]] == n)
 
-    # spans of the subset minus one or two of its elements, as masks
-    size = len(subset_elems)
-    full = (1 << size) - 1
-    codec = subset.codec
+    # spans of the subset minus one or two of its elements, as masks over G
     no_gap = not any(
-        subset.span_mask(full ^ (1 << i) ^ (1 << j)) >> codec.encode(h) & 1
-        for i, h in enumerate(subset_elems)
-        for j in range(size) if j != i)
+        support.span_mask(mask ^ (1 << i) ^ (1 << j)) >> code & 1
+        for i, code in zip(positions, map(support.codec.encode, subset_elems))
+        for j in positions if j != i)
 
     independent_complement = any(
-        subset.is_independent(full ^ (1 << i)) for i in range(size))
+        support.is_independent(mask ^ (1 << i)) for i in positions)
 
     unit_bound: bool | None = None
     heavy_bound: bool | None = None
     if rec.lcn:
-        # the atom inventory is read only here, so restrict only here
-        atoms = full_atoms.restrict(subset)
-        unit_bound = all(
-            2 * len(a.supp()) <= n
-            for a, kv in zip(atoms.atoms, atoms.cross_numbers) if kv == 1)
-        heavy_bound = True
-        for a, kv in zip(atoms.atoms, atoms.cross_numbers):
-            if kv > 1:
-                complement = tuple(o - v for o, v in zip(subset.orders, a.exponents))
-                if not (kv < r and atoms.contains_vector(complement)):
-                    heavy_bound = False
-                    break
+        # the atoms over the subset are those filed under its submasks; cross
+        # numbers are scaled by n, which every order divides
+        weights = [n // o for o in support.orders]
+        unit_bound = heavy_bound = True
+        sub = mask
+        while sub:
+            entry = index.get(sub)
+            if entry is not None:
+                for exps in entry.atoms:
+                    scaled = sum(exps[i] * weights[i] for i in positions)
+                    if scaled == n:
+                        unit_bound = unit_bound and 2 * sub.bit_count() <= n
+                    elif scaled > n and heavy_bound:
+                        heavy_bound = scaled < r * n and _complement_is_atom(
+                            support.orders, positions, index, exps)
+            sub = (sub - 1) & mask
 
     return ExtremalSetReport(
         subset=subset_elems,
         min_delta=rec.min_delta,
         lcn=rec.lcn,
         pm_pair_full_order=pm_pair,
-        size_is_rank_plus_one=len(subset_elems) == r + 1,
+        size_is_rank_plus_one=len(positions) == r + 1,
         no_two_element_span_gap=no_gap,
         has_independent_complement=independent_complement,
         unit_atoms_support_bound=unit_bound,
         heavy_atoms_complement_atom=heavy_bound,
     )
+
+
+def _complement_is_atom(orders, positions, index, exps) -> bool:
+    """Whether the complement of an atom within the subset at `positions`,
+    ord(g) - v_g at each of them, is itself an atom."""
+    complement = list(exps)
+    cmask = 0
+    for i in positions:
+        complement[i] = orders[i] - exps[i]
+        if complement[i]:
+            cmask |= 1 << i
+    entry = index.get(cmask)
+    return entry is not None and tuple(complement) in entry.atoms

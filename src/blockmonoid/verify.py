@@ -61,14 +61,6 @@ def verify_main_theorem(max_order: int = 16,
     return result
 
 
-def verify_cyclic_second_maximum(report: SweepReport) -> bool:
-    """For cyclic groups of order n > 3:
-    max(delta* minus {n-2}) = floor(n/2) - 1."""
-    n = report.group.size
-    rest = [d for d in report.delta_star if d != n - 2]
-    return max(rest, default=0) == n // 2 - 1
-
-
 P_GROUP_M_CASES: tuple[tuple[int, ...], ...] = (
     (2, 2), (2, 2, 2), (2, 4), (4,), (8,), (9,), (3, 3))
 

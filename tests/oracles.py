@@ -3,19 +3,23 @@
 Everything here is deliberately naive: full grids, exhaustive coefficient
 enumeration, and a differently-shaped factorization search.  None of it
 shares code with the package internals it checks; `seed_enumerate_atoms`
-and the seed span predicates use only the group arithmetic.  The seed sweep descent takes its atoms from
-`enumerate_atoms` and its extremal reports from the sweep module.
+and the seed span predicates use only the group arithmetic.  The seed sweep
+descent takes its atoms from `enumerate_atoms` and builds its extremal
+reports with `seed_extremal_report`, which restricts the whole-group atom
+set to each subset and builds a `SupportSet` for it.
 """
 from __future__ import annotations
 
 import itertools
 from math import lcm
 
-from blockmonoid import (ConsistencyError, ContractError, FiniteAbelianGroup,
+from blockmonoid import (AtomSet, ConsistencyError, ContractError,
+                         ExtremalSetReport, FiniteAbelianGroup, KernelBasis,
                          SequenceVec, SupportSet, TransferReduction,
                          enumerate_atoms, is_minimal_non_half_factorial)
 from blockmonoid.classify import ReductionStep
-from blockmonoid.sweep import SubsetRecord, _extremal_report
+from blockmonoid.kernel import echelon_insert
+from blockmonoid.sweep import SubsetRecord
 
 
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
@@ -155,6 +159,34 @@ def closure_by_coefficients(group: FiniteAbelianGroup, gens) -> frozenset:
     return frozenset(out)
 
 
+def min_multiple_in_span(group: FiniteAbelianGroup, g, others) -> int:
+    """Smallest d >= 1 with d*g in <others>, by walking the multiples of g
+    against the closure of the others; always divides ord(g)."""
+    g = group.element(g)
+    if not any(g):
+        raise ContractError("min_multiple_in_span requires g != 0")
+    span = group.subgroup_closure(others)
+    x = g
+    d = 1
+    while x not in span:
+        x = group.add(x, g)
+        d += 1
+    return d
+
+
+def kernel_basis_contains(basis: KernelBasis, vector) -> bool:
+    """Membership of an integer vector in the lattice a kernel basis spans."""
+    rows: list = [None] * basis.columns
+    for v in basis.vectors:
+        echelon_insert(rows, v)
+    probe = list(vector)
+    for j, row in enumerate(rows):
+        if row is not None and probe[j] % row[j] == 0:
+            q = probe[j] // row[j]
+            probe = [x - q * y for x, y in zip(probe, row)]
+    return not any(probe)
+
+
 def naive_length_set(seq: SequenceVec, atom_vectors) -> set[int]:
     """Exhaustive factorization lengths, no memoization.
 
@@ -249,7 +281,7 @@ def seed_transfer_reduce(support: SupportSet, atoms) -> TransferReduction:
         elems = current.elements
         candidates = []
         for i, g in enumerate(elems):
-            m = group.min_multiple_in_span(g, elems[:i] + elems[i + 1:])
+            m = min_multiple_in_span(group, g, elems[:i] + elems[i + 1:])
             if m > 1:
                 candidates.append((g, i, m))
         if not candidates:
@@ -272,7 +304,7 @@ def seed_transfer_reduce(support: SupportSet, atoms) -> TransferReduction:
 def seed_extremal_span_flags(group: FiniteAbelianGroup,
                              subset_elems) -> tuple[bool, bool]:
     """(no_two_element_span_gap, has_independent_complement) of an extremal
-    report, as `sweep._extremal_report` computed them by closures."""
+    report, as the sweep's extremal report computed them by closures."""
     no_gap = True
     for i, h in enumerate(subset_elems):
         others = subset_elems[:i] + subset_elems[i + 1:]
@@ -445,7 +477,7 @@ def seed_unit_payload(pattern: int, state: dict):
 def seed_delta_star(group: FiniteAbelianGroup) -> dict:
     """The sweep's results by the seed descent, in one unit over all bits,
     with the minimal-non-HF flags and extremal selection of the seed sweep.
-    The extremal reports are built by `sweep._extremal_report`."""
+    The extremal reports are built by `seed_extremal_report`."""
     elements = group.nonzero_elements
     k = len(elements)
     if k == 0:
@@ -477,7 +509,7 @@ def seed_delta_star(group: FiniteAbelianGroup) -> dict:
     return {
         "records": tuple(records),
         "extremal": tuple(
-            _extremal_report(group, elements, atoms, rec)
+            seed_extremal_report(group, elements, atoms, rec)
             for rec in records
             if rec.minimal_non_hf and rec.min_delta == maximum and maximum > 0),
         "delta_star": tuple(dstar),
@@ -485,3 +517,83 @@ def seed_delta_star(group: FiniteAbelianGroup) -> dict:
         "subsets_computed": counters["computed"],
         "subsets_pruned": counters["pruned"],
     }
+
+
+# -- the extremal report as it stood before it read the support-mask index --------
+
+def seed_restrict(full_atoms: AtomSet, subset: SupportSet) -> AtomSet:
+    """`AtomSet.restrict` before the sweep's reports read the support-mask
+    index, kept verbatim apart from the name and the per-atom support masks
+    it read from `AtomSet.support_masks`: the atoms supported inside a
+    subset of the support, re-indexed to it.
+
+    Valid because a zero-sum sequence over the subset is minimal there
+    iff it is minimal over the larger support.
+    """
+    positions = [full_atoms.support.position(g) for g in subset.elements]
+    inside = sum(1 << i for i in positions)
+    support_masks = [sum(1 << i for i, c in enumerate(a.exponents) if c)
+                     for a in full_atoms.atoms]
+    picked = sorted(tuple(a.exponents[i] for i in positions)
+                    for a, mask in zip(full_atoms.atoms, support_masks)
+                    if not mask & ~inside)
+    return AtomSet(subset, tuple(SequenceVec._unchecked(subset, v)
+                                 for v in picked))
+
+
+def seed_extremal_report(group: FiniteAbelianGroup, elements, full_atoms: AtomSet,
+                         rec: SubsetRecord) -> ExtremalSetReport:
+    """The sweep's extremal report before it read the support-mask index and
+    the whole-group span table, kept verbatim apart from the name,
+    `seed_restrict` for `AtomSet.restrict`, and a set of exponent tuples for
+    `AtomSet.contains_vector`: a `SupportSet` of its own per subset, and
+    `Fraction` cross numbers."""
+    subset_elems = tuple(g for i, g in enumerate(elements) if rec.mask >> i & 1)
+    subset = SupportSet(group, subset_elems)
+    n = group.exponent
+    r = group.rank
+
+    pm_pair = (len(subset_elems) == 2
+               and subset_elems[1] == group.neg(subset_elems[0])
+               and group.order_of(subset_elems[0]) == n)
+
+    # spans of the subset minus one or two of its elements, as masks
+    size = len(subset_elems)
+    full = (1 << size) - 1
+    codec = subset.codec
+    no_gap = not any(
+        subset.span_mask(full ^ (1 << i) ^ (1 << j)) >> codec.encode(h) & 1
+        for i, h in enumerate(subset_elems)
+        for j in range(size) if j != i)
+
+    independent_complement = any(
+        subset.is_independent(full ^ (1 << i)) for i in range(size))
+
+    unit_bound: bool | None = None
+    heavy_bound: bool | None = None
+    if rec.lcn:
+        # the atom inventory is read only here, so restrict only here
+        atoms = seed_restrict(full_atoms, subset)
+        vectors = {a.exponents for a in atoms.atoms}
+        unit_bound = all(
+            2 * len(a.supp()) <= n
+            for a, kv in zip(atoms.atoms, atoms.cross_numbers) if kv == 1)
+        heavy_bound = True
+        for a, kv in zip(atoms.atoms, atoms.cross_numbers):
+            if kv > 1:
+                complement = tuple(o - v for o, v in zip(subset.orders, a.exponents))
+                if not (kv < r and complement in vectors):
+                    heavy_bound = False
+                    break
+
+    return ExtremalSetReport(
+        subset=subset_elems,
+        min_delta=rec.min_delta,
+        lcn=rec.lcn,
+        pm_pair_full_order=pm_pair,
+        size_is_rank_plus_one=len(subset_elems) == r + 1,
+        no_two_element_span_gap=no_gap,
+        has_independent_complement=independent_complement,
+        unit_atoms_support_bound=unit_bound,
+        heavy_atoms_complement_atom=heavy_bound,
+    )

@@ -10,6 +10,7 @@ from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          SequenceVec, SupportSet, abelian_groups_of_order,
                          build_named_set, enumerate_atoms, enumeration_bound)
 from blockmonoid.sequences import _Span
+from blockmonoid.sweep import _atom_index
 from oracles import grid_atoms, seed_enumerate_atoms
 
 C5 = FiniteAbelianGroup((5,))
@@ -151,31 +152,60 @@ class TestInvariants:
 
 
 class TestRestrict:
+    """The atoms of a sub-family, read off the sweep's support-mask index:
+    the entries filed under every submask of the sub-family's mask, put in
+    the sub-family's own coordinates, against a direct enumeration."""
+
+    @staticmethod
+    def indexed(index, positions) -> list[tuple[int, ...]]:
+        mask = sum(1 << i for i in positions)
+        out = []
+        sub = mask
+        while sub:
+            entry = index.get(sub)
+            if entry is not None:
+                out.extend(tuple(exps[i] for i in positions)
+                           for exps in entry.atoms)
+            sub = (sub - 1) & mask
+        return sorted(out)
+
     def test_matches_direct_enumeration(self):
         atoms = enumerate_atoms(FAMILY)
+        index = _atom_index(FAMILY.orders, atoms)
         sub = SupportSet(C244, ((0, 1, 0), (0, 0, 1), (1, 0, 1)))
-        direct = enumerate_atoms(sub)
-        assert [a.exponents for a in atoms.restrict(sub)] == \
-            [a.exponents for a in direct]
+        assert self.indexed(index, [1, 2, 3]) == \
+            [a.exponents for a in enumerate_atoms(sub)]
 
     @pytest.mark.parametrize("orders", [(2, 2, 2), (3, 3), (2, 4)])
     def test_every_subset_of_the_nonzero_elements(self, orders):
         group = FiniteAbelianGroup(orders)
         full = SupportSet(group, group.nonzero_elements)
         atoms = enumerate_atoms(full)
-        for size in range(1, len(full) + 1):
-            for combo in itertools.combinations(full.elements, size):
-                sub = SupportSet(group, combo)
-                restricted = atoms.restrict(sub)
-                assert restricted.support == sub
-                assert [a.exponents for a in restricted] == \
-                    [a.exponents for a in enumerate_atoms(sub)]
+        index = _atom_index(full.orders, atoms)
+        # the index keeps the exponent tuples the enumeration built
+        built = {id(a.exponents) for a in atoms}
+        assert sum(len(entry.atoms) for entry in index.values()) == len(atoms)
+        assert all(id(exps) in built
+                   for entry in index.values() for exps in entry.atoms)
+        for mask in range(1, 1 << len(full)):
+            positions = [i for i in range(len(full)) if mask >> i & 1]
+            sub = SupportSet(group, tuple(full.elements[i] for i in positions))
+            direct = enumerate_atoms(sub)
+            assert self.indexed(index, positions) == \
+                [a.exponents for a in direct]
+            # the flags of the atoms whose support is exactly the mask
+            exact = [kv for a, kv in zip(direct, direct.cross_numbers)
+                     if all(a.exponents)]
+            entry = index.get(mask)
+            assert (entry is not None) == bool(exact)
+            if entry is not None:
+                assert entry.nonunit == any(kv != 1 for kv in exact)
+                assert entry.light == any(kv < 1 for kv in exact)
 
     def test_sequences_equal_validated_ones(self):
-        # restrict and enumerate_atoms skip SequenceVec validation
-        atoms = enumerate_atoms(FAMILY)
+        # enumerate_atoms skips SequenceVec validation
         sub = SupportSet(C244, ((0, 1, 0), (0, 0, 1), (1, 0, 1)))
-        for atom_set in (atoms, atoms.restrict(sub)):
+        for atom_set in (enumerate_atoms(FAMILY), enumerate_atoms(sub)):
             for a in atom_set:
                 assert a == SequenceVec(atom_set.support, a.exponents)
                 assert all(type(v) is int for v in a.exponents)

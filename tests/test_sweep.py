@@ -1,11 +1,12 @@
 import pytest
 
-from blockmonoid import (BudgetError, FiniteAbelianGroup, SupportSet,
-                         abelian_groups_of_order, delta_star, enumerate_atoms,
-                         expected_max_delta_star, is_half_factorial,
-                         min_delta)
-from blockmonoid.verify import verify_cyclic_second_maximum
-from oracles import seed_delta_star
+from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
+                         FiniteAbelianGroup, SequenceVec, SubsetRecord,
+                         SupportSet, abelian_groups_of_order, delta_star,
+                         enumerate_atoms, expected_max_delta_star,
+                         is_half_factorial, min_delta)
+from blockmonoid import sweep
+from oracles import seed_delta_star, seed_extremal_report
 
 
 class TestDeltaStarExamples:
@@ -30,8 +31,10 @@ class TestDeltaStarExamples:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 10])
     def test_cyclic_second_maximum(self, sweep_cache, n):
+        # max(delta*(C_n) minus {n-2}) = floor(n/2) - 1
         report = sweep_cache(FiniteAbelianGroup((n,)))
-        assert verify_cyclic_second_maximum(report)
+        rest = [d for d in report.delta_star if d != n - 2]
+        assert max(rest, default=0) == n // 2 - 1
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
@@ -167,3 +170,81 @@ class TestExtremal:
                 if ex.lcn:
                     assert ex.size_is_rank_plus_one
                     assert group.rank >= group.exponent - 1, group.orders
+
+
+EXTREMAL_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
+EXTREMAL_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
+
+
+class TestExtremalReports:
+    """The reports read off the support-mask index and the whole-group span
+    table against `seed_extremal_report`, which restricts the whole atom set
+    to each subset and builds a support set for it."""
+
+    def test_every_field_on_every_extremal_set(self, sweep_cache):
+        sets = lcn = 0
+        for group in EXTREMAL_GROUPS:
+            report = sweep_cache(group)
+            if not report.extremal:
+                continue
+            atoms = enumerate_atoms(SupportSet(group, report.elements))
+            expected = tuple(
+                seed_extremal_report(group, report.elements, atoms, rec)
+                for rec in report.records
+                if rec.minimal_non_hf and rec.min_delta == report.max_delta_star)
+            assert report.extremal == expected, group.spec_string()
+            sets += len(expected)
+            lcn += sum(ex.lcn for ex in expected)
+        assert (sets, lcn) == (356, 287)
+
+    @pytest.mark.parametrize(
+        "group", [g for n in range(2, 13) for g in abelian_groups_of_order(n)],
+        ids=lambda g: g.spec_string())
+    def test_every_computed_subset(self, sweep_cache, group):
+        # every flag takes both values here, the atom-inventory ones on the
+        # LCN records
+        report = sweep_cache(group)
+        support = SupportSet(group, report.elements)
+        atoms = enumerate_atoms(support)
+        index = sweep._atom_index(support.orders, atoms)
+        for rec in report.records:
+            assert sweep._extremal_report(support, index, rec) == \
+                seed_extremal_report(group, report.elements, atoms, rec)
+
+    def test_heavy_atom_reaching_the_rank(self):
+        # no LCN set of the groups above has a heavy atom with k(A) >= r whose
+        # complement is an atom, so that bound is checked on a made-up
+        # inventory: over {1, 2} in C3, k((2,2)) = 4/3 >= r = 1, and the
+        # complement (1,1) is listed
+        group = FiniteAbelianGroup((3,))
+        support = SupportSet(group, group.nonzero_elements)
+        atoms = AtomSet(support, tuple(SequenceVec(support, v)
+                                       for v in ((1, 1), (2, 2))))
+        rec = SubsetRecord(0b11, 1, False, True, True)
+        got = sweep._extremal_report(
+            support, sweep._atom_index(support.orders, atoms), rec)
+        assert got == seed_extremal_report(group, support.elements, atoms, rec)
+        assert got.heavy_atoms_complement_atom is False
+
+
+class TestHalfFactorialityTrap:
+    """The descent checks min Delta 0 against "every atom has k(A) = 1"."""
+
+    def test_generator_forced_to_zero(self, monkeypatch):
+        monkeypatch.setattr(sweep, "lattice_tail_generator",
+                            lambda basis, dim: 0)
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            delta_star(FiniteAbelianGroup((3,)))
+
+    def test_nonunit_flags_cleared(self, monkeypatch):
+        atom_index = sweep._atom_index
+
+        def cleared(orders, atoms):
+            index = atom_index(orders, atoms)
+            for entry in index.values():
+                entry.nonunit = False
+            return index
+
+        monkeypatch.setattr(sweep, "_atom_index", cleared)
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            delta_star(FiniteAbelianGroup((3,)))
