@@ -51,7 +51,7 @@ def echelon_insert(basis: list, vec) -> None:
             q = b // a
             v = [x - q * y for x, y in zip(v, row)]
         else:
-            g, x, y = _ext_gcd(a, b)
+            g, x, y = ext_gcd(a, b)
             basis[j] = [x * p + y * q2 for p, q2 in zip(row, v)]
             v = [(a // g) * q2 - (b // g) * p for p, q2 in zip(row, v)]
         j += 1
@@ -59,7 +59,7 @@ def echelon_insert(basis: list, vec) -> None:
             j += 1
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
     old_r, r = a, b
     old_s, s = 1, 0
@@ -87,7 +87,6 @@ class KernelBasis:
     """Lattice basis of {z : M z = 0} over the integers."""
 
     vectors: tuple[tuple[int, ...], ...]
-    columns: int
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -124,7 +123,7 @@ def integer_kernel(matrix) -> KernelBasis:
         for i in range(n_rows):
             if sum(matrix[i][j] * z[j] for j in range(n_cols)) != 0:
                 raise ConsistencyError(f"kernel vector {z} fails M z = 0")
-    return KernelBasis(tuple(basis), n_cols)
+    return KernelBasis(tuple(basis))
 
 
 def augmented_atom_rows(atoms: AtomSet) -> list:
@@ -190,7 +189,7 @@ def min_delta_witness(atoms: AtomSet) -> MinDeltaWitness | None:
         if z is None:
             z, acc = list(b), t
         else:
-            g, x, y = _ext_gcd(acc, t)
+            g, x, y = ext_gcd(acc, t)
             z = [x * zi + y * bi for zi, bi in zip(z, b)]
             acc = g
         if abs(acc) == target:

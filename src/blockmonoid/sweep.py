@@ -5,10 +5,16 @@ structural facts make this cheap:
 
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
   support lies inside the subset, so atoms are enumerated once per group;
-* min Delta of a subset is the positive generator of {t : (0,...,0,t)} inside
-  the lattice spanned by the augmented atom columns (exponent vector, 1), and
-  that lattice grows monotonically along a subset-inclusion chain, so one
-  echelon basis is shared and extended down the recursion;
+* min Delta of a subset is the positive generator d of {t : (0,...,0,t)}
+  inside the lattice L spanned by the augmented atom columns (exponent
+  vector, 1).  With R the relation lattice of the subset and e = exp(G),
+  L = {(r, t) : r in R, t = lambda(r) mod d} for a length functional lambda
+  that extends to all integer vectors as sum W_i x_i / e, with integer
+  weights W_i.  So a node carries only (d, W): every atom A over its subset
+  has sum W_i A_i = e (mod e*d), and = e exactly when d = 0, where
+  W_i = e / ord(g_i) makes the sum e times the cross number k(A).  A child
+  that adds one element adds one unknown weight, and its new atoms
+  determine both that weight and its d (`_child_step`);
 * a subset with min Delta = 1 forces min Delta = 1 on every superset (the
   generator divides 1), so the whole subtree is counted arithmetically and
   skipped ("saturation pruning").
@@ -22,9 +28,8 @@ subset's record, minimal-non-half-factorial flag included, is written once,
 in place, already sorted.  The atoms are indexed by support mask, and
 each mask's augmented columns are reduced, on first lookup, to a small
 echelon basis (at most one row per support position, plus one).  A node
-looks up bit b joined with each submask of its mask and inserts those few
-rows into a copy of its parent's basis; once the generator reaches 1 it
-stops inserting, since min Delta 1 is final.
+looks up bit b joined with each submask of its mask and reads those few
+rows against its weights.
 
 The extremal reports read the same two stores: their span flags come from
 the whole-group support's span table, on position masks, and the atoms of
@@ -34,13 +39,13 @@ integers scaled by exp(G).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .atoms import enumerate_atoms
 from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
-from .kernel import echelon_insert, lattice_tail_generator
+from .kernel import echelon_insert, ext_gcd
 from .sequences import SupportSet
 
 
@@ -106,11 +111,18 @@ class _MaskAtoms:
         self.nonunit = self.light = False
 
     def reduced_rows(self, dim: int) -> list:
+        """Each row (v, t) as (v_b, t, the pairs (i, v_i) with i > b and
+        v_i != 0), b being the lowest support position: the first row is
+        the only one with v_b != 0, and every row vanishes below b."""
         if self.rows is None:
             basis: list = [None] * dim
             for exps in self.atoms:
                 echelon_insert(basis, [*exps, 1])
-            self.rows = [row for row in basis if row is not None]
+            b = next(i for i, row in enumerate(basis) if row is not None)
+            self.rows = [
+                (row[b], row[-1],
+                 [(i, v) for i, v in enumerate(row[b + 1:-1], b + 1) if v])
+                for row in basis if row is not None]
         return self.rows
 
 
@@ -134,6 +146,52 @@ def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
         entry.nonunit = entry.nonunit or scaled != n
         entry.light = entry.light or scaled < n
     return index
+
+
+def _child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
+    """(d', W_b) for the child that adds position b to a mask in state (d, W).
+
+    The child's new atoms are spanned by the echelon rows (v, t) that it
+    looks up; row a enters as c_a = v_b (in `cs`) and
+    B_a = e*t - sum_{i in mask} W_i v_i (in `bs`).  Take g = gcd of the c's
+    and S = sum s_a B_a for Bezout coefficients, sum s_a c_a = g.  The
+    child's lattice vectors with v_b = 0 are spanned by the parent's lattice
+    and the rows (c_a/g) * sum s_a row_a - row_a, whose B is (c_a/g)*S - B_a;
+    on all of them B = e*(t - lambda(r)) (mod e*d), so
+    D = gcd(e*d, every (c_a/g)*S - B_a) is e*d'.  W_b solves g*W_b = S,
+    exactly when D = 0 and mod D otherwise.
+
+    The parent's weights are kept unreduced: they hold mod e*d, hence mod
+    e*d'.  W_b then exists, since the child's weights differ from the
+    parent's by some U with U.r = 0 (mod e*d') on the parent's relations r,
+    and U.p, for p the mask part of sum s_a row_a, is a multiple of
+    gcd(g, e*d') (ord(g_b) / gcd(ord(g_b), g) times p is a relation, and
+    ord(g_b) divides e).  So each check below fails only on a bug.
+    """
+    g = big_s = 0
+    for c, big_b in zip(cs, bs):
+        if not c:
+            continue
+        if not g:
+            g, big_s = c, big_b
+        elif c % g:
+            g, x, y = ext_gcd(g, c)
+            big_s = x * big_s + y * big_b
+    big_d = gcd(e * d, *[(c // g) * big_s - big_b for c, big_b in zip(cs, bs)])
+    if big_d == 0:
+        if big_s % g:
+            raise ConsistencyError(
+                f"half-factorial child: gcd {g} of the new coefficients does "
+                f"not divide {big_s}")
+        return 0, big_s // g
+    if big_d % e:
+        raise ConsistencyError(
+            f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
+    h, x, _ = ext_gcd(g, big_d)
+    if big_s % h:
+        raise ConsistencyError(
+            f"dual-state step: gcd({g}, {big_d}) does not divide {big_s}")
+    return big_d // e, x * (big_s // h) % big_d
 
 
 def delta_star(group: FiniteAbelianGroup, *,
@@ -160,52 +218,52 @@ def delta_star(group: FiniteAbelianGroup, *,
     records: list[SubsetRecord] = []
     hf_masks = {0}  # the half-factorial masks formed so far, and the empty one
     pruned = 0
+    e = group.exponent
+    # the weights W_i of the current chain, at the positions of its mask: a
+    # child writes slot b, and its subtree writes only below b
+    weights = [0] * k
 
-    def descend(mask: int, top_bit: int, basis: list, has_nonunit: bool,
+    def descend(mask: int, top_bit: int, d: int, has_nonunit: bool,
                 has_light: bool):
         nonlocal pruned
         for b in range(top_bit + 1):
             bit = 1 << b
-            new_basis = basis  # shared until the first insert copies it
             nu, nl = has_nonunit, has_light
-            saturated = False
+            cs: list[int] = []
+            bs: list[int] = []
             sub = mask
             while True:
                 entry = index.get(bit | sub)
                 if entry is not None:
                     nu = nu or entry.nonunit
                     nl = nl or entry.light
-                    if not saturated:
-                        if new_basis is basis:
-                            new_basis = basis[:]
-                        for row in entry.reduced_rows(dim):
-                            echelon_insert(new_basis, row)
-                        # min Delta 1 is final, so further inserts are skipped
-                        tail = new_basis[dim - 1]
-                        saturated = tail is not None and abs(tail[-1]) == 1
+                    for c, t, pairs in entry.reduced_rows(dim):
+                        cs.append(c)
+                        bs.append(e * t - sum([weights[i] * v for i, v in pairs]))
                 if not sub:
                     break
                 sub = (sub - 1) & mask
             new_mask = mask | bit
-            d = lattice_tail_generator(new_basis, dim)
-            if (d == 0) == nu:
+            child_d, weights[b] = _child_step(e, d, cs, bs)
+            if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")
-            if d == 0:
+            if child_d == 0:
                 hf_masks.add(new_mask)
                 minimal = False
             else:
                 # every proper subset is smaller, so already decided
                 minimal = all(new_mask ^ (1 << i) in hf_masks
                               for i in range(b, k) if new_mask >> i & 1)
-            records.append(SubsetRecord(new_mask, d, d == 0, not nl, minimal))
-            if d == 1:
+            records.append(SubsetRecord(new_mask, child_d, child_d == 0, not nl,
+                                        minimal))
+            if child_d == 1:
                 # every superset inherits min delta 1; count its subtree and skip
                 pruned += bit - 1
             else:
-                descend(new_mask, b - 1, new_basis, nu, nl)
+                descend(new_mask, b - 1, child_d, nu, nl)
 
-    descend(0, k - 1, [None] * dim, False, False)
+    descend(0, k - 1, 0, False, False)
 
     total = (1 << k) - 1
     if len(records) + pruned != total:

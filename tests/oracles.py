@@ -6,7 +6,9 @@ shares code with the package internals it checks; `seed_enumerate_atoms`
 and the seed span predicates use only the group arithmetic.  The seed sweep
 descent takes its atoms from `enumerate_atoms` and builds its extremal
 reports with `seed_extremal_report`, which restricts the whole-group atom
-set to each subset and builds a `SupportSet` for it.
+set to each subset and builds a `SupportSet` for it.  `echelon_delta_star`
+is the descent that the dual state (d, W) replaced: each node copies a
+pivot-indexed echelon basis and inserts the rows of its new atoms.
 """
 from __future__ import annotations
 
@@ -15,11 +17,12 @@ from math import lcm
 
 from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          ExtremalSetReport, FiniteAbelianGroup, KernelBasis,
-                         SequenceVec, SupportSet, TransferReduction,
-                         enumerate_atoms, is_minimal_non_half_factorial)
+                         SequenceVec, SupportSet, SweepReport,
+                         TransferReduction, enumerate_atoms,
+                         is_minimal_non_half_factorial)
 from blockmonoid.classify import ReductionStep
-from blockmonoid.kernel import echelon_insert
-from blockmonoid.sweep import SubsetRecord
+from blockmonoid.kernel import echelon_insert, lattice_tail_generator
+from blockmonoid.sweep import SubsetRecord, _atom_index, _extremal_report
 
 
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
@@ -176,10 +179,10 @@ def min_multiple_in_span(group: FiniteAbelianGroup, g, others) -> int:
 
 def kernel_basis_contains(basis: KernelBasis, vector) -> bool:
     """Membership of an integer vector in the lattice a kernel basis spans."""
-    rows: list = [None] * basis.columns
+    probe = list(vector)
+    rows: list = [None] * len(probe)
     for v in basis.vectors:
         echelon_insert(rows, v)
-    probe = list(vector)
     for j, row in enumerate(rows):
         if row is not None and probe[j] % row[j] == 0:
             q = probe[j] // row[j]
@@ -516,6 +519,123 @@ def seed_delta_star(group: FiniteAbelianGroup) -> dict:
         "m_of_g": max((rec.min_delta for rec in non_hf if rec.lcn), default=0),
         "subsets_computed": counters["computed"],
         "subsets_pruned": counters["pruned"],
+    }
+
+
+def sweep_results(report: SweepReport) -> dict:
+    """A sweep report in the shape the descent oracles return."""
+    return {
+        "records": report.records,
+        "extremal": report.extremal,
+        "delta_star": report.delta_star,
+        "m_of_g": report.m_of_g,
+        "subsets_computed": report.counters["subsets_computed"],
+        "subsets_pruned": report.counters["subsets_pruned"],
+    }
+
+
+# -- the sweep descent as it stood before the dual state (d, W) -------------------
+
+def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
+    """`sweep.delta_star` before each node carried (d, W), kept verbatim
+    apart from the budget check and the returned shape: a node copies its
+    parent's pivot-indexed basis on its first insert, inserts the echelon
+    rows of every new support mask, stops inserting once the tail generator
+    reaches 1, and reads min Delta off that generator.  The rows of a mask
+    are reduced here, since `_MaskAtoms.reduced_rows` now yields the
+    descent's sparse form."""
+    elements = group.nonzero_elements
+    k = len(elements)
+    if k == 0:
+        return {"records": (), "extremal": (), "delta_star": (), "m_of_g": 0,
+                "subsets_computed": 0, "subsets_pruned": 0}
+
+    support = SupportSet(group, elements)
+    index = _atom_index(support.orders, enumerate_atoms(support, budget=None))
+    dim = k + 1
+    reduced: dict[int, list] = {}
+
+    def reduced_rows(smask: int, entry) -> list:
+        rows = reduced.get(smask)
+        if rows is None:
+            basis: list = [None] * dim
+            for exps in entry.atoms:
+                echelon_insert(basis, [*exps, 1])
+            rows = reduced[smask] = [row for row in basis if row is not None]
+        return rows
+
+    records: list[SubsetRecord] = []
+    hf_masks = {0}  # the half-factorial masks formed so far, and the empty one
+    pruned = 0
+
+    def descend(mask: int, top_bit: int, basis: list, has_nonunit: bool,
+                has_light: bool):
+        nonlocal pruned
+        for b in range(top_bit + 1):
+            bit = 1 << b
+            new_basis = basis  # shared until the first insert copies it
+            nu, nl = has_nonunit, has_light
+            saturated = False
+            sub = mask
+            while True:
+                entry = index.get(bit | sub)
+                if entry is not None:
+                    nu = nu or entry.nonunit
+                    nl = nl or entry.light
+                    if not saturated:
+                        if new_basis is basis:
+                            new_basis = basis[:]
+                        for row in reduced_rows(bit | sub, entry):
+                            echelon_insert(new_basis, row)
+                        # min Delta 1 is final, so further inserts are skipped
+                        tail = new_basis[dim - 1]
+                        saturated = tail is not None and abs(tail[-1]) == 1
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            new_mask = mask | bit
+            d = lattice_tail_generator(new_basis, dim)
+            if (d == 0) == nu:
+                raise ConsistencyError(
+                    f"half-factoriality routes disagree on subset mask {new_mask}")
+            if d == 0:
+                hf_masks.add(new_mask)
+                minimal = False
+            else:
+                # every proper subset is smaller, so already decided
+                minimal = all(new_mask ^ (1 << i) in hf_masks
+                              for i in range(b, k) if new_mask >> i & 1)
+            records.append(SubsetRecord(new_mask, d, d == 0, not nl, minimal))
+            if d == 1:
+                # every superset inherits min delta 1; count its subtree and skip
+                pruned += bit - 1
+            else:
+                descend(new_mask, b - 1, new_basis, nu, nl)
+
+    descend(0, k - 1, [None] * dim, False, False)
+
+    total = (1 << k) - 1
+    if len(records) + pruned != total:
+        raise ConsistencyError(
+            f"sweep accounting is off: {len(records)} visited + {pruned} pruned "
+            f"!= {total}")
+
+    # min Delta is 0 exactly on the half-factorial subsets
+    dstar = sorted({rec.min_delta for rec in records} - {0})
+    maximum = dstar[-1] if dstar else 0
+    m_of_g = max((rec.min_delta for rec in records if rec.lcn), default=0)
+    extremal = tuple(
+        _extremal_report(support, index, rec)
+        for rec in records
+        if rec.minimal_non_hf and rec.min_delta == maximum and maximum > 0)
+
+    return {
+        "records": tuple(records),
+        "extremal": extremal,
+        "delta_star": tuple(dstar),
+        "m_of_g": m_of_g,
+        "subsets_computed": len(records),
+        "subsets_pruned": pruned,
     }
 
 

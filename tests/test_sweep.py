@@ -6,7 +6,8 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          enumerate_atoms, expected_max_delta_star,
                          is_half_factorial, min_delta)
 from blockmonoid import sweep
-from oracles import seed_delta_star, seed_extremal_report
+from oracles import (echelon_delta_star, seed_delta_star, seed_extremal_report,
+                     sweep_results)
 
 
 class TestDeltaStarExamples:
@@ -80,22 +81,28 @@ SEED_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 2)), FiniteAbelianGroup((2, 
 
 
 class TestSeedOracle:
-    """The support-mask descent on pivot-indexed bases against the seed
-    descent (per-atom filter, row-list bases) kept in tests/oracles.py."""
+    """The support-mask descent against the seed descent (per-atom filter,
+    row-list bases) kept in tests/oracles.py."""
 
     @pytest.mark.parametrize("group", SEED_ORACLE_GROUPS,
                              ids=lambda g: g.spec_string())
     def test_matches_seed_descent(self, sweep_cache, group):
-        report = sweep_cache(group)
-        got = {
-            "records": report.records,
-            "extremal": report.extremal,
-            "delta_star": report.delta_star,
-            "m_of_g": report.m_of_g,
-            "subsets_computed": report.counters["subsets_computed"],
-            "subsets_pruned": report.counters["subsets_pruned"],
-        }
-        assert got == seed_delta_star(group)
+        assert sweep_results(sweep_cache(group)) == seed_delta_star(group)
+
+
+ECHELON_ORACLE_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
+ECHELON_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 3)), FiniteAbelianGroup((3, 3, 3))]
+
+
+class TestEchelonOracle:
+    """The dual-state descent against the copied-echelon-basis descent it
+    replaced: every computed subset's record, the extremal reports, Delta*,
+    m(G) and the counters."""
+
+    @pytest.mark.parametrize("group", ECHELON_ORACLE_GROUPS,
+                             ids=lambda g: g.spec_string())
+    def test_matches_echelon_descent(self, sweep_cache, group):
+        assert sweep_results(sweep_cache(group)) == echelon_delta_star(group)
 
 
 class TestMembershipAndBounds:
@@ -231,8 +238,12 @@ class TestHalfFactorialityTrap:
     """The descent checks min Delta 0 against "every atom has k(A) = 1"."""
 
     def test_generator_forced_to_zero(self, monkeypatch):
-        monkeypatch.setattr(sweep, "lattice_tail_generator",
-                            lambda basis, dim: 0)
+        child_step = sweep._child_step
+
+        def forced(e, d, cs, bs):
+            return 0, child_step(e, d, cs, bs)[1]
+
+        monkeypatch.setattr(sweep, "_child_step", forced)
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
 
@@ -248,3 +259,23 @@ class TestHalfFactorialityTrap:
         monkeypatch.setattr(sweep, "_atom_index", cleared)
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
+
+
+class TestDualStateTraps:
+    """The child step's consistency checks, each fed rows that no lattice of
+    atoms produces: (c, B) pairs with c = v_b and B = e*t - sum W_i v_i."""
+
+    def test_exponent_divides_d(self):
+        # g = 1 and S = 0, so D = gcd(4, 0, -1) = 1, which 4 does not divide
+        with pytest.raises(ConsistencyError, match="does not divide D = 1"):
+            sweep._child_step(4, 1, [1, 1], [0, 1])
+
+    def test_g_divides_s_when_half_factorial(self):
+        # g = 2, S = 1 and D = gcd(0, 1 - 1) = 0, but 2 does not divide 1
+        with pytest.raises(ConsistencyError, match="half-factorial child"):
+            sweep._child_step(4, 0, [2], [1])
+
+    def test_weight_congruence_solvable(self):
+        # g = 2, S = 1 and D = gcd(2, 1 - 1) = 2, but gcd(2, 2) does not divide 1
+        with pytest.raises(ConsistencyError, match=r"gcd\(2, 2\) does not divide 1"):
+            sweep._child_step(2, 1, [2], [1])
