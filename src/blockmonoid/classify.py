@@ -168,7 +168,7 @@ class TransferReduction:
         return SequenceVec(self.reduced, tuple(vec))
 
 
-def transfer_reduce(support: SupportSet, budget: int | None = None,
+def transfer_reduce(support: SupportSet,
                     atoms: AtomSet | None = None) -> TransferReduction:
     """Reduce a minimal non-half-factorial set until every element lies in the
     span of the others, replacing one g by m*g per round.
@@ -180,7 +180,7 @@ def transfer_reduce(support: SupportSet, budget: int | None = None,
     is picked each round to make the output deterministic.
     """
     if atoms is None:
-        atoms = enumerate_atoms(support, budget)
+        atoms = enumerate_atoms(support)
     if not is_minimal_non_half_factorial(atoms):
         raise ContractError(
             "transfer reduction is defined for minimal non-half-factorial sets")

@@ -11,9 +11,9 @@ arbitrary-precision integer arithmetic.
 
 Every echelon basis here is pivot-indexed: a list with one slot per
 coordinate, where slot j holds the row whose leading index is j, or None.
-Inserting never mutates a row, it only replaces slots, so a basis is copied
-with basis[:] and rows are shared freely between copies.  The tail
-generator is the last entry of slot dim - 1.
+Inserting never mutates a row, it only replaces slots, so basis[:] is an
+independent copy of a basis that shares its rows.  The tail generator is
+the last entry of slot dim - 1.
 """
 from __future__ import annotations
 
@@ -126,22 +126,16 @@ def integer_kernel(matrix) -> KernelBasis:
     return KernelBasis(tuple(basis))
 
 
-def augmented_atom_rows(atoms: AtomSet) -> list:
-    """Pivot-indexed echelon basis of the lattice spanned by
-    (exponent vector, 1) per atom."""
-    rows: list = [None] * (len(atoms.support) + 1)
-    for a in atoms.atoms:
-        echelon_insert(rows, [*a.exponents, 1])
-    return rows
-
-
 def min_delta(atoms: AtomSet) -> int:
     """min Delta(G0) as the positive generator of the length-difference group.
 
     0 means Delta(G0) is empty, i.e. the support set is half-factorial.
     """
-    rows = augmented_atom_rows(atoms)
-    return lattice_tail_generator(rows, len(atoms.support) + 1)
+    dim = len(atoms.support) + 1
+    rows: list = [None] * dim
+    for a in atoms.atoms:
+        echelon_insert(rows, [*a.exponents, 1])
+    return lattice_tail_generator(rows, dim)
 
 
 def is_half_factorial(atoms: AtomSet) -> bool:

@@ -114,13 +114,6 @@ class _Span:
             code += y // d % m * stride
         return code
 
-    def encode_set(self, elements) -> int:
-        bits = bytearray((self.width + 7) // 8)
-        for x in elements:
-            code = self.encode(x)
-            bits[code >> 3] |= 1 << (code & 7)
-        return int.from_bytes(bits, "little")
-
     def translation(self, g: Element) -> tuple[tuple[int, int, int], ...]:
         """Steps (low mask, up shift, down shift), one per nonzero digit of g.
 

@@ -28,10 +28,6 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def expect(self, char: str):
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == char:
@@ -139,7 +135,7 @@ def parse_sequence(text: str, support: SupportSet) -> SequenceVec:
 def parse_specs(group_text: str, subset_text: str | None):
     """(group, optional support set) from their spec strings."""
     group = parse_group(group_text)
-    support = parse_subset(subset_text, group) if subset_text else None
+    support = None if subset_text is None else parse_subset(subset_text, group)
     return group, support
 
 

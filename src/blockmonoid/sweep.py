@@ -5,16 +5,17 @@ structural facts make this cheap:
 
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
   support lies inside the subset, so atoms are enumerated once per group;
-* min Delta of a subset is the positive generator d of {t : (0,...,0,t)}
-  inside the lattice L spanned by the augmented atom columns (exponent
-  vector, 1).  With R the relation lattice of the subset and e = exp(G),
-  L = {(r, t) : r in R, t = lambda(r) mod d} for a length functional lambda
-  that extends to all integer vectors as sum W_i x_i / e, with integer
-  weights W_i.  So a node carries only (d, W): every atom A over its subset
-  has sum W_i A_i = e (mod e*d), and = e exactly when d = 0, where
-  W_i = e / ord(g_i) makes the sum e times the cross number k(A).  A child
-  that adds one element adds one unknown weight, and its new atoms
-  determine both that weight and its d (`_child_step`);
+* min Delta of a subset is the nonnegative generator d of the length
+  differences, {t : (0,...,0,t) in L} for the lattice L spanned by the
+  atom columns (exponent vector, 1).  With R the relation lattice of the
+  subset and e = exp(G), L = {(r, t) : r in R, t = lambda(r) mod d} for a
+  length functional lambda that extends to all integer vectors as
+  sum W_i x_i / e, with integer weights W_i.  So a node carries only
+  (d, W): every atom A over its subset has sum W_i A_i = e (mod e*d), and
+  = e exactly when d = 0, where W_i = e / ord(g_i) makes the sum e times
+  the cross number k(A).  A child that adds one element adds one unknown
+  weight, and its new atoms, read as they are, determine both that weight
+  and its d (`_child_step`);
 * a subset with min Delta = 1 forces min Delta = 1 on every superset (the
   generator divides 1), so the whole subtree is counted arithmetically and
   skipped ("saturation pruning").
@@ -25,16 +26,15 @@ plus a submask of that mask.  Siblings go in ascending order of b, so the
 masks are formed in increasing integer order: every proper subset of a mask
 is decided before the mask itself (a skipped mask has min Delta 1), and each
 subset's record, minimal-non-half-factorial flag included, is written once,
-in place, already sorted.  The atoms are indexed by support mask, and
-each mask's augmented columns are reduced, on first lookup, to a small
-echelon basis (at most one row per support position, plus one).  A node
-looks up bit b joined with each submask of its mask and reads those few
-rows against its weights.
+in place, already sorted.  The atoms are indexed by support mask.  A node
+looks up bit b joined with each submask of its mask and reads each atom
+there as its exponent at b and its nonzero exponents above b, kept per mask
+from the first lookup on.
 
 The extremal reports read the same two stores: their span flags come from
 the whole-group support's span table, on position masks, and the atoms of
-an LCN set from the index entries of its submasks, with cross numbers as
-integers scaled by exp(G).
+an LCN set from the index entries of its submasks, with the cross numbers,
+scaled by exp(G) to integers, that the index keeps beside them.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .atoms import enumerate_atoms
 from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
-from .kernel import echelon_insert, ext_gcd
+from .kernel import ext_gcd
 from .sequences import SupportSet
 
 
@@ -97,38 +97,35 @@ class SweepReport:
 
 class _MaskAtoms:
     """The atoms with one support mask: their exponent tuples (`atoms`),
-    whether some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`), and, on
-    first use, the rows of the echelon basis of their augmented columns
-    (exponent vector, 1), at most one per support position plus one.
-    Reducing lazily pays where the sweep saturates early and never looks
-    most masks up, as in prime cyclic groups."""
+    their cross numbers scaled by the common multiple of the orders
+    (`scaled`, in the same order), whether some has k(A) != 1 (`nonunit`)
+    or k(A) < 1 (`light`), and, on first use, the atoms in the sparse form
+    the descent reads.  Building that form lazily pays where the sweep
+    saturates early and never looks most masks up, as in prime cyclic
+    groups."""
 
-    __slots__ = ("atoms", "rows", "nonunit", "light")
+    __slots__ = ("atoms", "scaled", "sparse", "nonunit", "light")
 
     def __init__(self):
         self.atoms: list[tuple[int, ...]] = []
-        self.rows: list | None = None
+        self.scaled: list[int] = []
+        self.sparse: list | None = None
         self.nonunit = self.light = False
 
-    def reduced_rows(self, dim: int) -> list:
-        """Each row (v, t) as (v_b, t, the pairs (i, v_i) with i > b and
-        v_i != 0), b being the lowest support position: the first row is
-        the only one with v_b != 0, and every row vanishes below b."""
-        if self.rows is None:
-            basis: list = [None] * dim
-            for exps in self.atoms:
-                echelon_insert(basis, [*exps, 1])
-            b = next(i for i, row in enumerate(basis) if row is not None)
-            self.rows = [
-                (row[b], row[-1],
-                 [(i, v) for i, v in enumerate(row[b + 1:-1], b + 1) if v])
-                for row in basis if row is not None]
-        return self.rows
+    def sparse_atoms(self, b: int) -> list:
+        """Each atom A as (A_b, the pairs (i, A_i) with i > b and A_i != 0),
+        b being the lowest support position, so A_b >= 1."""
+        if self.sparse is None:
+            self.sparse = [
+                (exps[b], [(i, c) for i, c in enumerate(exps[b + 1:], b + 1) if c])
+                for exps in self.atoms]
+        return self.sparse
 
 
 def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
     """The atoms grouped by support mask."""
-    # k(A) = sum c_i / ord(g_i), scaled by the common multiple n of the orders
+    # k(A) = sum c_i / ord(g_i), scaled by the common multiple n of the
+    # orders, which is exp(G) on the whole group's nonzero elements
     n = lcm(*orders)
     weights = [n // o for o in orders]
     index: dict[int, _MaskAtoms] = {}
@@ -143,6 +140,7 @@ def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
         if entry is None:
             entry = index[mask] = _MaskAtoms()
         entry.atoms.append(exps)
+        entry.scaled.append(scaled)
         entry.nonunit = entry.nonunit or scaled != n
         entry.light = entry.light or scaled < n
     return index
@@ -151,27 +149,25 @@ def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
 def _child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
     """(d', W_b) for the child that adds position b to a mask in state (d, W).
 
-    The child's new atoms are spanned by the echelon rows (v, t) that it
-    looks up; row a enters as c_a = v_b (in `cs`) and
-    B_a = e*t - sum_{i in mask} W_i v_i (in `bs`).  Take g = gcd of the c's
-    and S = sum s_a B_a for Bezout coefficients, sum s_a c_a = g.  The
-    child's lattice vectors with v_b = 0 are spanned by the parent's lattice
-    and the rows (c_a/g) * sum s_a row_a - row_a, whose B is (c_a/g)*S - B_a;
-    on all of them B = e*(t - lambda(r)) (mod e*d), so
+    Each new atom a, the atoms over the child with a_b >= 1, enters as
+    c_a = a_b (in `cs`) and B_a = e - sum_{i in mask} W_i a_i (in `bs`).
+    Take g = gcd of the c's and S = sum s_a B_a for Bezout coefficients,
+    sum s_a c_a = g.  The child's lattice vectors (r, t) with r_b = 0 are
+    spanned by the parent's lattice and the vectors
+    (c_a/g) * sum s_a col_a - col_a, col_a = (a, 1), whose B is
+    (c_a/g)*S - B_a; on all of them B = e*(t - lambda(r)) (mod e*d), so
     D = gcd(e*d, every (c_a/g)*S - B_a) is e*d'.  W_b solves g*W_b = S,
     exactly when D = 0 and mod D otherwise.
 
     The parent's weights are kept unreduced: they hold mod e*d, hence mod
     e*d'.  W_b then exists, since the child's weights differ from the
     parent's by some U with U.r = 0 (mod e*d') on the parent's relations r,
-    and U.p, for p the mask part of sum s_a row_a, is a multiple of
+    and U.p, for p the mask part of sum s_a col_a, is a multiple of
     gcd(g, e*d') (ord(g_b) / gcd(ord(g_b), g) times p is a relation, and
     ord(g_b) divides e).  So each check below fails only on a bug.
     """
     g = big_s = 0
     for c, big_b in zip(cs, bs):
-        if not c:
-            continue
         if not g:
             g, big_s = c, big_b
         elif c % g:
@@ -213,7 +209,6 @@ def delta_star(group: FiniteAbelianGroup, *,
 
     support = SupportSet(group, elements)
     index = _atom_index(support.orders, enumerate_atoms(support, budget=None))
-    dim = k + 1
 
     records: list[SubsetRecord] = []
     hf_masks = {0}  # the half-factorial masks formed so far, and the empty one
@@ -237,9 +232,9 @@ def delta_star(group: FiniteAbelianGroup, *,
                 if entry is not None:
                     nu = nu or entry.nonunit
                     nl = nl or entry.light
-                    for c, t, pairs in entry.reduced_rows(dim):
+                    for c, pairs in entry.sparse_atoms(b):
                         cs.append(c)
-                        bs.append(e * t - sum([weights[i] * v for i, v in pairs]))
+                        bs.append(e - sum([weights[i] * v for i, v in pairs]))
                 if not sub:
                     break
                 sub = (sub - 1) & mask
@@ -323,16 +318,14 @@ def _extremal_report(support: SupportSet, index: dict[int, _MaskAtoms],
     unit_bound: bool | None = None
     heavy_bound: bool | None = None
     if rec.lcn:
-        # the atoms over the subset are those filed under its submasks; cross
-        # numbers are scaled by n, which every order divides
-        weights = [n // o for o in support.orders]
+        # the atoms over the subset are those filed under its submasks, with
+        # their cross numbers scaled by n
         unit_bound = heavy_bound = True
         sub = mask
         while sub:
             entry = index.get(sub)
             if entry is not None:
-                for exps in entry.atoms:
-                    scaled = sum(exps[i] * weights[i] for i in positions)
+                for exps, scaled in zip(entry.atoms, entry.scaled):
                     if scaled == n:
                         unit_bound = unit_bound and 2 * sub.bit_count() <= n
                     elif scaled > n and heavy_bound:

@@ -177,6 +177,16 @@ def min_multiple_in_span(group: FiniteAbelianGroup, g, others) -> int:
     return d
 
 
+def encode_set(codec, elements) -> int:
+    """The mask of a set of elements of a span codec (`sequences._Span`):
+    bit codec.encode(x) for each x."""
+    bits = bytearray((codec.width + 7) // 8)
+    for x in elements:
+        code = codec.encode(x)
+        bits[code >> 3] |= 1 << (code & 7)
+    return int.from_bytes(bits, "little")
+
+
 def kernel_basis_contains(basis: KernelBasis, vector) -> bool:
     """Membership of an integer vector in the lattice a kernel basis spans."""
     probe = list(vector)
@@ -541,9 +551,7 @@ def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
     apart from the budget check and the returned shape: a node copies its
     parent's pivot-indexed basis on its first insert, inserts the echelon
     rows of every new support mask, stops inserting once the tail generator
-    reaches 1, and reads min Delta off that generator.  The rows of a mask
-    are reduced here, since `_MaskAtoms.reduced_rows` now yields the
-    descent's sparse form."""
+    reaches 1, and reads min Delta off that generator."""
     elements = group.nonzero_elements
     k = len(elements)
     if k == 0:

@@ -11,7 +11,7 @@ from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          build_named_set, enumerate_atoms, enumeration_bound)
 from blockmonoid.sequences import _Span
 from blockmonoid.sweep import _atom_index
-from oracles import grid_atoms, seed_enumerate_atoms
+from oracles import encode_set, grid_atoms, seed_enumerate_atoms
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -187,6 +187,11 @@ class TestRestrict:
         assert sum(len(entry.atoms) for entry in index.values()) == len(atoms)
         assert all(id(exps) in built
                    for entry in index.values() for exps in entry.atoms)
+        # beside each atom, its cross number scaled by exp(G)
+        cross = dict(zip((a.exponents for a in atoms), atoms.cross_numbers))
+        for entry in index.values():
+            assert entry.scaled == [group.exponent * cross[exps]
+                                    for exps in entry.atoms]
         for mask in range(1, 1 << len(full)):
             positions = [i for i in range(len(full)) if mask >> i & 1]
             sub = SupportSet(group, tuple(full.elements[i] for i in positions))
@@ -289,7 +294,7 @@ class TestSpanCodec:
         codec = _Span(group, gens)
         assert codec.width == len(span)
         assert codec.encode(group.zero) == 0
-        assert codec.encode_set(span) == (1 << codec.width) - 1
+        assert encode_set(codec, span) == (1 << codec.width) - 1
 
     @settings(max_examples=200, deadline=None)
     @given(span_cases())
@@ -297,8 +302,8 @@ class TestSpanCodec:
         group, gens, _, subset, g = case
         codec = _Span(group, gens)
         moved = {group.add(a, g) for a in subset}
-        assert translate(codec.encode_set(subset), codec.translation(g)) == \
-            codec.encode_set(moved)
+        assert translate(encode_set(codec, subset), codec.translation(g)) == \
+            encode_set(codec, moved)
 
     @settings(max_examples=200, deadline=None)
     @given(span_cases())
@@ -313,4 +318,4 @@ class TestSpanCodec:
             if grown == mask:
                 break
             mask = grown
-        assert mask == codec.encode_set(span)
+        assert mask == encode_set(codec, span)

@@ -57,6 +57,12 @@ class TestParseSubset:
         with pytest.raises(ParseError):
             parse_subset("(1,2)", parse_group("C5"))
 
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_empty_rejected_with_a_position(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_specs("C5", text)
+        assert info.value.position == len(text)
+
 
 class TestParseSequence:
     def test_basic(self):
@@ -291,6 +297,13 @@ class TestCli:
     def test_parse_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run_cli_main("atoms", "--group", "C5", "--subset", "(0)")
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["atoms", "min-delta", "classify",
+                                         "transfer-reduce"])
+    def test_empty_subset_exit_code(self, command):
+        with pytest.raises(SystemExit) as info:
+            run_cli_main(command, "--group", "C5", "--subset", "")
         assert info.value.code == 2
 
     def test_verify_remark(self):

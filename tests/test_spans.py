@@ -12,9 +12,10 @@ from blockmonoid import (ContractError, FiniteAbelianGroup, SupportSet,
                          is_decomposable, is_simple, satisfies_span_property,
                          transfer_reduce)
 from blockmonoid.sweep import SubsetRecord, _extremal_report
-from oracles import (min_multiple_in_span, seed_extremal_span_flags,
-                     seed_is_decomposable, seed_is_simple,
-                     seed_satisfies_span_property, seed_transfer_reduce)
+from oracles import (encode_set, min_multiple_in_span,
+                     seed_extremal_span_flags, seed_is_decomposable,
+                     seed_is_simple, seed_satisfies_span_property,
+                     seed_transfer_reduce)
 
 
 @st.composite
@@ -42,7 +43,7 @@ class TestSpanMask:
             family = at(support, positions)
             closure = group.subgroup_closure(family)
             mask = support.span_mask(positions)
-            assert mask == support.codec.encode_set(closure)
+            assert mask == encode_set(support.codec, closure)
             assert mask.bit_count() == len(closure)
             assert support.is_independent(positions) == \
                 group.is_independent(family)

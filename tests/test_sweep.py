@@ -91,7 +91,8 @@ class TestSeedOracle:
 
 
 ECHELON_ORACLE_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
-ECHELON_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 3)), FiniteAbelianGroup((3, 3, 3))]
+ECHELON_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 3)), FiniteAbelianGroup((3, 3, 3)),
+                          FiniteAbelianGroup((19,))]
 
 
 class TestEchelonOracle:
@@ -262,8 +263,9 @@ class TestHalfFactorialityTrap:
 
 
 class TestDualStateTraps:
-    """The child step's consistency checks, each fed rows that no lattice of
-    atoms produces: (c, B) pairs with c = v_b and B = e*t - sum W_i v_i."""
+    """The child step's consistency checks, each fed (c, B) pairs that no
+    set of atoms produces, where an atom a gives c = a_b and
+    B = e - sum W_i a_i."""
 
     def test_exponent_divides_d(self):
         # g = 1 and S = 0, so D = gcd(4, 0, -1) = 1, which 4 does not divide
