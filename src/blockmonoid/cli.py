@@ -40,14 +40,13 @@ def _at_least(low: int):
     return parse
 
 
-def _add_common(p, subset=True, fmt=True, budget=True, group=True):
+def _add_common(p, subset=True, budget=True, group=True):
     if group:
         p.add_argument("--group", required=True, help="group spec, e.g. C2^2xC4")
     if subset:
         p.add_argument("--subset", required=True,
                        help="subset spec, e.g. \"(1);(4)\"")
-    if fmt:
-        p.add_argument("--format", choices=rpt.FORMATS, default="text")
+    p.add_argument("--format", choices=rpt.FORMATS, default="text")
     if budget:
         p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
                        help="atom enumeration budget (grid size bound; "

@@ -162,7 +162,7 @@ class FiniteAbelianGroup:
     # -- presentation ----------------------------------------------------------
 
     def spec_string(self) -> str:
-        """Canonical text form, e.g. C2^2xC4 (round-trips through the parser)."""
+        """Canonical text form, e.g. C2^2xC4 (parses back for every nontrivial group)."""
         if not self.orders:
             return "C1"
         parts = []

@@ -1,24 +1,27 @@
-"""Exact computation of min Delta(G0) from the integer kernel of the atom matrix.
+"""Exact computation of min Delta(G0), and the integer kernel of the atom matrix.
 
 Any integer vector z with M z = 0 splits as z = z+ - z-, giving two
 factorizations of the same zero-sum sequence, so {1^T z : M z = 0} is exactly
 the subgroup of Z generated by all length differences.  Its nonnegative
 generator is gcd Delta(G0) = min Delta(G0), with 0 encoding the half-factorial
-case.  min_delta reads that generator off an echelon basis of the lattice
-spanned by the augmented atom columns (exponent vector, 1): the minimal
-positive t with (0,...,0,t) in the lattice.  All arithmetic is exact
+case; it also generates {t : (0,...,0,t) in L} for the lattice L spanned by
+the augmented atom columns (exponent vector, 1).  All arithmetic is exact
 arbitrary-precision integer arithmetic.
 
-Every echelon basis here is pivot-indexed: a list with one slot per
-coordinate, where slot j holds the row whose leading index is j, or None.
-Inserting never mutates a row, it only replaces slots, so basis[:] is an
-independent copy of a basis that shares its rows.  The tail generator is
-the last entry of slot dim - 1.
+min_delta and the sweep carry a dual state (d, W) instead of a basis of L.
+With R the support's relation lattice and e = exp(G), L = {(r, t) : r in R,
+t = lambda(r) mod d} for a length functional lambda that extends to all
+integer vectors as sum W_i x_i / e, with integer weights W_i.  So every atom
+A has sum W_i A_i = e (mod e*d), and = e exactly when d = 0, where
+W_i = e / ord(g_i) makes the sum e times the cross number k(A).  Adding a
+position adds one weight, which the new atoms, read as they are, determine
+together with the new d (`child_step`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .atoms import AtomSet
 from .errors import ConsistencyError, ContractError
@@ -126,16 +129,79 @@ def integer_kernel(matrix) -> KernelBasis:
     return KernelBasis(tuple(basis))
 
 
+def child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
+    """(d', W_b) for the child that adds position b to a mask in state (d, W).
+
+    Each new atom a, the atoms over the child with a_b >= 1, enters as
+    c_a = a_b (in `cs`) and B_a = e - sum_{i in mask} W_i a_i (in `bs`).
+    Take g = gcd of the c's and S = sum s_a B_a for Bezout coefficients,
+    sum s_a c_a = g.  The child's lattice vectors (r, t) with r_b = 0 are
+    spanned by the parent's lattice and the vectors
+    (c_a/g) * sum s_a col_a - col_a, col_a = (a, 1), whose B is
+    (c_a/g)*S - B_a; on all of them B = e*(t - lambda(r)) (mod e*d), so
+    D = gcd(e*d, every (c_a/g)*S - B_a) is e*d'.  W_b solves g*W_b = S,
+    exactly when D = 0 and mod D otherwise.
+
+    The parent's weights are kept unreduced: they hold mod e*d, hence mod
+    e*d'.  W_b then exists, since the child's weights differ from the
+    parent's by some U with U.r = 0 (mod e*d') on the parent's relations r,
+    and U.p, for p the mask part of sum s_a col_a, is a multiple of
+    gcd(g, e*d') (ord(g_b) / gcd(ord(g_b), g) times p is a relation, and
+    ord(g_b) divides e).  So each check below fails only on a bug.
+    """
+    g = big_s = 0
+    for c, big_b in zip(cs, bs):
+        if not g:
+            g, big_s = c, big_b
+        elif c % g:
+            g, x, y = ext_gcd(g, c)
+            big_s = x * big_s + y * big_b
+    big_d = gcd(e * d, *[(c // g) * big_s - big_b for c, big_b in zip(cs, bs)])
+    if big_d == 0:
+        if big_s % g:
+            raise ConsistencyError(
+                f"half-factorial child: gcd {g} of the new coefficients does "
+                f"not divide {big_s}")
+        return 0, big_s // g
+    if big_d % e:
+        raise ConsistencyError(
+            f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
+    h, x, _ = ext_gcd(g, big_d)
+    if big_s % h:
+        raise ConsistencyError(
+            f"dual-state step: gcd({g}, {big_d}) does not divide {big_s}")
+    return big_d // e, x * (big_s // h) % big_d
+
+
 def min_delta(atoms: AtomSet) -> int:
     """min Delta(G0) as the positive generator of the length-difference group.
 
-    0 means Delta(G0) is empty, i.e. the support set is half-factorial.
+    0 means Delta(G0) is empty, i.e. the support set is half-factorial.  The
+    positions join from last to first, each with the atoms whose lowest
+    support position it is, so the weights not set yet are 0 and B may sum
+    over the whole exponent vector.
     """
-    dim = len(atoms.support) + 1
-    rows: list = [None] * dim
-    for a in atoms.atoms:
-        echelon_insert(rows, [*a.exponents, 1])
-    return lattice_tail_generator(rows, dim)
+    k = len(atoms.support)
+    e = atoms.support.group.exponent
+    joining = [[] for _ in range(k)]
+    for atom in atoms.atoms:
+        exps = atom.exponents
+        b = 0
+        while not exps[b]:
+            b += 1
+        joining[b].append(exps)
+    if [] in joining:
+        # every g in the support brings the atom g^ord(g) at its position
+        raise ContractError(f"no atom has lowest support position {joining.index([])}")
+    weights = [0] * k
+    d = 0
+    for b in range(k - 1, -1, -1):
+        d, weights[b] = child_step(
+            e, d, [exps[b] for exps in joining[b]],
+            [e - sum(map(mul, weights, exps)) for exps in joining[b]])
+        if d == 1:
+            break  # 1 is final: min Delta of a superset divides it
+    return d
 
 
 def is_half_factorial(atoms: AtomSet) -> bool:
@@ -170,25 +236,18 @@ def min_delta_witness(atoms: AtomSet) -> MinDeltaWitness | None:
     basis = integer_kernel(atoms.exponent_matrix)
     target = min_delta(atoms)
     if basis.length_difference_gcd() != target:
-        raise ConsistencyError("kernel-basis gcd disagrees with lattice readout")
+        raise ConsistencyError("kernel-basis gcd disagrees with dual-state min Delta")
     if target == 0:
         return None
     # accumulate basis vectors with extended-gcd coefficients until 1^T z = gcd
-    z = None
+    z = [0] * len(atoms)
     acc = 0
     for b in basis.vectors:
-        t = sum(b)
-        if t == 0:
-            continue
-        if z is None:
-            z, acc = list(b), t
-        else:
-            g, x, y = ext_gcd(acc, t)
-            z = [x * zi + y * bi for zi, bi in zip(z, b)]
-            acc = g
+        acc, x, y = ext_gcd(acc, sum(b))
+        z = [x * zi + y * bi for zi, bi in zip(z, b)]
         if abs(acc) == target:
             break
-    if z is None or abs(acc) != target:
+    if abs(acc) != target:
         raise ConsistencyError("failed to realize the gcd from the kernel basis")
     if acc < 0:
         z = [-zi for zi in z]

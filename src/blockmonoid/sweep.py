@@ -5,17 +5,9 @@ structural facts make this cheap:
 
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
   support lies inside the subset, so atoms are enumerated once per group;
-* min Delta of a subset is the nonnegative generator d of the length
-  differences, {t : (0,...,0,t) in L} for the lattice L spanned by the
-  atom columns (exponent vector, 1).  With R the relation lattice of the
-  subset and e = exp(G), L = {(r, t) : r in R, t = lambda(r) mod d} for a
-  length functional lambda that extends to all integer vectors as
-  sum W_i x_i / e, with integer weights W_i.  So a node carries only
-  (d, W): every atom A over its subset has sum W_i A_i = e (mod e*d), and
-  = e exactly when d = 0, where W_i = e / ord(g_i) makes the sum e times
-  the cross number k(A).  A child that adds one element adds one unknown
-  weight, and its new atoms, read as they are, determine both that weight
-  and its d (`_child_step`);
+* each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
+  a child that adds one element derives its state from its new atoms, read
+  as they are, in one `kernel.child_step`;
 * a subset with min Delta = 1 forces min Delta = 1 on every superset (the
   generator divides 1), so the whole subtree is counted arithmetically and
   skipped ("saturation pruning").
@@ -39,13 +31,13 @@ scaled by exp(G) to integers, that the index keeps beside them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .atoms import enumerate_atoms
 from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
-from .kernel import ext_gcd
+from .kernel import child_step
 from .sequences import SupportSet
 
 
@@ -146,50 +138,6 @@ def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
     return index
 
 
-def _child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
-    """(d', W_b) for the child that adds position b to a mask in state (d, W).
-
-    Each new atom a, the atoms over the child with a_b >= 1, enters as
-    c_a = a_b (in `cs`) and B_a = e - sum_{i in mask} W_i a_i (in `bs`).
-    Take g = gcd of the c's and S = sum s_a B_a for Bezout coefficients,
-    sum s_a c_a = g.  The child's lattice vectors (r, t) with r_b = 0 are
-    spanned by the parent's lattice and the vectors
-    (c_a/g) * sum s_a col_a - col_a, col_a = (a, 1), whose B is
-    (c_a/g)*S - B_a; on all of them B = e*(t - lambda(r)) (mod e*d), so
-    D = gcd(e*d, every (c_a/g)*S - B_a) is e*d'.  W_b solves g*W_b = S,
-    exactly when D = 0 and mod D otherwise.
-
-    The parent's weights are kept unreduced: they hold mod e*d, hence mod
-    e*d'.  W_b then exists, since the child's weights differ from the
-    parent's by some U with U.r = 0 (mod e*d') on the parent's relations r,
-    and U.p, for p the mask part of sum s_a col_a, is a multiple of
-    gcd(g, e*d') (ord(g_b) / gcd(ord(g_b), g) times p is a relation, and
-    ord(g_b) divides e).  So each check below fails only on a bug.
-    """
-    g = big_s = 0
-    for c, big_b in zip(cs, bs):
-        if not g:
-            g, big_s = c, big_b
-        elif c % g:
-            g, x, y = ext_gcd(g, c)
-            big_s = x * big_s + y * big_b
-    big_d = gcd(e * d, *[(c // g) * big_s - big_b for c, big_b in zip(cs, bs)])
-    if big_d == 0:
-        if big_s % g:
-            raise ConsistencyError(
-                f"half-factorial child: gcd {g} of the new coefficients does "
-                f"not divide {big_s}")
-        return 0, big_s // g
-    if big_d % e:
-        raise ConsistencyError(
-            f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
-    h, x, _ = ext_gcd(g, big_d)
-    if big_s % h:
-        raise ConsistencyError(
-            f"dual-state step: gcd({g}, {big_d}) does not divide {big_s}")
-    return big_d // e, x * (big_s // h) % big_d
-
-
 def delta_star(group: FiniteAbelianGroup, *,
                sweep_max_group: int | None = DEFAULT_SWEEP_MAX_GROUP) -> SweepReport:
     """Classify every nonempty subset of the nonzero elements and collect the
@@ -202,10 +150,6 @@ def delta_star(group: FiniteAbelianGroup, *,
             bound=2 ** (group.size - 1) - 1)
     elements = group.nonzero_elements
     k = len(elements)
-    if k == 0:
-        return SweepReport(group, (), (), 0, 0, (), {
-            "subsets_total": 0, "subsets_computed": 0, "subsets_pruned": 0},
-            ())
 
     support = SupportSet(group, elements)
     index = _atom_index(support.orders, enumerate_atoms(support, budget=None))
@@ -239,7 +183,7 @@ def delta_star(group: FiniteAbelianGroup, *,
                     break
                 sub = (sub - 1) & mask
             new_mask = mask | bit
-            child_d, weights[b] = _child_step(e, d, cs, bs)
+            child_d, weights[b] = child_step(e, d, cs, bs)
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")

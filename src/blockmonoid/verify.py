@@ -12,7 +12,6 @@ from fractions import Fraction
 from .atoms import enumerate_atoms
 from .classify import build_named_set, classify
 from .groups import FiniteAbelianGroup, abelian_groups_of_order
-from .kernel import min_delta
 from .lengths import distances_oracle
 from .sequences import SupportSet
 from .sweep import SweepReport, delta_star
@@ -204,10 +203,9 @@ def verify_named_family(which: int, r: int = 3,
     got = {a.exponents: kv for a, kv in zip(atoms.atoms, atoms.cross_numbers)}
     result.check(f"atom inventory matches ({len(expected)} atoms)", got == expected)
 
-    d = min_delta(atoms)
-    result.check(f"min delta = {d} = r-1", d == r - 1)
-
     record = classify(support, atoms=atoms)
+    d = record.min_delta
+    result.check(f"min delta = {d} = r-1", d == r - 1)
     result.check("minimal non-half-factorial LCN-set",
                  record.minimal_non_hf and record.lcn)
     result.check("not simple", not record.simple)

@@ -6,9 +6,13 @@ shares code with the package internals it checks; `seed_enumerate_atoms`
 and the seed span predicates use only the group arithmetic.  The seed sweep
 descent takes its atoms from `enumerate_atoms` and builds its extremal
 reports with `seed_extremal_report`, which restricts the whole-group atom
-set to each subset and builds a `SupportSet` for it.  `echelon_delta_star`
-is the descent that the dual state (d, W) replaced: each node copies a
-pivot-indexed echelon basis and inserts the rows of its new atoms.
+set to each subset and builds a `SupportSet` for it.  The echelon-basis
+readouts are what the dual state (d, W) replaced, in the sweep and in
+`min_delta`, so they share no min Delta code with the package: they insert
+augmented atom columns into a pivot-indexed echelon basis and read min Delta
+off its tail generator.  `echelon_min_delta` does so for one atom set;
+`echelon_delta_star` is the descent in which each node copies its parent's
+basis and inserts the rows of its new atoms.
 """
 from __future__ import annotations
 
@@ -542,6 +546,19 @@ def sweep_results(report: SweepReport) -> dict:
         "subsets_computed": report.counters["subsets_computed"],
         "subsets_pruned": report.counters["subsets_pruned"],
     }
+
+
+# -- min Delta read off an echelon basis, as it stood before the dual state (d, W) --
+
+def echelon_min_delta(atoms: AtomSet) -> int:
+    """`kernel.min_delta` before it ran the dual-state child steps, kept
+    verbatim: the tail generator of an echelon basis of the augmented atom
+    columns (exponent vector, 1)."""
+    dim = len(atoms.support) + 1
+    rows: list = [None] * dim
+    for a in atoms.atoms:
+        echelon_insert(rows, [*a.exponents, 1])
+    return lattice_tail_generator(rows, dim)
 
 
 # -- the sweep descent as it stood before the dual state (d, W) -------------------

@@ -1,16 +1,17 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (ConsistencyError, FiniteAbelianGroup, SequenceVec,
-                         SupportSet, build_named_set, enumerate_atoms,
-                         integer_kernel,
+from blockmonoid import (AtomSet, ConsistencyError, ContractError,
+                         FiniteAbelianGroup, SequenceVec, SupportSet,
+                         build_named_set, enumerate_atoms, integer_kernel,
                          is_half_factorial, length_set, min_delta,
                          min_delta_witness)
 from blockmonoid.kernel import echelon_insert, lattice_tail_generator
-from oracles import (kernel_basis_contains, seed_echelon_insert,
-                     seed_lattice_tail_generator)
+from oracles import (echelon_min_delta, kernel_basis_contains,
+                     seed_echelon_insert, seed_lattice_tail_generator)
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
 
@@ -171,6 +172,30 @@ class TestMinDelta:
         atoms = enumerate_atoms(support)
         basis = integer_kernel(atoms.exponent_matrix)
         assert min_delta(atoms) == basis.length_difference_gcd()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_support(max_size=5))
+    def test_matches_echelon_readout(self, support):
+        atoms = enumerate_atoms(support)
+        assert min_delta(atoms) == echelon_min_delta(atoms)
+
+    @pytest.mark.parametrize("orders", [(19,), (2, 2, 2, 3), (2, 2, 2, 2, 2)],
+                             ids=lambda o: FiniteAbelianGroup(o).spec_string())
+    def test_matches_echelon_readout_on_whole_group(self, orders):
+        group = FiniteAbelianGroup(orders)
+        atoms = enumerate_atoms(SupportSet(group, group.nonzero_elements))
+        assert min_delta(atoms) == echelon_min_delta(atoms)
+
+    def test_position_without_atom_is_refused(self):
+        # every element g brings the atom g^ord(g); without it the dual
+        # state has no new atom to read at that position
+        support = SupportSet(FiniteAbelianGroup((5,)), ((1,), (4,)))
+        with pytest.raises(ContractError, match="position 0"):
+            min_delta(AtomSet(support, ()))
+        only_pair = AtomSet(support, (SequenceVec(support, (1, 1)),
+                                      SequenceVec(support, (5, 0))))
+        with pytest.raises(ContractError, match="position 1"):
+            min_delta(only_pair)
 
     def test_witness(self):
         atoms = enumerate_atoms(PM5)

@@ -2,12 +2,12 @@ import pytest
 
 from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          FiniteAbelianGroup, SequenceVec, SubsetRecord,
-                         SupportSet, abelian_groups_of_order, delta_star,
-                         enumerate_atoms, expected_max_delta_star,
-                         is_half_factorial, min_delta)
-from blockmonoid import sweep
-from oracles import (echelon_delta_star, seed_delta_star, seed_extremal_report,
-                     sweep_results)
+                         SupportSet, SweepReport, abelian_groups_of_order,
+                         delta_star, enumerate_atoms, expected_max_delta_star,
+                         is_half_factorial)
+from blockmonoid import kernel, sweep
+from oracles import (echelon_delta_star, echelon_min_delta, seed_delta_star,
+                     seed_extremal_report, sweep_results)
 
 
 class TestDeltaStarExamples:
@@ -37,6 +37,14 @@ class TestDeltaStarExamples:
         rest = [d for d in report.delta_star if d != n - 2]
         assert max(rest, default=0) == n // 2 - 1
 
+    def test_trivial_group_takes_the_general_path(self):
+        # no atoms, lcm() = 1, a descent that visits nothing, 0 + 0 = 0 subsets
+        group = FiniteAbelianGroup(())
+        assert delta_star(group) == SweepReport(
+            group, (), (), 0, 0, (), {
+                "subsets_total": 0, "subsets_computed": 0, "subsets_pruned": 0},
+            ())
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             delta_star(FiniteAbelianGroup((17,)), sweep_max_group=16)
@@ -54,7 +62,8 @@ class TestMOfG:
 
 
 class TestCrossValidation:
-    """The incremental sweep engine against per-subset kernel computations."""
+    """The incremental sweep engine against per-subset echelon readouts, which
+    share no min Delta code with it."""
 
     @pytest.mark.parametrize("orders", [(8,), (2, 4), (3, 3), (2, 2, 2), (9,)])
     def test_every_subset(self, sweep_cache, orders):
@@ -65,7 +74,7 @@ class TestCrossValidation:
         for mask in range(1, 1 << k):
             subset = SupportSet(group, report.subset_elements(mask))
             atoms = enumerate_atoms(subset)
-            expected = min_delta(atoms)
+            expected = echelon_min_delta(atoms)
             rec = by_mask.get(mask)
             if rec is None:
                 # pruned subsets are exactly those forced to min delta 1
@@ -239,12 +248,12 @@ class TestHalfFactorialityTrap:
     """The descent checks min Delta 0 against "every atom has k(A) = 1"."""
 
     def test_generator_forced_to_zero(self, monkeypatch):
-        child_step = sweep._child_step
+        child_step = kernel.child_step
 
         def forced(e, d, cs, bs):
             return 0, child_step(e, d, cs, bs)[1]
 
-        monkeypatch.setattr(sweep, "_child_step", forced)
+        monkeypatch.setattr(sweep, "child_step", forced)
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
 
@@ -270,14 +279,14 @@ class TestDualStateTraps:
     def test_exponent_divides_d(self):
         # g = 1 and S = 0, so D = gcd(4, 0, -1) = 1, which 4 does not divide
         with pytest.raises(ConsistencyError, match="does not divide D = 1"):
-            sweep._child_step(4, 1, [1, 1], [0, 1])
+            kernel.child_step(4, 1, [1, 1], [0, 1])
 
     def test_g_divides_s_when_half_factorial(self):
         # g = 2, S = 1 and D = gcd(0, 1 - 1) = 0, but 2 does not divide 1
         with pytest.raises(ConsistencyError, match="half-factorial child"):
-            sweep._child_step(4, 0, [2], [1])
+            kernel.child_step(4, 0, [2], [1])
 
     def test_weight_congruence_solvable(self):
         # g = 2, S = 1 and D = gcd(2, 1 - 1) = 2, but gcd(2, 2) does not divide 1
         with pytest.raises(ConsistencyError, match=r"gcd\(2, 2\) does not divide 1"):
-            sweep._child_step(2, 1, [2], [1])
+            kernel.child_step(2, 1, [2], [1])
