@@ -35,16 +35,46 @@ and sigma = 0 is bit 0.  Translating a set by g takes one masked shift pair
 per nonzero digit of g: the positions whose digit does not wrap move up, the
 others move down.  The suffix spans H come from the support's memoized table
 of subgroup masks, `SupportSet.span_mask`.
+
+An `AtomSet` files its atoms by support mask (`mask_index`), with cross
+numbers scaled to integers by the common multiple of the support's orders.
+The half-factorial, LCN and minimality flags and the largest cross number
+are read off it, and the sweep looks atoms up in it by subset mask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 
 from .errors import BudgetError, ContractError
 from .sequences import SequenceVec, SupportSet
+
+
+class MaskAtoms:
+    """The atoms with one support mask: their exponent tuples (`atoms`),
+    cross numbers scaled to integers (`scaled`, in the same order), whether
+    some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`), and the sparse form
+    the sweep reads, built on first use: where the sweep saturates early, as
+    in prime cyclic groups, it never looks most masks up."""
+
+    __slots__ = ("atoms", "scaled", "sparse", "nonunit", "light")
+
+    def __init__(self):
+        self.atoms: list[tuple[int, ...]] = []
+        self.scaled: list[int] = []
+        self.sparse: list | None = None
+        self.nonunit = self.light = False
+
+    def sparse_atoms(self, b: int) -> list:
+        """Each atom A as (A_b, the pairs (i, A_i) with i > b and A_i != 0),
+        b being the lowest support position, so A_b >= 1."""
+        if self.sparse is None:
+            self.sparse = [
+                (exps[b], [(i, c) for i, c in enumerate(exps[b + 1:], b + 1) if c])
+                for exps in self.atoms]
+        return self.sparse
 
 
 @dataclass(frozen=True)
@@ -71,6 +101,30 @@ class AtomSet:
     def cross_numbers(self) -> tuple[Fraction, ...]:
         return tuple(a.cross_number() for a in self.atoms)
 
+    @cached_property
+    def mask_index(self) -> dict[int, MaskAtoms]:
+        """The atoms grouped by support mask, bit i standing for position i."""
+        # k(A) = sum c_i / ord(g_i), times the common multiple n of the orders
+        orders = self.support.orders
+        n = lcm(*orders)
+        weights = [n // o for o in orders]
+        index: dict[int, MaskAtoms] = {}
+        for a in self.atoms:
+            exps = a.exponents
+            mask = scaled = 0
+            for i, c in enumerate(exps):
+                if c:
+                    mask |= 1 << i
+                    scaled += c * weights[i]
+            entry = index.get(mask)
+            if entry is None:
+                entry = index[mask] = MaskAtoms()
+            entry.atoms.append(exps)
+            entry.scaled.append(scaled)
+            entry.nonunit = entry.nonunit or scaled != n
+            entry.light = entry.light or scaled < n
+        return index
+
     def davenport_constant(self) -> int:
         """Maximal atom length."""
         if not self.atoms:
@@ -81,11 +135,12 @@ class AtomSet:
         """Maximal cross number over the atoms."""
         if not self.atoms:
             raise ContractError("cross number of an empty atom set")
-        return max(self.cross_numbers)
+        return Fraction(max(max(entry.scaled) for entry in self.mask_index.values()),
+                        lcm(*self.support.orders))
 
 
 def enumeration_bound(support: SupportSet) -> int:
-    """Grid size prod(ord(g)+1), the budget measure for enumerate_atoms."""
+    """Grid size prod(ord(g)+1), which bounds the nodes of enumerate_atoms."""
     return prod(o + 1 for o in support.orders)
 
 
@@ -95,11 +150,13 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     Exactly the minimal elements of {v != 0 : 0 <= v_g <= ord(g), sigma(v) = 0}
     under the componentwise order, sorted lexicographically.
     """
-    bound = enumeration_bound(support)
+    # at most one node per grid point, each on masks |<S>| bits wide, a width
+    # the codec measures before any mask is built
+    bound = enumeration_bound(support) * -(-support.codec.width // 64)
     if budget is not None and bound > budget:
         raise BudgetError(
-            f"atom enumeration bound {bound} exceeds budget {budget}; "
-            f"raise the budget to proceed", bound=bound)
+            f"atom enumeration bound {bound} (grid size x 64-bit words per mask) "
+            f"exceeds budget {budget}; raise the budget to proceed", bound=bound)
 
     k = len(support)
     ords = support.orders

@@ -1,4 +1,8 @@
-"""Per-subset classification, the transfer reduction, and named example subsets."""
+"""Per-subset classification, the transfer reduction, and named example subsets.
+
+Cross-number flags are read off the atom set's support-mask index, in
+integers, and span flags off the support's span table.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -36,27 +40,18 @@ class ClassificationRecord:
             raise ConsistencyError("simple subsets are indecomposable")
 
 
-def _is_subset_half_factorial(atoms: AtomSet, removed: int) -> bool:
-    """Half-factoriality of support-minus-one-element, by atom filtering.
-
-    The atoms of the smaller set are exactly the atoms avoiding the removed
-    position, so no re-enumeration is needed.
-    """
-    return all(k == 1 for a, k in zip(atoms.atoms, atoms.cross_numbers)
-               if a.exponents[removed] == 0)
-
-
 def is_minimal_non_half_factorial(atoms: AtomSet) -> bool:
     """Non-half-factorial with every proper subset half-factorial.
 
-    Testing the maximal proper subsets suffices: half-factoriality is
-    inherited downward (sequences over a subset are sequences over the
-    whole set, with the same factorizations).
+    A set is half-factorial iff each of its atoms has k(A) = 1, and the
+    atoms of G0 minus g are the atoms of G0 that avoid g.  So G0 is minimal
+    non-half-factorial iff some atom has k(A) != 1 and every such atom has
+    all of G0 as its support: the full mask is the index's only non-unit
+    entry.
     """
-    if all(k == 1 for k in atoms.cross_numbers):
-        return False
-    return all(_is_subset_half_factorial(atoms, i)
-               for i in range(len(atoms.support)))
+    full = (1 << len(atoms.support)) - 1
+    return [mask for mask, entry in atoms.mask_index.items()
+            if entry.nonunit] == [full]
 
 
 def is_decomposable(support: SupportSet) -> bool:
@@ -109,12 +104,12 @@ def classify(support: SupportSet, budget: int | None = None,
     """Full classification of one support set."""
     if atoms is None:
         atoms = enumerate_atoms(support, budget)
-    # half-factorial by unit cross numbers; the record checks this route
-    # against min Delta = 0
+    entries = atoms.mask_index.values()
+    # the record checks the unit-cross-number route against min Delta = 0
     return ClassificationRecord(
         subset=support.elements,
-        half_factorial=all(k == 1 for k in atoms.cross_numbers),
-        lcn=all(k >= 1 for k in atoms.cross_numbers),
+        half_factorial=not any(entry.nonunit for entry in entries),
+        lcn=not any(entry.light for entry in entries),
         minimal_non_hf=is_minimal_non_half_factorial(atoms),
         decomposable=is_decomposable(support),
         simple=is_simple(support),

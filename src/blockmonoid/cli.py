@@ -16,7 +16,7 @@ from .config import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_MEMO_LIMIT,
                      DEFAULT_ORACLE_VECTOR_LIMIT, DEFAULT_SWEEP_MAX_GROUP)
 from .errors import BudgetError, ContractError, ParseError
 from .groups import abelian_groups_of_order
-from .kernel import is_half_factorial, min_delta, min_delta_witness
+from .kernel import half_factorial, min_delta, min_delta_witness
 from .lengths import distances_oracle, length_set
 from .sequences import SequenceVec
 from .specparse import parse_sequence, parse_specs
@@ -49,8 +49,8 @@ def _add_common(p, subset=True, budget=True, group=True):
     p.add_argument("--format", choices=rpt.FORMATS, default="text")
     if budget:
         p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-                       help="atom enumeration budget (grid size bound; "
-                            f"default {DEFAULT_ENUMERATION_BUDGET})")
+                       help="atom enumeration budget (grid size times "
+                            f"words per mask; default {DEFAULT_ENUMERATION_BUDGET})")
 
 
 def _add_sweep_common(p, group=True):
@@ -161,12 +161,11 @@ def run(argv=None) -> int:
         group, support = parse_specs(args.group, args.subset)
         atoms = enumerate_atoms(support, args.budget)
         d = min_delta(atoms)
-        hf = is_half_factorial(atoms)
+        hf = half_factorial(atoms, d)
         # M has full row rank: every g^ord(g) is an atom
         kernel_rank = len(atoms) - len(support)
         witness = min_delta_witness(atoms) if args.explain else None
-        out.write(rpt.emit_min_delta(support, d, kernel_rank, hf, witness,
-                                     args.format))
+        out.write(rpt.emit_min_delta(support, d, kernel_rank, hf, witness, args.format))
         return 0
 
     if args.command == "delta-observed":

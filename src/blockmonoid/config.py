@@ -2,7 +2,8 @@
 for no limit."""
 from __future__ import annotations
 
-# Grid-size bound (product of ord(g)+1 over the support) for atom enumeration.
+# Bound on the grid size (product of ord(g)+1 over the support) times the
+# 64-bit words of one DFS mask, for atom enumeration.
 DEFAULT_ENUMERATION_BUDGET = 10 ** 12
 # Largest |G| the whole-group subset sweep will accept.
 DEFAULT_SWEEP_MAX_GROUP = 16

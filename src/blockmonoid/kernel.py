@@ -205,12 +205,16 @@ def min_delta(atoms: AtomSet) -> int:
 
 
 def is_half_factorial(atoms: AtomSet) -> bool:
-    """Two independent routes: every atom has cross number 1, and min_delta = 0.
+    """`half_factorial` with min Delta computed here."""
+    return half_factorial(atoms, min_delta(atoms))
 
-    The routes are provably equivalent; disagreement is a bug trap.
-    """
-    route_a = all(k == 1 for k in atoms.cross_numbers)
-    route_b = min_delta(atoms) == 0
+
+def half_factorial(atoms: AtomSet, d: int) -> bool:
+    """Half-factoriality of a support with min Delta d, by two independent
+    routes: every atom has cross number 1, and d = 0.  The routes are
+    provably equivalent; disagreement is a bug trap."""
+    route_a = not any(entry.nonunit for entry in atoms.mask_index.values())
+    route_b = d == 0
     if route_a != route_b:
         raise ConsistencyError(
             f"half-factoriality routes disagree on {atoms.support.elements}: "

@@ -36,40 +36,37 @@ def delta_of_lengths(values) -> tuple[int, ...]:
 class _LengthSearch:
     """Memoized factorization-length search shared across queries.
 
-    Recursion on residual exponent vectors, subtracting atoms with index >=
-    the last index used (factorizations are multisets, and the index floor
-    kills permutation duplicates).  Memo keys are (residual, floor index):
-    residual-only keying would lose the non-redundancy constraint.
+    L(B) is the union of 1 + L(B/A) over the atoms A dividing B, and
+    L(1) = {0}.  A set of lengths needs no order on the atoms of a
+    factorization, so every atom is scanned and the memo is keyed by the
+    residual alone; `memo_limit` caps the residuals kept.
     """
 
     def __init__(self, atoms: AtomSet, memo_limit: int | None):
         self.columns = tuple(a.exponents for a in atoms.atoms)
-        self.memo: dict[tuple[tuple[int, ...], int], frozenset[int]] = {}
+        self.memo: dict[tuple[int, ...], frozenset[int]] = {}
         self.memo_limit = memo_limit
 
-    def lengths(self, residual: tuple[int, ...], floor: int = 0) -> frozenset[int]:
+    def lengths(self, residual: tuple[int, ...]) -> frozenset[int]:
         if not any(residual):
             return frozenset((0,))
-        key = (residual, floor)
-        hit = self.memo.get(key)
+        hit = self.memo.get(residual)
         if hit is not None:
             return hit
         out: set[int] = set()
-        cols = self.columns
-        for j in range(floor, len(cols)):
-            col = cols[j]
+        for col in self.columns:
             for r, c in zip(residual, col):
                 if c > r:
                     break
             else:
                 rest = tuple(r - c for r, c in zip(residual, col))
-                out.update(1 + l for l in self.lengths(rest, j))
+                out.update(1 + l for l in self.lengths(rest))
         result = frozenset(out)
         if self.memo_limit is not None and len(self.memo) >= self.memo_limit:
             raise BudgetError(
                 f"factorization memo exceeded {self.memo_limit} entries",
                 bound=self.memo_limit)
-        self.memo[key] = result
+        self.memo[residual] = result
         return result
 
 

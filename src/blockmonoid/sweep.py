@@ -14,26 +14,26 @@ structural facts make this cheap:
 
 Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask of higher bits gains exactly the atoms whose support is b
-plus a submask of that mask.  Siblings go in ascending order of b, so the
-masks are formed in increasing integer order: every proper subset of a mask
-is decided before the mask itself (a skipped mask has min Delta 1), and each
-subset's record, minimal-non-half-factorial flag included, is written once,
-in place, already sorted.  The atoms are indexed by support mask.  A node
-looks up bit b joined with each submask of its mask and reads each atom
-there as its exponent at b and its nonzero exponents above b, kept per mask
-from the first lookup on.
+plus a submask of that mask.  It looks these up in the atom set's
+support-mask index (`AtomSet.mask_index`) and reads each atom as its
+exponent at b and its nonzero exponents above b, kept per mask from the
+first lookup on.  The same probes decide minimality: the atoms of a set
+minus g are its atoms that avoid g, so a set is minimal non-half-factorial
+iff some atom has k(A) != 1 and each such atom has the whole set as its
+support.  So the new mask is minimal iff its own entry, its first probe,
+has one and neither the parent nor its other new entries do.  Siblings go
+in ascending order of b, so the masks are formed in increasing integer
+order and each subset's record is written once, already sorted.
 
-The extremal reports read the same two stores: their span flags come from
-the whole-group support's span table, on position masks, and the atoms of
-an LCN set from the index entries of its submasks, with the cross numbers,
-scaled by exp(G) to integers, that the index keeps beside them.
+The extremal reports read the whole-group support's span table, on position
+masks, and the index entries of an LCN set's submasks, with the cross
+numbers, scaled by exp(G) to integers, that the index keeps beside them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .atoms import enumerate_atoms
+from .atoms import MaskAtoms, enumerate_atoms
 from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
@@ -87,57 +87,6 @@ class SweepReport:
 
 # -- the sweep --------------------------------------------------------------------
 
-class _MaskAtoms:
-    """The atoms with one support mask: their exponent tuples (`atoms`),
-    their cross numbers scaled by the common multiple of the orders
-    (`scaled`, in the same order), whether some has k(A) != 1 (`nonunit`)
-    or k(A) < 1 (`light`), and, on first use, the atoms in the sparse form
-    the descent reads.  Building that form lazily pays where the sweep
-    saturates early and never looks most masks up, as in prime cyclic
-    groups."""
-
-    __slots__ = ("atoms", "scaled", "sparse", "nonunit", "light")
-
-    def __init__(self):
-        self.atoms: list[tuple[int, ...]] = []
-        self.scaled: list[int] = []
-        self.sparse: list | None = None
-        self.nonunit = self.light = False
-
-    def sparse_atoms(self, b: int) -> list:
-        """Each atom A as (A_b, the pairs (i, A_i) with i > b and A_i != 0),
-        b being the lowest support position, so A_b >= 1."""
-        if self.sparse is None:
-            self.sparse = [
-                (exps[b], [(i, c) for i, c in enumerate(exps[b + 1:], b + 1) if c])
-                for exps in self.atoms]
-        return self.sparse
-
-
-def _atom_index(orders, atoms) -> dict[int, _MaskAtoms]:
-    """The atoms grouped by support mask."""
-    # k(A) = sum c_i / ord(g_i), scaled by the common multiple n of the
-    # orders, which is exp(G) on the whole group's nonzero elements
-    n = lcm(*orders)
-    weights = [n // o for o in orders]
-    index: dict[int, _MaskAtoms] = {}
-    for a in atoms.atoms:
-        exps = a.exponents
-        mask = scaled = 0
-        for i, c in enumerate(exps):
-            if c:
-                mask |= 1 << i
-                scaled += c * weights[i]
-        entry = index.get(mask)
-        if entry is None:
-            entry = index[mask] = _MaskAtoms()
-        entry.atoms.append(exps)
-        entry.scaled.append(scaled)
-        entry.nonunit = entry.nonunit or scaled != n
-        entry.light = entry.light or scaled < n
-    return index
-
-
 def delta_star(group: FiniteAbelianGroup, *,
                sweep_max_group: int | None = DEFAULT_SWEEP_MAX_GROUP) -> SweepReport:
     """Classify every nonempty subset of the nonzero elements and collect the
@@ -152,10 +101,10 @@ def delta_star(group: FiniteAbelianGroup, *,
     k = len(elements)
 
     support = SupportSet(group, elements)
-    index = _atom_index(support.orders, enumerate_atoms(support, budget=None))
+    # only the index is kept, so the atoms' SequenceVecs are freed
+    index = enumerate_atoms(support, budget=None).mask_index
 
     records: list[SubsetRecord] = []
-    hf_masks = {0}  # the half-factorial masks formed so far, and the empty one
     pruned = 0
     e = group.exponent
     # the weights W_i of the current chain, at the positions of its mask: a
@@ -168,13 +117,17 @@ def delta_star(group: FiniteAbelianGroup, *,
         for b in range(top_bit + 1):
             bit = 1 << b
             nu, nl = has_nonunit, has_light
+            minimal = False
             cs: list[int] = []
             bs: list[int] = []
             sub = mask
             while True:
                 entry = index.get(bit | sub)
                 if entry is not None:
-                    nu = nu or entry.nonunit
+                    if entry.nonunit:
+                        # the first probe is the new mask's own entry
+                        minimal = sub == mask and not nu
+                        nu = True
                     nl = nl or entry.light
                     for c, pairs in entry.sparse_atoms(b):
                         cs.append(c)
@@ -187,13 +140,6 @@ def delta_star(group: FiniteAbelianGroup, *,
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")
-            if child_d == 0:
-                hf_masks.add(new_mask)
-                minimal = False
-            else:
-                # every proper subset is smaller, so already decided
-                minimal = all(new_mask ^ (1 << i) in hf_masks
-                              for i in range(b, k) if new_mask >> i & 1)
             records.append(SubsetRecord(new_mask, child_d, child_d == 0, not nl,
                                         minimal))
             if child_d == 1:
@@ -235,7 +181,7 @@ def delta_star(group: FiniteAbelianGroup, *,
     )
 
 
-def _extremal_report(support: SupportSet, index: dict[int, _MaskAtoms],
+def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
                      rec: SubsetRecord) -> ExtremalSetReport:
     """The structural checks on one subset of the whole-group support, read
     off the support's span table and the sweep's support-mask index."""

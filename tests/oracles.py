@@ -12,7 +12,9 @@ readouts are what the dual state (d, W) replaced, in the sweep and in
 augmented atom columns into a pivot-indexed echelon basis and read min Delta
 off its tail generator.  `echelon_min_delta` does so for one atom set;
 `echelon_delta_star` is the descent in which each node copies its parent's
-basis and inserts the rows of its new atoms.
+basis and inserts the rows of its new atoms, and decides minimality from the
+set of half-factorial masks formed so far.  `seed_is_minimal_non_half_factorial`
+decides it by one rescan of the `Fraction` cross numbers per support position.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          is_minimal_non_half_factorial)
 from blockmonoid.classify import ReductionStep
 from blockmonoid.kernel import echelon_insert, lattice_tail_generator
-from blockmonoid.sweep import SubsetRecord, _atom_index, _extremal_report
+from blockmonoid.sweep import SubsetRecord, _extremal_report
 
 
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
@@ -226,6 +228,35 @@ def naive_length_set(seq: SequenceVec, atom_vectors) -> set[int]:
         return out
 
     return rec(seq.exponents)
+
+
+# -- minimality as it stood before it was read off the atom index ------------------
+
+def seed_is_subset_half_factorial(atoms: AtomSet, removed: int) -> bool:
+    """Half-factoriality of support-minus-one-element, by atom filtering.
+
+    The atoms of the smaller set are exactly the atoms avoiding the removed
+    position, so no re-enumeration is needed.
+    """
+    return all(k == 1 for a, k in zip(atoms.atoms, atoms.cross_numbers)
+               if a.exponents[removed] == 0)
+
+
+def seed_is_minimal_non_half_factorial(atoms: AtomSet) -> bool:
+    """`classify.is_minimal_non_half_factorial` before it read the atom
+    index, kept verbatim apart from the names: one rescan of the `Fraction`
+    cross numbers per support position.
+
+    Non-half-factorial with every proper subset half-factorial.
+
+    Testing the maximal proper subsets suffices: half-factoriality is
+    inherited downward (sequences over a subset are sequences over the
+    whole set, with the same factorizations).
+    """
+    if all(k == 1 for k in atoms.cross_numbers):
+        return False
+    return all(seed_is_subset_half_factorial(atoms, i)
+               for i in range(len(atoms.support)))
 
 
 # -- span predicates as they stood before the span-mask table ----------------------
@@ -576,7 +607,7 @@ def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
                 "subsets_computed": 0, "subsets_pruned": 0}
 
     support = SupportSet(group, elements)
-    index = _atom_index(support.orders, enumerate_atoms(support, budget=None))
+    index = enumerate_atoms(support, budget=None).mask_index
     dim = k + 1
     reduced: dict[int, list] = {}
 

@@ -10,7 +10,6 @@ from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          SequenceVec, SupportSet, abelian_groups_of_order,
                          build_named_set, enumerate_atoms, enumeration_bound)
 from blockmonoid.sequences import _Span
-from blockmonoid.sweep import _atom_index
 from oracles import encode_set, grid_atoms, seed_enumerate_atoms
 
 C5 = FiniteAbelianGroup((5,))
@@ -171,7 +170,7 @@ class TestRestrict:
 
     def test_matches_direct_enumeration(self):
         atoms = enumerate_atoms(FAMILY)
-        index = _atom_index(FAMILY.orders, atoms)
+        index = atoms.mask_index
         sub = SupportSet(C244, ((0, 1, 0), (0, 0, 1), (1, 0, 1)))
         assert self.indexed(index, [1, 2, 3]) == \
             [a.exponents for a in enumerate_atoms(sub)]
@@ -181,7 +180,7 @@ class TestRestrict:
         group = FiniteAbelianGroup(orders)
         full = SupportSet(group, group.nonzero_elements)
         atoms = enumerate_atoms(full)
-        index = _atom_index(full.orders, atoms)
+        index = atoms.mask_index
         # the index keeps the exponent tuples the enumeration built
         built = {id(a.exponents) for a in atoms}
         assert sum(len(entry.atoms) for entry in index.values()) == len(atoms)

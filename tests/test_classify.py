@@ -1,14 +1,19 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmonoid import (ConsistencyError, ContractError, FiniteAbelianGroup,
-                         SequenceVec, SupportSet, build_named_set, classify,
-                         delta_star, enumerate_atoms, is_decomposable,
-                         is_simple, min_delta, satisfies_span_property,
-                         transfer_reduce)
+                         SequenceVec, SupportSet, abelian_groups_of_order,
+                         build_named_set, classify, delta_star,
+                         enumerate_atoms, is_decomposable,
+                         is_minimal_non_half_factorial, is_simple, min_delta,
+                         satisfies_span_property, transfer_reduce)
+from oracles import seed_is_minimal_non_half_factorial
 from test_atoms import FAMILY, PM5
 
 C22 = FiniteAbelianGroup((2, 2))
@@ -55,6 +60,37 @@ class TestClassify:
         monkeypatch.setattr(module, "min_delta", lambda atoms: 0)
         with pytest.raises(ConsistencyError):
             classify(PM5)
+
+
+class TestMinimalNonHalfFactorial:
+    """The atom-support rule against the per-position rescan it replaced."""
+
+    def test_every_support_of_size_at_most_four(self):
+        supports = minimal = 0
+        for order in range(1, 13):
+            for group in abelian_groups_of_order(order):
+                for size in range(1, 5):
+                    for subset in itertools.combinations(
+                            group.nonzero_elements, size):
+                        atoms = enumerate_atoms(SupportSet(group, subset))
+                        got = is_minimal_non_half_factorial(atoms)
+                        assert got == seed_is_minimal_non_half_factorial(atoms), \
+                            (group.spec_string(), subset)
+                        supports += 1
+                        minimal += got
+        assert (supports, minimal) == (2499, 237)
+
+    # the groups of the benchmark's query workload
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 2, 4), (4, 4), (2, 8), (3, 3, 3), (5, 5),
+                            (6, 6), (7, 7), (2, 2, 2, 2, 2)]), st.data())
+    def test_query_group_supports(self, orders, data):
+        group = FiniteAbelianGroup(orders)
+        subset = data.draw(st.lists(st.sampled_from(group.nonzero_elements),
+                                    min_size=1, max_size=5, unique=True))
+        atoms = enumerate_atoms(SupportSet(group, tuple(subset)))
+        assert is_minimal_non_half_factorial(atoms) == \
+            seed_is_minimal_non_half_factorial(atoms)
 
 
 class TestDecomposable:

@@ -2,12 +2,16 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (FiniteAbelianGroup, ParseError, SequenceVec,
+from blockmonoid import (ConsistencyError, FiniteAbelianGroup, ParseError,
+                         SequenceVec,
                          SupportSet, parse_group, parse_sequence, parse_specs,
                          parse_subset)
 from blockmonoid.cli import run
@@ -179,6 +183,32 @@ class TestCli:
         assert payload["kernel_rank"] == 1
         assert abs(sum(payload["witness"]["kernel_vector"])) == 3
 
+    @pytest.mark.parametrize("explain, calls", [((), 1), (("--explain",), 2)])
+    def test_min_delta_evaluated_once_outside_the_witness(self, monkeypatch,
+                                                         explain, calls):
+        # the witness evaluates min Delta once more for its kernel-gcd check
+        cli = importlib.import_module("blockmonoid.cli")
+        kernel = importlib.import_module("blockmonoid.kernel")
+        min_delta = kernel.min_delta
+        seen = []
+
+        def counted(atoms):
+            seen.append(atoms)
+            return min_delta(atoms)
+
+        argv = ("min-delta", "--group", "C5", "--subset", "(1);(4)", *explain)
+        expected = run_cli(*argv)
+        monkeypatch.setattr(cli, "min_delta", counted)
+        monkeypatch.setattr(kernel, "min_delta", counted)
+        assert run_cli(*argv) == expected
+        assert len(seen) == calls
+
+    def test_min_delta_checks_the_cross_number_route(self, monkeypatch):
+        cli = importlib.import_module("blockmonoid.cli")
+        monkeypatch.setattr(cli, "min_delta", lambda atoms: 0)
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            run_cli("min-delta", "--group", "C5", "--subset", "(1);(4)")
+
     def test_classify_half_factorial_json(self):
         code, out = run_cli("classify", "--group", "C4", "--subset", "(1);(2)",
                             "--format", "json")
@@ -293,6 +323,25 @@ class TestCli:
         assert info.value.code == 2
         code, out = run_cli("m-of-g", "--group", "C17", "--budget", "17")
         assert code == 0 and out == "m(C17) = 0\n"
+
+    def test_budget_bounds_the_mask_memory(self):
+        # the grid bound 10^11 passes the default budget, but one DFS mask
+        # would take 10^11 bits; the run must refuse before building any, so
+        # it is given about 1 GB of address space and must still exit 2
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "blockmonoid.cli", "classify",
+             "--group", "C99999999999", "--subset", "(1)"],
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "bound 156250000000000000000 (grid size x 64-bit words per mask)" \
+            in done.stderr
 
     def test_parse_error_exit_code(self):
         with pytest.raises(SystemExit) as info:

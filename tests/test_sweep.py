@@ -223,7 +223,7 @@ class TestExtremalReports:
         report = sweep_cache(group)
         support = SupportSet(group, report.elements)
         atoms = enumerate_atoms(support)
-        index = sweep._atom_index(support.orders, atoms)
+        index = atoms.mask_index
         for rec in report.records:
             assert sweep._extremal_report(support, index, rec) == \
                 seed_extremal_report(group, report.elements, atoms, rec)
@@ -238,8 +238,7 @@ class TestExtremalReports:
         atoms = AtomSet(support, tuple(SequenceVec(support, v)
                                        for v in ((1, 1), (2, 2))))
         rec = SubsetRecord(0b11, 1, False, True, True)
-        got = sweep._extremal_report(
-            support, sweep._atom_index(support.orders, atoms), rec)
+        got = sweep._extremal_report(support, atoms.mask_index, rec)
         assert got == seed_extremal_report(group, support.elements, atoms, rec)
         assert got.heavy_atoms_complement_atom is False
 
@@ -258,15 +257,15 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
     def test_nonunit_flags_cleared(self, monkeypatch):
-        atom_index = sweep._atom_index
+        mask_index = AtomSet.mask_index.func
 
-        def cleared(orders, atoms):
-            index = atom_index(orders, atoms)
+        def cleared(atoms):
+            index = mask_index(atoms)
             for entry in index.values():
                 entry.nonunit = False
             return index
 
-        monkeypatch.setattr(sweep, "_atom_index", cleared)
+        monkeypatch.setattr(AtomSet, "mask_index", property(cleared))
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
 
