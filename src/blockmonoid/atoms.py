@@ -39,7 +39,18 @@ of subgroup masks, `SupportSet.span_mask`.
 An `AtomSet` files its atoms by support mask (`mask_index`), with cross
 numbers scaled to integers by the common multiple of the support's orders.
 The half-factorial, LCN and minimality flags and the largest cross number
-are read off it, and the sweep looks atoms up in it by subset mask.
+are read off it.
+
+`ExactSupportAtoms` builds one entry of that index on its own: the atoms
+whose support is exactly a given mask, by the same search restricted to
+the positions of the mask, on the same codec, with every exponent at least
+1.  Such an atom contains each element of the mask once, so the search
+starts from the 0/1 vector of the mask, whose state (with the spans of the
+mask's suffixes, for the deficit test) the caller supplies, and only raises
+exponents.  When a proper nonempty subset of the mask sums
+to 0, that state already has 0 in Q and no atom has the mask as its
+support.  The whole-group sweep builds the entry of each subset it forms
+this way and never enumerates the atoms of the whole group.
 """
 from __future__ import annotations
 
@@ -49,7 +60,7 @@ from functools import cached_property
 from math import lcm, prod
 
 from .errors import BudgetError, ContractError
-from .sequences import SequenceVec, SupportSet
+from .sequences import SequenceVec, SupportSet, join_cyclic
 
 
 class MaskAtoms:
@@ -209,3 +220,107 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     found.sort()
     return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
                                  for v in found))
+
+
+class ExactSupportAtoms:
+    """The index entry of one support mask of a support set, built on demand:
+    the atoms whose support is exactly that mask, as `AtomSet.mask_index`
+    files them, or None where there is none.
+
+    A state of a mask is (sigma, PS, Q) of its 0/1 vector and the tuple of
+    the spans of its suffixes, item i the span of its positions from the
+    i-th lowest on; or None once a proper nonempty subset of the mask sums to 0, since then no
+    atom has that mask, or any mask above it, as its support.  The empty
+    mask's state is `EMPTY_STATE`.  A caller that adds positions one at a
+    time, each below the last, carries the state along (`grow`), so the
+    entry of its new mask costs one translation and one span join before
+    the search."""
+
+    EMPTY_STATE = (1, 0, 0, ())
+
+    __slots__ = ("gbits", "steps", "orders", "n", "weights")
+
+    def __init__(self, support: SupportSet):
+        codec = support.codec
+        self.gbits = [1 << codec.encode(g) for g in support.elements]
+        self.steps = support.steps
+        self.orders = support.orders
+        self.n = lcm(*self.orders)
+        self.weights = [self.n // o for o in self.orders]
+
+    def grow(self, state: tuple, pos: int) -> tuple | None:
+        """The state of a mask plus position `pos`, below all of its
+        positions, from that of the mask."""
+        sig, ps, q, spans = state
+        steps = self.steps[pos]
+        if ps:
+            for low, up, down in steps:
+                lo = q & low
+                q = (lo << up) | ((q ^ lo) >> down)
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            q |= ps | self.gbits[pos]
+            if q & 1:
+                return None
+            span = spans[0]
+        else:
+            # the empty vector: g alone has no proper nonempty subsequence
+            sig, q, span = self.gbits[pos], 0, 1
+        return sig, q | sig, q, (join_cyclic(span, steps),) + spans
+
+    def entry(self, mask: int, state: tuple) -> MaskAtoms | None:
+        """The atoms with support exactly `mask`, given its state."""
+        positions = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            positions.append(low.bit_length() - 1)
+            rest ^= low
+        m = len(positions)
+        steps = [self.steps[p] for p in positions]
+        sig, ps, q, spans = state
+        # the span of the positions from the i-th on, and {0} past the last
+        spans += (1,)
+
+        found: list[tuple[int, ...]] = []
+        # frame: (index into positions, exponents there, sigma, PS, Q); a
+        # frame is pushed only while 0 is not in Q
+        stack = [(0, (1,) * m, sig, ps, q)]
+        while stack:
+            i, vec, sig, ps, q = stack.pop()
+            if sig == 1:
+                found.append(vec)
+                continue
+            if not spans[i] & sig:
+                continue  # the deficit cannot be repaired from here on
+            stack.append((i + 1, vec, sig, ps, q))
+            # no exponent cap: ord(g) copies of g beside another element put
+            # 0 in Q, and with g alone they are the atom itself; and no
+            # "| {g}", as every element of the mask is already in PS
+            for low, up, down in steps[i]:
+                lo = q & low
+                q = (lo << up) | ((q ^ lo) >> down)
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            q |= ps
+            if not q & 1:
+                stack.append((i, vec[:i] + (vec[i] + 1,) + vec[i + 1:],
+                              sig, q | sig, q))
+        if not found:
+            return None
+
+        found.sort()
+        n = self.n
+        weights = [self.weights[p] for p in positions]
+        out = MaskAtoms()
+        full = [0] * len(self.orders)
+        for vec in found:
+            scaled = 0
+            for p, c, w in zip(positions, vec, weights):
+                full[p] = c
+                scaled += c * w
+            out.atoms.append(tuple(full))
+            out.scaled.append(scaled)
+            out.nonunit = out.nonunit or scaled != n
+            out.light = out.light or scaled < n
+        return out

@@ -139,6 +139,20 @@ class _Span:
         return tuple(steps)
 
 
+def join_cyclic(span: int, steps) -> int:
+    """The subgroup H + <g> as a mask, from the mask of a subgroup H and the
+    `_Span.translation` steps of g: the union of the cosets H + t*g for
+    t = 0, 1, ...; the first translate that contains 0 is H again."""
+    coset = span
+    while True:
+        for low, up, down in steps:
+            lo = coset & low
+            coset = (lo << up) | ((coset ^ lo) >> down)
+        if coset & 1:
+            return span
+        span |= coset
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """An ordered set of distinct nonzero elements; the order fixes exponent indexing."""
@@ -206,16 +220,8 @@ class SupportSet:
                 raise ContractError(
                     f"position mask {positions} is outside the support")
             low = positions & -positions
-            hit = coset = self.span_mask(positions ^ low)
-            steps = self.steps[low.bit_length() - 1]
-            while True:
-                for lo_mask, up, down in steps:
-                    lo = coset & lo_mask
-                    coset = (lo << up) | ((coset ^ lo) >> down)
-                if coset & 1:
-                    break
-                hit |= coset
-            masks[positions] = hit
+            hit = masks[positions] = join_cyclic(
+                self.span_mask(positions ^ low), self.steps[low.bit_length() - 1])
         return hit
 
     def is_independent(self, positions: int) -> bool:

@@ -1,29 +1,47 @@
 """Whole-group subset sweeps: the set of minimal distances and its attainers.
 
-The sweep classifies every nonempty subset of the nonzero elements.  Three
-structural facts make this cheap:
+The sweep descends the tree of nonempty subsets of the nonzero elements and
+classifies every subset it does not prune.  Three structural facts make this
+cheap:
 
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
-  support lies inside the subset, so atoms are enumerated once per group;
+  support lies inside the subset, so a subset's atoms are the index entries
+  of its submasks, and each entry, the atoms with exactly that support, is
+  built once, when the descent forms its mask
+  (`atoms.ExactSupportAtoms`);
 * each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
   a child that adds one element derives its state from its new atoms, read
   as they are, in one `kernel.child_step`;
-* a subset with min Delta = 1 forces min Delta = 1 on every superset (the
-  generator divides 1), so the whole subtree is counted arithmetically and
-  skipped ("saturation pruning").
+* every superset X of a non-half-factorial subset with min Delta d has
+  0 < min Delta(X) | d, so once every divisor of d is among the min Delta
+  values recorded, the subtree adds nothing to Delta* and is counted
+  arithmetically and skipped ("divisor-closed pruning"; d = 1 is the first
+  case).  Half-factorial subsets are never pruned, so every minimal
+  non-half-factorial subset is computed, its tree parent being
+  half-factorial.  Those carry max Delta* and the extremal sets, and m(G):
+  min Delta of an LCN set divides that of each of its non-half-factorial
+  subsets, which are LCN too.
 
 Each chain adds element bits below those of its mask, so a node that adds
-bit b to a mask of higher bits gains exactly the atoms whose support is b
-plus a submask of that mask.  It looks these up in the atom set's
-support-mask index (`AtomSet.mask_index`) and reads each atom as its
-exponent at b and its nonzero exponents above b, kept per mask from the
-first lookup on.  The same probes decide minimality: the atoms of a set
-minus g are its atoms that avoid g, so a set is minimal non-half-factorial
-iff some atom has k(A) != 1 and each such atom has the whole set as its
-support.  So the new mask is minimal iff its own entry, its first probe,
-has one and neither the parent nor its other new entries do.  Siblings go
-in ascending order of b, so the masks are formed in increasing integer
-order and each subset's record is written once, already sorted.
+bit b to a mask M of higher bits gains exactly the atoms whose support is b
+plus a submask of M.  It builds its own entry, for b plus all of M, from
+the state that it carries down the chain (`ExactSupportAtoms.grow`), and
+looks the others up in the index, reading each atom as its exponent at b
+and its nonzero exponents above b, kept per mask from the first lookup on.
+Siblings go in ascending order of b, so the masks are formed in increasing
+integer order, and each subset's record is written once, already sorted.
+So every mask T it looks up was formed, and its entry built, before: were T
+pruned, it would lie in the pruned subtree of a node N inside M, and the
+ancestor of M with the bits of M from N's lowest bit up is N, or a superset
+of N formed after it and so pruned too, so M would never have been formed.
+The index files only masks that have atoms, and a lookup of any other
+gives None.
+
+The same probes decide minimality: the atoms of a set minus g are its atoms
+that avoid g, so a set is minimal non-half-factorial iff some atom has
+k(A) != 1 and each such atom has the whole set as its support.  So the new
+mask is minimal iff its own entry, its first probe, has one and neither the
+parent nor its other new entries do.
 
 The extremal reports read the whole-group support's span table, on position
 masks, and the index entries of an LCN set's submasks, with the cross
@@ -33,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atoms import MaskAtoms, enumerate_atoms
+from .atoms import ExactSupportAtoms, MaskAtoms
 from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
@@ -79,6 +97,7 @@ class SweepReport:
     m_of_g: int
     extremal: tuple[ExtremalSetReport, ...]
     counters: dict[str, int]
+    # the computed subsets, in mask order; a pruned subset has no record
     records: tuple[SubsetRecord, ...]
 
     def subset_elements(self, mask: int) -> tuple[Element, ...]:
@@ -89,43 +108,57 @@ class SweepReport:
 
 def delta_star(group: FiniteAbelianGroup, *,
                sweep_max_group: int | None = DEFAULT_SWEEP_MAX_GROUP) -> SweepReport:
-    """Classify every nonempty subset of the nonzero elements and collect the
-    set of minimal distances, its maximum, the LCN maximum, and the extremal
-    minimal non-half-factorial subsets."""
+    """Collect the set of minimal distances, its maximum, the LCN maximum and
+    the extremal minimal non-half-factorial subsets of the nonzero elements,
+    classifying every subset that is not pruned."""
     if sweep_max_group is not None and group.size > sweep_max_group:
         raise BudgetError(
-            f"sweep over {group.spec_string()} needs {2 ** (group.size - 1) - 1} "
-            f"subsets; budget allows |G| <= {sweep_max_group}",
-            bound=2 ** (group.size - 1) - 1)
+            f"sweep over {group.spec_string()}: |G| = {group.size} exceeds the "
+            f"sweep cap {sweep_max_group}; raise the cap to proceed",
+            bound=group.size)
     elements = group.nonzero_elements
     k = len(elements)
 
     support = SupportSet(group, elements)
-    # only the index is kept, so the atoms' SequenceVecs are freed
-    index = enumerate_atoms(support, budget=None).mask_index
+    exact = ExactSupportAtoms(support)
+    build, grow = exact.entry, exact.grow
+    # the entry of every computed mask that has atoms, filed when it is formed
+    index: dict[int, MaskAtoms] = {}
+    get = index.get
 
     records: list[SubsetRecord] = []
     pruned = 0
+    # the min Delta values recorded so far, and those of them whose every
+    # divisor is recorded too
+    seen: set[int] = set()
+    closed: set[int] = set()
     e = group.exponent
     # the weights W_i of the current chain, at the positions of its mask: a
     # child writes slot b, and its subtree writes only below b
     weights = [0] * k
 
     def descend(mask: int, top_bit: int, d: int, has_nonunit: bool,
-                has_light: bool):
+                has_light: bool, state):
         nonlocal pruned
         for b in range(top_bit + 1):
             bit = 1 << b
+            new_mask = mask | bit
             nu, nl = has_nonunit, has_light
             minimal = False
             cs: list[int] = []
             bs: list[int] = []
+            # the first probe is the new mask's own entry, built here
+            new_state = entry = None
+            if state is not None:
+                new_state = grow(state, b)
+                if new_state is not None:
+                    entry = build(new_mask, new_state)
+                    if entry is not None:
+                        index[new_mask] = entry
             sub = mask
             while True:
-                entry = index.get(bit | sub)
                 if entry is not None:
                     if entry.nonunit:
-                        # the first probe is the new mask's own entry
                         minimal = sub == mask and not nu
                         nu = True
                     nl = nl or entry.light
@@ -135,20 +168,25 @@ def delta_star(group: FiniteAbelianGroup, *,
                 if not sub:
                     break
                 sub = (sub - 1) & mask
-            new_mask = mask | bit
+                entry = get(bit | sub)
             child_d, weights[b] = child_step(e, d, cs, bs)
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")
             records.append(SubsetRecord(new_mask, child_d, child_d == 0, not nl,
                                         minimal))
-            if child_d == 1:
-                # every superset inherits min delta 1; count its subtree and skip
+            if child_d and child_d not in seen:
+                seen.add(child_d)
+                closed.update(v for v in seen if all(
+                    u in seen for u in range(1, v) if v % u == 0))
+            if child_d in closed:
+                # every superset X has 0 < min Delta(X) | child_d, a value
+                # already recorded; count the subtree and skip it
                 pruned += bit - 1
             else:
-                descend(new_mask, b - 1, child_d, nu, nl)
+                descend(new_mask, b - 1, child_d, nu, nl, new_state)
 
-    descend(0, k - 1, 0, False, False)
+    descend(0, k - 1, 0, False, False, exact.EMPTY_STATE)
 
     total = (1 << k) - 1
     if len(records) + pruned != total:

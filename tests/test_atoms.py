@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          SequenceVec, SupportSet, abelian_groups_of_order,
                          build_named_set, enumerate_atoms, enumeration_bound)
+from blockmonoid.atoms import ExactSupportAtoms
 from blockmonoid.sequences import _Span
 from oracles import encode_set, grid_atoms, seed_enumerate_atoms
 
@@ -263,6 +264,87 @@ class TestSeedOracle:
         span = support.group.subgroup_closure(support.elements)
         assert _Span(support.group, support.elements).width == len(span)
         assert vectors(support) == seed_enumerate_atoms(support)
+
+
+def entry_fields(entry):
+    if entry is None:
+        return None
+    return entry.atoms, entry.scaled, entry.nonunit, entry.light
+
+
+ON_DEMAND_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
+ON_DEMAND_GROUPS += [FiniteAbelianGroup((2, 2, 2, 2)), FiniteAbelianGroup((2, 2, 4))]
+_WHOLE_GROUP = {}
+
+
+def whole_group(orders):
+    """(exact-support builder, eager index) on the nonzero elements, built once."""
+    if orders not in _WHOLE_GROUP:
+        group = FiniteAbelianGroup(orders)
+        support = SupportSet(group, group.nonzero_elements)
+        _WHOLE_GROUP[orders] = (ExactSupportAtoms(support),
+                                enumerate_atoms(support).mask_index)
+    return _WHOLE_GROUP[orders]
+
+
+def exact_entry(exact, mask):
+    """The on-demand entry of `mask`; None without a search when its state
+    is dead, as the sweep does."""
+    state = ones_state(exact, mask)
+    return None if state is None else exact.entry(mask, state)
+
+
+def ones_state(exact, mask):
+    """The state of the 0/1 vector of `mask`, grown one position at a time
+    from the highest down, as the sweep adds them."""
+    state = exact.EMPTY_STATE
+    for i in reversed(range(mask.bit_length())):
+        if mask >> i & 1:
+            state = exact.grow(state, i)
+            if state is None:
+                break
+    return state
+
+
+class TestOnDemandIndex:
+    """Each support mask's entry built on its own, from the state of its
+    0/1 vector, against the whole-support enumeration filed by
+    `AtomSet.mask_index`: the same atoms in the same order, the same scaled
+    cross numbers and flags, and None exactly where the eager index has no
+    key."""
+
+    @pytest.mark.parametrize("group", ON_DEMAND_GROUPS,
+                             ids=lambda g: g.spec_string())
+    def test_every_mask(self, group):
+        exact, index = whole_group(group.orders)
+        k = len(group.nonzero_elements)
+        for mask in range(1, 1 << k):
+            got = exact_entry(exact, mask)
+            assert entry_fields(got) == entry_fields(index.get(mask)), mask
+
+    def test_zero_sum_sets(self):
+        # over C2^2, {a, b, a+b} sums to 0, so its only atom is itself, and
+        # a state grown from it is dead; {a, a+b} has no proper zero-sum
+        # subset, yet no atom has exactly that support
+        exact, index = whole_group((2, 2))
+        full = exact.grow(exact.grow(exact.grow(exact.EMPTY_STATE, 2), 1), 0)
+        assert full is not None and full[0] == 1
+        assert exact.entry(0b111, full).atoms == [(1, 1, 1)]
+        assert exact.grow(full, 0) is None
+        assert ones_state(exact, 0b101) is not None
+        assert exact_entry(exact, 0b101) is None
+        assert 0b101 not in index
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(23,), (3, 3, 3), (2, 2, 2, 3)]), st.data())
+    def test_sampled_masks(self, orders, data):
+        exact, index = whole_group(orders)
+        k = len(FiniteAbelianGroup(orders).nonzero_elements)
+        positions = data.draw(st.sets(st.integers(0, k - 1), min_size=1,
+                                      max_size=7))
+        mask = sum(1 << i for i in positions)
+        got = exact_entry(exact, mask)
+        assert entry_fields(got) == entry_fields(index.get(mask))
 
 
 def translate(mask, steps):

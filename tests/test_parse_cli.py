@@ -138,8 +138,6 @@ DELTA_STAR_C2XC3_CSV = (
     '"(0,1);(1,1);(1,2)",1,False,False,False\n'
     '"(0,2);(1,1);(1,2)",1,False,False,False\n'
     '"(1,0);(1,1);(1,2)",2,False,False,False\n'
-    '"(0,1);(1,0);(1,1);(1,2)",1,False,False,False\n'
-    '"(0,2);(1,0);(1,1);(1,2)",1,False,False,False\n'
 )
 
 
@@ -232,8 +230,10 @@ class TestCli:
         assert all(set(e) == {"subset", "flags"} for e in payload["extremal"])
 
     def test_delta_star_csv(self):
-        # 27 computed subsets in mask order; the 4 pruned supersets of a
-        # min Delta 1 subset have no row
+        # 25 computed subsets in mask order; the 6 subsets in pruned
+        # subtrees have no row: 4 below min Delta 1 subsets, and 2 below
+        # (1,0);(1,1);(1,2), whose min Delta 2 has its divisors 1 and 2
+        # recorded before it
         code, out = run_cli("delta-star", "--group", "C2xC3", "--format", "csv")
         assert code == 0
         assert out == DELTA_STAR_C2XC3_CSV

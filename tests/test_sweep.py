@@ -6,8 +6,9 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          delta_star, enumerate_atoms, expected_max_delta_star,
                          is_half_factorial)
 from blockmonoid import kernel, sweep
+from blockmonoid.atoms import ExactSupportAtoms
 from oracles import (echelon_delta_star, echelon_min_delta, seed_delta_star,
-                     seed_extremal_report, sweep_results)
+                     seed_extremal_report)
 
 
 class TestDeltaStarExamples:
@@ -46,7 +47,9 @@ class TestDeltaStarExamples:
             ())
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetError):
+        # the refusal names the cap it hit, not a subset count that pruning
+        # makes false
+        with pytest.raises(BudgetError, match=r"\|G\| = 17 exceeds the sweep cap 16"):
             delta_star(FiniteAbelianGroup((17,)), sweep_max_group=16)
 
 
@@ -77,12 +80,39 @@ class TestCrossValidation:
             expected = echelon_min_delta(atoms)
             rec = by_mask.get(mask)
             if rec is None:
-                # pruned subsets are exactly those forced to min delta 1
-                assert expected == 1
+                # a pruned subset's min Delta divides that of its nearest
+                # computed ancestor, all of whose divisors are in Delta*
+                ancestor = mask
+                while ancestor not in by_mask:
+                    ancestor &= ancestor - 1
+                assert expected > 0
+                assert by_mask[ancestor].min_delta % expected == 0
+                assert expected in report.delta_star
             else:
                 assert rec.min_delta == expected
                 assert rec.half_factorial == is_half_factorial(atoms)
                 assert rec.lcn == all(x >= 1 for x in atoms.cross_numbers)
+
+
+def assert_matches_full_descent(report: SweepReport, full: dict) -> None:
+    """The pruned sweep against a descent that prunes only at min Delta 1:
+    the same Delta*, maximum, m(G) and extremal reports; every computed
+    record equal to the full descent's record at its mask, and every record
+    it has beyond them of a min Delta already in Delta*; the counters add
+    up to every subset."""
+    assert report.delta_star == full["delta_star"]
+    assert report.max_delta_star == max(full["delta_star"], default=0)
+    assert report.m_of_g == full["m_of_g"]
+    assert report.extremal == full["extremal"]
+    by_mask = {rec.mask: rec for rec in full["records"]}
+    assert all(by_mask.get(rec.mask) == rec for rec in report.records)
+    computed = {rec.mask for rec in report.records}
+    assert all(rec.min_delta in report.delta_star
+               for rec in full["records"] if rec.mask not in computed)
+    counters = report.counters
+    assert counters["subsets_computed"] == len(report.records)
+    assert counters["subsets_computed"] + counters["subsets_pruned"] == \
+        counters["subsets_total"] == (1 << len(report.elements)) - 1
 
 
 SEED_ORACLE_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
@@ -91,12 +121,12 @@ SEED_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 2)), FiniteAbelianGroup((2, 
 
 class TestSeedOracle:
     """The support-mask descent against the seed descent (per-atom filter,
-    row-list bases) kept in tests/oracles.py."""
+    row-list bases, pruning only at min Delta 1) kept in tests/oracles.py."""
 
     @pytest.mark.parametrize("group", SEED_ORACLE_GROUPS,
                              ids=lambda g: g.spec_string())
     def test_matches_seed_descent(self, sweep_cache, group):
-        assert sweep_results(sweep_cache(group)) == seed_delta_star(group)
+        assert_matches_full_descent(sweep_cache(group), seed_delta_star(group))
 
 
 ECHELON_ORACLE_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
@@ -106,13 +136,13 @@ ECHELON_ORACLE_GROUPS += [FiniteAbelianGroup((2, 2, 2, 3)), FiniteAbelianGroup((
 
 class TestEchelonOracle:
     """The dual-state descent against the copied-echelon-basis descent it
-    replaced: every computed subset's record, the extremal reports, Delta*,
-    m(G) and the counters."""
+    replaced, which prunes only at min Delta 1: every computed subset's
+    record, the extremal reports, Delta*, m(G) and the accounting."""
 
     @pytest.mark.parametrize("group", ECHELON_ORACLE_GROUPS,
                              ids=lambda g: g.spec_string())
     def test_matches_echelon_descent(self, sweep_cache, group):
-        assert sweep_results(sweep_cache(group)) == echelon_delta_star(group)
+        assert_matches_full_descent(sweep_cache(group), echelon_delta_star(group))
 
 
 class TestMembershipAndBounds:
@@ -257,15 +287,15 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
     def test_nonunit_flags_cleared(self, monkeypatch):
-        mask_index = AtomSet.mask_index.func
+        entry_of = ExactSupportAtoms.entry
 
-        def cleared(atoms):
-            index = mask_index(atoms)
-            for entry in index.values():
+        def cleared(self, mask, state):
+            entry = entry_of(self, mask, state)
+            if entry is not None:
                 entry.nonunit = False
-            return index
+            return entry
 
-        monkeypatch.setattr(AtomSet, "mask_index", property(cleared))
+        monkeypatch.setattr(ExactSupportAtoms, "entry", cleared)
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
 
