@@ -1,13 +1,13 @@
 """Enumeration of the minimal zero-sum sequences (atoms) over a support set.
 
-The enumerator is a depth-first search over support positions in fixed order,
-adding one copy of an element at a time.  Along the branch it maintains two
-sets of group elements:
+One depth-first search finds them (`_search`).  It walks the support
+positions in fixed order and raises the exponent at a position one copy at a
+time.  Along the branch it maintains two sets of group elements:
 
     PS(w) = sums of all nonempty subsequences of the partial vector w,
     Q(w)  = sums of all proper nonempty subsequences of w.
 
-Adding one copy of g updates them as
+Adding one copy of g to a nonempty w updates them as
 
     Q(wg)  = PS(w) | (Q(w) + g) | {g},
     PS(wg) = Q(wg) | {sigma(w) + g},
@@ -18,14 +18,13 @@ A branch is abandoned as soon as 0 lands in Q(w): the partial selection then
 contains a proper nonempty zero-sum subsequence, so no extension can be
 minimal.  A vector w with sigma(w) = 0 and 0 not in Q(w) is exactly an atom,
 so minimality is certified by the search state itself; the brute-force grid
-filter in the test suite anchors this equivalence on small supports.
-
-Two further prunings: exponents are capped at ord(g) (an atom with
-v_g > ord(g) would contain g^{ord(g)} properly), and a branch dies when the
-current deficit -sigma(w) is not reachable from the remaining support
-positions (it lies outside the subgroup H they generate).  Since H is a
-subgroup, -sigma(w) lies in H exactly when sigma(w) does, so the test needs
-no negation.
+filter in the test suite anchors this equivalence on small supports.  The
+same rule bounds each exponent by ord(g) with no test of its own: ord(g)
+copies of g beside another element put 0 in Q, and alone they are an atom,
+which ends its branch.  A branch also dies when the current deficit
+-sigma(w) is not reachable from the remaining support positions (it lies
+outside the subgroup H they generate).  Since H is a subgroup, -sigma(w)
+lies in H exactly when sigma(w) does, so the test needs no negation.
 
 The branch state is held in bitmasks.  Every subsequence sum lies in the
 subgroup <S> that the support generates; the support's codec (`_Span` in
@@ -36,21 +35,22 @@ per nonzero digit of g: the positions whose digit does not wrap move up, the
 others move down.  The suffix spans H come from the support's memoized table
 of subgroup masks, `SupportSet.span_mask`.
 
-An `AtomSet` files its atoms by support mask (`mask_index`), with cross
-numbers scaled to integers by the common multiple of the support's orders.
-The half-factorial, LCN and minimality flags and the largest cross number
-are read off it.
+The search starts from one of two states.  `enumerate_atoms` starts it from
+the empty vector on every support position, so exponents run from 0, and
+files the atoms in an `AtomSet`.  An `AtomSet` files its atoms by support
+mask (`mask_index`), with cross numbers scaled to integers by the common
+multiple of the support's orders.  The half-factorial, LCN and minimality
+flags and the largest cross number are read off it.
 
 `ExactSupportAtoms` builds one entry of that index on its own: the atoms
-whose support is exactly a given mask, by the same search restricted to
-the positions of the mask, on the same codec, with every exponent at least
-1.  Such an atom contains each element of the mask once, so the search
-starts from the 0/1 vector of the mask, whose state (with the spans of the
-mask's suffixes, for the deficit test) the caller supplies, and only raises
-exponents.  When a proper nonempty subset of the mask sums
-to 0, that state already has 0 in Q and no atom has the mask as its
-support.  The whole-group sweep builds the entry of each subset it forms
-this way and never enumerates the atoms of the whole group.
+whose support is exactly a given mask.  Such an atom contains each element
+of the mask once, so it starts the search on the positions of the mask from
+their 0/1 vector, on the same codec, and only raises exponents.  The caller
+supplies that vector's state, with the spans of the mask's suffixes.  When a
+proper nonempty subset of the mask sums to 0, that state already has 0 in Q
+and no atom has the mask as its support.  The whole-group sweep builds the
+entry of each subset it forms this way and never enumerates the atoms of the
+whole group.
 """
 from __future__ import annotations
 
@@ -72,11 +72,13 @@ class MaskAtoms:
 
     __slots__ = ("atoms", "scaled", "sparse", "nonunit", "light")
 
-    def __init__(self):
-        self.atoms: list[tuple[int, ...]] = []
-        self.scaled: list[int] = []
+    def __init__(self, atoms: list[tuple[int, ...]], scaled: list[int], n: int):
+        """Files nonempty `atoms`, with n k(A) for each atom A in `scaled`."""
+        self.atoms = atoms
+        self.scaled = scaled
         self.sparse: list | None = None
-        self.nonunit = self.light = False
+        self.light = min(scaled) < n
+        self.nonunit = self.light or max(scaled) > n
 
     def sparse_atoms(self, b: int) -> list:
         """Each atom A as (A_b, the pairs (i, A_i) with i > b and A_i != 0),
@@ -119,7 +121,7 @@ class AtomSet:
         orders = self.support.orders
         n = lcm(*orders)
         weights = [n // o for o in orders]
-        index: dict[int, MaskAtoms] = {}
+        filed: dict[int, tuple[list, list]] = {}
         for a in self.atoms:
             exps = a.exponents
             mask = scaled = 0
@@ -127,14 +129,13 @@ class AtomSet:
                 if c:
                     mask |= 1 << i
                     scaled += c * weights[i]
-            entry = index.get(mask)
-            if entry is None:
-                entry = index[mask] = MaskAtoms()
-            entry.atoms.append(exps)
-            entry.scaled.append(scaled)
-            entry.nonunit = entry.nonunit or scaled != n
-            entry.light = entry.light or scaled < n
-        return index
+            lists = filed.get(mask)
+            if lists is None:
+                lists = filed[mask] = ([], [])
+            lists[0].append(exps)
+            lists[1].append(scaled)
+        return {mask: MaskAtoms(atoms, scaled, n)
+                for mask, (atoms, scaled) in filed.items()}
 
     def davenport_constant(self) -> int:
         """Maximal atom length."""
@@ -148,6 +149,51 @@ class AtomSet:
             raise ContractError("cross number of an empty atom set")
         return Fraction(max(max(entry.scaled) for entry in self.mask_index.values()),
                         lcm(*self.support.orders))
+
+
+def _search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
+            q: int) -> list[tuple[int, ...]]:
+    """The atoms that raise exponents of `vec`, position by position from the
+    first, given the state (sigma, PS, Q) of `vec`, with 0 not in Q; sorted.
+
+    Position i carries the translation steps `steps[i]` and the bit
+    `gbits[i]` of its element, and spans[i], the span of the positions from
+    i on, as a mask.
+    """
+    # nothing is reachable past the last position: a zero-sum branch is
+    # recorded or abandoned before the deficit test, and the empty vector
+    # is no atom
+    spans = (*spans, 0)
+    found: list[tuple[int, ...]] = []
+    # frame: (position, exponent vector, sigma, PS, Q); a frame is pushed
+    # only while 0 is not in Q
+    stack = [(0, vec, sig, ps, q)]
+    while stack:
+        i, vec, sig, ps, q = stack.pop()
+        if sig == 1 and ps:
+            found.append(vec)
+            continue  # any extension would contain this zero-sum properly
+        if not spans[i] & sig:
+            continue  # the deficit cannot be repaired from here on
+        stack.append((i + 1, vec, sig, ps, q))
+        if ps:
+            # translations by g, written out: a helper call per translation
+            # costs about a quarter of the search time
+            for low, up, down in steps[i]:
+                lo = q & low
+                q = (lo << up) | ((q ^ lo) >> down)
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            q |= ps | gbits[i]
+            if q & 1:
+                continue
+        else:
+            # the empty vector: g alone has no proper nonempty subsequence
+            sig = gbits[i]
+        stack.append((i, vec[:i] + (vec[i] + 1,) + vec[i + 1:],
+                      sig, q | sig, q))
+    found.sort()
+    return found
 
 
 def enumeration_bound(support: SupportSet) -> int:
@@ -170,54 +216,15 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
             f"exceeds budget {budget}; raise the budget to proceed", bound=bound)
 
     k = len(support)
-    ords = support.orders
-    steps = support.steps
     codec = support.codec
     gbits = [1 << codec.encode(g) for g in support.elements]
-
     # subgroup generated by the support suffix starting at each position,
     # built from the shortest suffix up so each step extends the last
     full = (1 << k) - 1
-    suffix_span = [1] * (k + 1)
+    spans = [0] * k
     for i in range(k - 1, -1, -1):
-        suffix_span[i] = support.span_mask(full ^ ((1 << i) - 1))
-
-    found: list[tuple[int, ...]] = []
-    # frame: (position, exponent vector, sigma, PS, Q); sets as masks over <S>
-    stack = [(0, (0,) * k, 1, 0, 0)]
-    while stack:
-        pos, vec, sig, ps, q = stack.pop()
-        if sig == 1 and ps:
-            if not q & 1:
-                found.append(vec)
-            continue  # any extension would contain this zero-sum properly
-        if pos == k:
-            continue
-        if not suffix_span[pos] & sig:
-            continue  # the deficit cannot be repaired from here on
-        stack.append((pos + 1, vec, sig, ps, q))
-        if vec[pos] < ords[pos]:
-            # translations by g, written out: a helper call per translation
-            # costs about a quarter of the search time
-            shift = steps[pos]
-            if ps:
-                qg = q
-                for low, up, down in shift:
-                    lo = qg & low
-                    qg = (lo << up) | ((qg ^ lo) >> down)
-                q2 = ps | qg | gbits[pos]
-                if q2 & 1:
-                    continue
-            else:
-                q2 = 0
-            sig2 = sig
-            for low, up, down in shift:
-                lo = sig2 & low
-                sig2 = (lo << up) | ((sig2 ^ lo) >> down)
-            vec2 = vec[:pos] + (vec[pos] + 1,) + vec[pos + 1:]
-            stack.append((pos, vec2, sig2, q2 | sig2, q2))
-
-    found.sort()
+        spans[i] = support.span_mask(full ^ ((1 << i) - 1))
+    found = _search(support.steps, gbits, spans, (0,) * k, 1, 0, 0)
     return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
                                  for v in found))
 
@@ -229,24 +236,23 @@ class ExactSupportAtoms:
 
     A state of a mask is (sigma, PS, Q) of its 0/1 vector and the tuple of
     the spans of its suffixes, item i the span of its positions from the
-    i-th lowest on; or None once a proper nonempty subset of the mask sums to 0, since then no
-    atom has that mask, or any mask above it, as its support.  The empty
-    mask's state is `EMPTY_STATE`.  A caller that adds positions one at a
-    time, each below the last, carries the state along (`grow`), so the
-    entry of its new mask costs one translation and one span join before
-    the search."""
+    i-th lowest on; or None once a proper nonempty subset of the mask sums
+    to 0, since then no atom has that mask, or any mask above it, as its
+    support.  The empty mask's state is `EMPTY_STATE`.  A caller that adds
+    positions one at a time, each below the last, carries the state along
+    (`grow`), so the entry of its new mask costs one translation and one
+    span join before the search."""
 
     EMPTY_STATE = (1, 0, 0, ())
 
-    __slots__ = ("gbits", "steps", "orders", "n", "weights")
+    __slots__ = ("gbits", "steps", "n", "weights")
 
     def __init__(self, support: SupportSet):
         codec = support.codec
         self.gbits = [1 << codec.encode(g) for g in support.elements]
         self.steps = support.steps
-        self.orders = support.orders
-        self.n = lcm(*self.orders)
-        self.weights = [self.n // o for o in self.orders]
+        self.n = lcm(*support.orders)
+        self.weights = [self.n // o for o in support.orders]
 
     def grow(self, state: tuple, pos: int) -> tuple | None:
         """The state of a mask plus position `pos`, below all of its
@@ -276,51 +282,20 @@ class ExactSupportAtoms:
             low = rest & -rest
             positions.append(low.bit_length() - 1)
             rest ^= low
-        m = len(positions)
-        steps = [self.steps[p] for p in positions]
         sig, ps, q, spans = state
-        # the span of the positions from the i-th on, and {0} past the last
-        spans += (1,)
-
-        found: list[tuple[int, ...]] = []
-        # frame: (index into positions, exponents there, sigma, PS, Q); a
-        # frame is pushed only while 0 is not in Q
-        stack = [(0, (1,) * m, sig, ps, q)]
-        while stack:
-            i, vec, sig, ps, q = stack.pop()
-            if sig == 1:
-                found.append(vec)
-                continue
-            if not spans[i] & sig:
-                continue  # the deficit cannot be repaired from here on
-            stack.append((i + 1, vec, sig, ps, q))
-            # no exponent cap: ord(g) copies of g beside another element put
-            # 0 in Q, and with g alone they are the atom itself; and no
-            # "| {g}", as every element of the mask is already in PS
-            for low, up, down in steps[i]:
-                lo = q & low
-                q = (lo << up) | ((q ^ lo) >> down)
-                lo = sig & low
-                sig = (lo << up) | ((sig ^ lo) >> down)
-            q |= ps
-            if not q & 1:
-                stack.append((i, vec[:i] + (vec[i] + 1,) + vec[i + 1:],
-                              sig, q | sig, q))
+        found = _search([self.steps[p] for p in positions],
+                        [self.gbits[p] for p in positions], spans,
+                        (1,) * len(positions), sig, ps, q)
         if not found:
             return None
-
-        found.sort()
-        n = self.n
         weights = [self.weights[p] for p in positions]
-        out = MaskAtoms()
-        full = [0] * len(self.orders)
+        atoms, scaled = [], []
+        full = [0] * len(self.weights)
         for vec in found:
-            scaled = 0
+            total = 0
             for p, c, w in zip(positions, vec, weights):
                 full[p] = c
-                scaled += c * w
-            out.atoms.append(tuple(full))
-            out.scaled.append(scaled)
-            out.nonunit = out.nonunit or scaled != n
-            out.light = out.light or scaled < n
-        return out
+                total += c * w
+            atoms.append(tuple(full))
+            scaled.append(total)
+        return MaskAtoms(atoms, scaled, self.n)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .atoms import AtomSet, enumerate_atoms
 from .errors import ConsistencyError, ContractError
 from .groups import Element, FiniteAbelianGroup, prime_factors
-from .kernel import min_delta
+from .kernel import half_factorial, min_delta
 from .sequences import SequenceVec, SupportSet
 
 
@@ -104,16 +104,15 @@ def classify(support: SupportSet, budget: int | None = None,
     """Full classification of one support set."""
     if atoms is None:
         atoms = enumerate_atoms(support, budget)
-    entries = atoms.mask_index.values()
-    # the record checks the unit-cross-number route against min Delta = 0
+    d = min_delta(atoms)
     return ClassificationRecord(
         subset=support.elements,
-        half_factorial=not any(entry.nonunit for entry in entries),
-        lcn=not any(entry.light for entry in entries),
+        half_factorial=half_factorial(atoms, d),
+        lcn=not any(entry.light for entry in atoms.mask_index.values()),
         minimal_non_hf=is_minimal_non_half_factorial(atoms),
         decomposable=is_decomposable(support),
         simple=is_simple(support),
-        min_delta=min_delta(atoms),
+        min_delta=d,
         davenport=atoms.davenport_constant() if len(atoms) else 0,
         max_cross_number=atoms.cross_number() if len(atoms) else Fraction(0),
         atom_count=len(atoms),

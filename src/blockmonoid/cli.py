@@ -225,7 +225,8 @@ def run(argv=None) -> int:
         if args.target == "thm-1.1":
             result = verify_main_theorem(args.max_order)
         elif args.target == "prop-3.2":
-            result = verify_p_group_m()
+            # the default --max-order of thm-1.1 and all
+            result = verify_p_group_m(16, {})
         elif args.target == "thm-4.5":
             group, _ = parse_specs(args.group, None)
             result = verify_extremal_structure(group)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .atoms import enumerate_atoms
 from .classify import build_named_set, classify
-from .groups import FiniteAbelianGroup, abelian_groups_of_order
+from .groups import FiniteAbelianGroup, abelian_groups_of_order, prime_factors
 from .lengths import distances_oracle
 from .sequences import SupportSet
 from .sweep import SweepReport, delta_star
@@ -60,19 +60,22 @@ def verify_main_theorem(max_order: int = 16,
     return result
 
 
-P_GROUP_M_CASES: tuple[tuple[int, ...], ...] = (
-    (2, 2), (2, 2, 2), (2, 4), (4,), (8,), (9,), (3, 3))
+def verify_p_group_m(max_order: int, reports: dict) -> VerifyResult:
+    """m(G) = r(G) - 1 on every abelian p-group of order <= max_order.
 
-
-def verify_p_group_m() -> VerifyResult:
-    """m(G) = r(G) - 1 for the fixed list of small p-groups."""
+    `reports` maps group orders to the sweeps already run, as
+    `verify_main_theorem` files them; the other groups are swept here."""
     result = VerifyResult("prop-3.2")
-    for orders in P_GROUP_M_CASES:
-        group = FiniteAbelianGroup(orders)
-        report = delta_star(group, sweep_max_group=None)
-        result.check(
-            f"{group.spec_string()}: m(G) = {report.m_of_g} = r-1 = {group.rank - 1}",
-            report.m_of_g == group.rank - 1)
+    for order in range(2, max_order + 1):
+        if len(prime_factors(order)) != 1:
+            continue
+        for group in abelian_groups_of_order(order):
+            report = reports.get(group.orders)
+            if report is None:
+                report = delta_star(group, sweep_max_group=None)
+            result.check(f"{group.spec_string()}: m(G) = {report.m_of_g} "
+                         f"= r-1 = {group.rank - 1}",
+                         report.m_of_g == group.rank - 1)
     return result
 
 
@@ -243,13 +246,14 @@ def verify_named_family(which: int, r: int = 3,
 
 
 def verify_all(max_order: int = 16) -> VerifyResult:
-    """Every routine above in one result: thm-1.1 up to max_order, prop-3.2,
-    lemma-3.1, remark-4.6.1 and 4.6.2 at r = 3, and thm-4.5 on every swept
-    group with extremal sets, reusing the thm-1.1 sweeps.  Each check line
-    is prefixed with the name of its routine."""
+    """Every routine above in one result: thm-1.1 and prop-3.2 up to
+    max_order, lemma-3.1, remark-4.6.1 and 4.6.2 at r = 3, and thm-4.5 on
+    every swept group with extremal sets; prop-3.2 and thm-4.5 reuse the
+    thm-1.1 sweeps.  Each check line is prefixed with the name of its
+    routine."""
     reports: dict = {}
     runs = [verify_main_theorem(max_order, reports=reports),
-            verify_p_group_m(),
+            verify_p_group_m(max_order, reports),
             verify_pm_and_basis_families(),
             verify_named_family(1, r=3),
             verify_named_family(2, r=3)]

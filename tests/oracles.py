@@ -23,7 +23,7 @@ from math import lcm
 
 from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          ExtremalSetReport, FiniteAbelianGroup, KernelBasis,
-                         SequenceVec, SupportSet, SweepReport,
+                         SequenceVec, SupportSet,
                          TransferReduction, enumerate_atoms,
                          is_minimal_non_half_factorial)
 from blockmonoid.classify import ReductionStep
@@ -564,18 +564,6 @@ def seed_delta_star(group: FiniteAbelianGroup) -> dict:
         "m_of_g": max((rec.min_delta for rec in non_hf if rec.lcn), default=0),
         "subsets_computed": counters["computed"],
         "subsets_pruned": counters["pruned"],
-    }
-
-
-def sweep_results(report: SweepReport) -> dict:
-    """A sweep report in the shape the descent oracles return."""
-    return {
-        "records": report.records,
-        "extremal": report.extremal,
-        "delta_star": report.delta_star,
-        "m_of_g": report.m_of_g,
-        "subsets_computed": report.counters["subsets_computed"],
-        "subsets_pruned": report.counters["subsets_pruned"],
     }
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
-                         SequenceVec, SupportSet, abelian_groups_of_order,
-                         build_named_set, enumerate_atoms, enumeration_bound)
+from blockmonoid import (AtomSet, BudgetError, ContractError,
+                         FiniteAbelianGroup, SequenceVec, SupportSet,
+                         abelian_groups_of_order, build_named_set,
+                         enumerate_atoms, enumeration_bound)
 from blockmonoid.atoms import ExactSupportAtoms
 from blockmonoid.sequences import _Span
 from oracles import encode_set, grid_atoms, seed_enumerate_atoms
@@ -278,12 +279,15 @@ _WHOLE_GROUP = {}
 
 
 def whole_group(orders):
-    """(exact-support builder, eager index) on the nonzero elements, built once."""
+    """(exact-support builder, eager index) on the nonzero elements, built
+    once; the index files the seed DFS's atoms, so it shares no search with
+    the builder."""
     if orders not in _WHOLE_GROUP:
         group = FiniteAbelianGroup(orders)
         support = SupportSet(group, group.nonzero_elements)
-        _WHOLE_GROUP[orders] = (ExactSupportAtoms(support),
-                                enumerate_atoms(support).mask_index)
+        atoms = AtomSet(support, tuple(SequenceVec(support, v)
+                                       for v in seed_enumerate_atoms(support)))
+        _WHOLE_GROUP[orders] = (ExactSupportAtoms(support), atoms.mask_index)
     return _WHOLE_GROUP[orders]
 
 
@@ -308,7 +312,7 @@ def ones_state(exact, mask):
 
 class TestOnDemandIndex:
     """Each support mask's entry built on its own, from the state of its
-    0/1 vector, against the whole-support enumeration filed by
+    0/1 vector, against the seed enumeration of the whole support filed by
     `AtomSet.mask_index`: the same atoms in the same order, the same scaled
     cross numbers and flags, and None exactly where the eager index has no
     key."""

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from blockmonoid import (ConsistencyError, FiniteAbelianGroup, ParseError,
                          SequenceVec,
-                         SupportSet, parse_group, parse_sequence, parse_specs,
-                         parse_subset)
+                         SupportSet, delta_star, parse_group, parse_sequence,
+                         parse_specs, parse_subset)
 from blockmonoid.cli import run
 from blockmonoid.specparse import format_subset
 
@@ -375,6 +375,29 @@ class TestCli:
         # thm-4.5 runs on each swept group with extremal sets, C3 .. C2xC3
         assert "thm-4.5: C2xC3 ((1, 1), (1, 2)): pm pair of full order OK" in out
         assert run_cli("verify", "all", "--max-order", "6") == (code, out)
+
+    def test_verify_p_groups(self):
+        # the 18 abelian p-groups of order <= 16, then the verdict
+        code, out = run_cli("verify", "prop-3.2")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 19 and lines[-1] == "verify prop-3.2: OK"
+        assert "C2^2xC4: m(G) = 2 = r-1 = 2 OK" in lines
+
+    def test_verify_all_sweeps_each_group_once(self, monkeypatch):
+        module = importlib.import_module("blockmonoid.verify")
+        swept = []
+
+        def counted(group, **kwargs):
+            swept.append(group.orders)
+            return delta_star(group, **kwargs)
+
+        monkeypatch.setattr(module, "delta_star", counted)
+        code, out = run_cli("verify", "all", "--max-order", "8")
+        assert code == 0
+        # the 11 abelian groups of order <= 8, the trivial one included
+        assert len(swept) == len(set(swept)) == 11
+        assert "prop-3.2: C2^3: m(G) = 2 = r-1 = 2 OK" in out.splitlines()
 
     def test_verify_all_fails_with_any_routine(self, monkeypatch):
         module = importlib.import_module("blockmonoid.verify")
