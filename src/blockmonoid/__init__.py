@@ -9,7 +9,7 @@ from .classify import (ClassificationRecord, TransferReduction, build_named_set,
 from .errors import (BlockMonoidError, BudgetError, ConsistencyError,
                      ContractError, ParseError)
 from .groups import Element, FiniteAbelianGroup, abelian_groups_of_order
-from .kernel import (KernelBasis, integer_kernel, is_half_factorial, min_delta,
+from .kernel import (integer_kernel, is_half_factorial, min_delta,
                      min_delta_witness)
 from .lengths import LengthSet, delta_of_lengths, distances_oracle, length_set
 from .sequences import SequenceVec, SupportSet
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomSet", "BlockMonoidError", "BudgetError",
     "ClassificationRecord", "ConsistencyError", "ContractError", "Element",
-    "ExtremalSetReport", "FiniteAbelianGroup", "KernelBasis", "LengthSet",
+    "ExtremalSetReport", "FiniteAbelianGroup", "LengthSet",
     "ParseError", "SequenceVec", "SubsetRecord", "SupportSet", "SweepReport",
     "TransferReduction", "abelian_groups_of_order", "build_named_set",
     "classify", "delta_of_lengths", "delta_star", "distances_oracle",

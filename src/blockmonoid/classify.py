@@ -218,29 +218,36 @@ def _basis_vector(group: FiniteAbelianGroup, i: int) -> Element:
 
 
 def build_named_set(kind: str, group: FiniteAbelianGroup | None = None,
-                    r: int | None = None, g: Element | None = None) -> SupportSet:
+                    r: int | None = None) -> SupportSet:
     """Construct one of the named example subsets over the canonical basis.
 
-    pm            {g, -g} for an element of maximal order (or a given g).
+    pm            {g, -g} for the first element g of maximal order of `group`.
     eps           basis of C_p^s together with the sum of the basis, sum first.
     remark-4.6.1  the non-simple family in C9^(r-1) x C27.
     remark-4.6.2  the non-simple family in C2^(r-2) x C4 x C4.
+
+    pm and eps take a group; the remark-4.6 kinds take a rank r >= 3 and
+    build their group from it.
     """
+    if kind not in NAMED_SET_KINDS:
+        raise ContractError(f"unknown named-set kind {kind!r}; "
+                            f"expected one of {NAMED_SET_KINDS}")
+    if kind.startswith("remark-4.6"):
+        if group is not None:
+            raise ContractError(f"kind {kind!r} takes a rank r, not a group")
+        if r is None or r < 3:
+            raise ContractError(f"kind {kind!r} needs r >= 3, got {r}")
+    elif group is None:
+        raise ContractError(f"kind {kind!r} needs a group")
+
     if kind == "pm":
-        if group is None:
-            raise ContractError("kind 'pm' needs a group")
-        if g is None:
-            n = group.exponent
-            g = next(e for e in group.nonzero_elements if group.order_of(e) == n)
-        else:
-            g = group.element(g)
-        if group.order_of(g) <= 2:
+        n = group.exponent
+        if n <= 2:
             raise ContractError("kind 'pm' needs an element of order > 2")
+        g = next(e for e in group.nonzero_elements if group.order_of(e) == n)
         return SupportSet(group, (g, group.neg(g)))
 
     if kind == "eps":
-        if group is None:
-            raise ContractError("kind 'eps' needs a group")
         s = len(group.orders)
         p = group.orders[0] if group.orders else 0
         if s < 2 or any(o != p for o in group.orders) or prime_factors(p) != (p,):
@@ -252,39 +259,15 @@ def build_named_set(kind: str, group: FiniteAbelianGroup | None = None,
         return SupportSet(group, (e0, *basis))
 
     if kind == "remark-4.6.1":
-        group, r = _named_group(group, r, lambda rr: (9,) * (rr - 1) + (27,),
-                                kind, minimum_r=3)
+        group = FiniteAbelianGroup((9,) * (r - 1) + (27,))
         basis = [_basis_vector(group, i) for i in range(r)]
         g_sum = group.element([1] * r)
         triples = tuple(group.mul(3, e) for e in basis[:-1])
         return SupportSet(group, (*triples, basis[-1], g_sum))
 
-    if kind == "remark-4.6.2":
-        group, r = _named_group(group, r, lambda rr: (2,) * (rr - 2) + (4, 4),
-                                kind, minimum_r=3)
-        basis = [_basis_vector(group, i) for i in range(r)]
-        g_mix = group.element([1] * (r - 2) + [0, 1])
-        middle = group.add(basis[r - 3], basis[r - 2])
-        return SupportSet(
-            group, (*basis[:r - 3], middle, basis[r - 2], basis[r - 1], g_mix))
-
-    raise ContractError(f"unknown named-set kind {kind!r}; "
-                        f"expected one of {NAMED_SET_KINDS}")
-
-
-def _named_group(group: FiniteAbelianGroup | None, r: int | None,
-                 shape, kind: str, minimum_r: int) -> tuple[FiniteAbelianGroup, int]:
-    if group is None and r is None:
-        raise ContractError(f"kind {kind!r} needs a group or a rank parameter")
-    if r is None:
-        r = len(group.orders)
-    if r < minimum_r:
-        raise ContractError(f"kind {kind!r} needs r >= {minimum_r}, got {r}")
-    expected = FiniteAbelianGroup(shape(r))
-    if group is None:
-        group = expected
-    elif group.orders != expected.orders:
-        raise ContractError(
-            f"kind {kind!r} at r={r} needs the group {expected.spec_string()}, "
-            f"got {group.spec_string()}")
-    return group, r
+    group = FiniteAbelianGroup((2,) * (r - 2) + (4, 4))
+    basis = [_basis_vector(group, i) for i in range(r)]
+    g_mix = group.element([1] * (r - 2) + [0, 1])
+    middle = group.add(basis[r - 3], basis[r - 2])
+    return SupportSet(
+        group, (*basis[:r - 3], middle, basis[r - 2], basis[r - 1], g_mix))

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer-reduce",
                        help="reduce a minimal non-HF set to span form")
     _add_common(p)
-    p.add_argument("--check", type=int, default=0, metavar="N",
+    p.add_argument("--check", type=_at_least(0), default=0, metavar="N",
                    help="probe cross-number preservation on N random sequences")
     p.add_argument("--seed", type=int, default=0)
 
@@ -172,7 +172,7 @@ def run(argv=None) -> int:
         group, support = parse_specs(args.group, args.subset)
         atoms = enumerate_atoms(support, args.budget)
         observed = distances_oracle(
-            support, atoms, args.max_len,
+            atoms, args.max_len,
             vector_limit=DEFAULT_ORACLE_VECTOR_LIMIT,
             memo_limit=DEFAULT_MEMO_LIMIT)
         out.write(rpt.emit_distances(support, args.max_len, observed, args.format))

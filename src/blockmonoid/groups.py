@@ -125,14 +125,6 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         return max((self.p_rank(p) for p in self._primes), default=0)
 
-    @cached_property
-    def total_rank(self) -> int:
-        return sum(self.p_rank(p) for p in self._primes)
-
-    def invariants(self) -> tuple[int, int, int]:
-        """(exponent, rank, total rank)."""
-        return (self.exponent, self.rank, self.total_rank)
-
     # -- subgroup queries -----------------------------------------------------
 
     def subgroup_closure(self, gens) -> frozenset[Element]:
@@ -148,16 +140,6 @@ class FiniteAbelianGroup:
                     seen.add(y)
                     frontier.append(y)
         return frozenset(seen)
-
-    def is_independent(self, family) -> bool:
-        """True iff all members are nonzero and the generated subgroup has
-        order equal to the product of the member orders (the sum of the cyclic
-        subgroups is direct exactly when the cardinality multiplies)."""
-        family = [self.element(g) for g in family]
-        if any(not any(g) for g in family):
-            return False
-        target = prod(self.order_of(g) for g in family)
-        return len(self.subgroup_closure(family)) == target
 
     # -- presentation ----------------------------------------------------------
 

@@ -85,25 +85,9 @@ def lattice_tail_generator(basis: list, dim: int) -> int:
     return abs(row[-1]) if row is not None else 0
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """Lattice basis of {z : M z = 0} over the integers."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def length_difference_gcd(self) -> int:
-        """gcd of |1^T b| over the basis; 0 for an empty or all-zero set."""
-        out = 0
-        for b in self.vectors:
-            out = gcd(out, sum(b))
-        return abs(out)
-
-
-def integer_kernel(matrix) -> KernelBasis:
-    """Basis of the integer kernel of a matrix given as a sequence of rows.
+def integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
+    """Basis vectors of the integer kernel {z : M z = 0} of a matrix M given
+    as a sequence of rows.
 
     Column-style Hermite elimination: each column j is augmented with the j-th
     unit vector and inserted into an echelon basis; rows whose matrix part
@@ -126,7 +110,7 @@ def integer_kernel(matrix) -> KernelBasis:
         for i in range(n_rows):
             if sum(matrix[i][j] * z[j] for j in range(n_cols)) != 0:
                 raise ConsistencyError(f"kernel vector {z} fails M z = 0")
-    return KernelBasis(tuple(basis))
+    return tuple(basis)
 
 
 def child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
@@ -239,14 +223,14 @@ def min_delta_witness(atoms: AtomSet) -> MinDeltaWitness | None:
     """
     basis = integer_kernel(atoms.exponent_matrix)
     target = min_delta(atoms)
-    if basis.length_difference_gcd() != target:
+    if gcd(*map(sum, basis)) != target:
         raise ConsistencyError("kernel-basis gcd disagrees with dual-state min Delta")
     if target == 0:
         return None
     # accumulate basis vectors with extended-gcd coefficients until 1^T z = gcd
     z = [0] * len(atoms)
     acc = 0
-    for b in basis.vectors:
+    for b in basis:
         acc, x, y = ext_gcd(acc, sum(b))
         z = [x * zi + y * bi for zi, bi in zip(z, b)]
         if abs(acc) == target:

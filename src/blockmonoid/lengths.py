@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .atoms import AtomSet
 from .errors import BudgetError, ConsistencyError, ContractError
-from .sequences import SequenceVec, SupportSet
+from .sequences import SequenceVec
 
 
 @dataclass(frozen=True)
@@ -87,32 +88,34 @@ def length_set(sequence: SequenceVec, atoms: AtomSet,
     return LengthSet(tuple(values))
 
 
-def distances_oracle(support: SupportSet, atoms: AtomSet, max_len: int,
+def distances_oracle(atoms: AtomSet, max_len: int,
                      vector_limit: int | None = None,
                      memo_limit: int | None = None) -> tuple[int, ...]:
-    """Union of Delta(L(B)) over all zero-sum B with |B| <= max_len.
+    """Union of Delta(L(B)) over all zero-sum B with |B| <= max_len, over the
+    support the atoms were enumerated on.
 
     A finite under-approximation of the full set of distances, monotone
     non-decreasing in max_len; used for cross-validation, never as the
-    source of truth for min Delta.
+    source of truth for min Delta.  The walk over exponent vectors makes
+    C(max_len + j, j) calls at depth j, C(max_len + k + 1, k) in all over a
+    support of k elements (hockey-stick identity), so `vector_limit` refuses
+    it before it starts.
     """
-    if atoms.support != support:
-        raise ContractError("atoms were enumerated over a different support set")
+    support = atoms.support
     group = support.group
     gens = support.elements
     zero = group.zero
     k = len(support)
+    nodes = comb(max_len + k + 1, k)
+    if vector_limit is not None and nodes > vector_limit:
+        raise BudgetError(
+            f"distance oracle bound {nodes} (walk nodes up to length "
+            f"{max_len} over {k} elements) exceeds the limit {vector_limit}",
+            bound=nodes)
     search = _LengthSearch(atoms, memo_limit)
     distances: set[int] = set()
-    visited = 0
 
     def rec(pos: int, remaining: int, sigma, vec: list[int]):
-        nonlocal visited
-        visited += 1
-        if vector_limit is not None and visited > vector_limit:
-            raise BudgetError(
-                f"distance oracle exceeded {vector_limit} vectors",
-                bound=vector_limit)
         if pos == k:
             if sigma == zero and any(vec):
                 values = sorted(search.lengths(tuple(vec)))

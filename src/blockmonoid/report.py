@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 
 from .classify import ClassificationRecord, TransferReduction
 from .specparse import format_element, format_subset
@@ -30,12 +29,8 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def emit_atoms(atoms, fmt: str) -> str:
-    rows = [(a.format(), a.length, _frac(k))
+    rows = [(a.format(), a.length, str(k))
             for a, k in zip(atoms.atoms, atoms.cross_numbers)]
     if fmt == "json":
         return _json({
@@ -43,7 +38,7 @@ def emit_atoms(atoms, fmt: str) -> str:
             "subset": [list(g) for g in atoms.support.elements],
             "atom_count": len(atoms),
             "davenport": atoms.davenport_constant() if len(atoms) else 0,
-            "cross_number": _frac(atoms.cross_number()) if len(atoms) else "0",
+            "cross_number": str(atoms.cross_number()) if len(atoms) else "0",
             "atoms": [{"sequence": r[0], "length": r[1], "cross_number": r[2]}
                       for r in rows],
         })
@@ -55,7 +50,7 @@ def emit_atoms(atoms, fmt: str) -> str:
         lines.append(f"  {seq}  |.|={length}  k={k}")
     if len(atoms):
         lines.append(f"D(G0) = {atoms.davenport_constant()}   "
-                     f"K(G0) = {_frac(atoms.cross_number())}")
+                     f"K(G0) = {atoms.cross_number()}")
     return "\n".join(lines) + "\n"
 
 
@@ -130,7 +125,7 @@ def _classification_payload(record: ClassificationRecord) -> dict:
         "simple": record.simple,
         "min_delta": record.min_delta,
         "davenport": record.davenport,
-        "cross_number": _frac(record.max_cross_number),
+        "cross_number": str(record.max_cross_number),
         "atom_count": record.atom_count,
     }
 
@@ -149,7 +144,7 @@ def emit_classify(record: ClassificationRecord, fmt: str) -> str:
     return (f"subset {format_subset(record.subset)}\n"
             f"  flags: {', '.join(flags) if flags else '(none)'}\n"
             f"  min Delta = {record.min_delta}   D = {record.davenport}   "
-            f"K = {_frac(record.max_cross_number)}   "
+            f"K = {record.max_cross_number}   "
             f"atoms = {record.atom_count}\n")
 
 

@@ -290,29 +290,11 @@ class SequenceVec:
     def length(self) -> int:
         return sum(self.exponents)
 
-    def height(self) -> int:
-        """Maximal multiplicity; 0 for the empty sequence."""
-        return max(self.exponents, default=0)
-
-    def supp(self) -> tuple[Element, ...]:
-        return tuple(g for g, v in zip(self.support.elements, self.exponents) if v)
-
-    def stats(self) -> tuple[int, int, tuple[Element, ...]]:
-        """(length, maximal multiplicity, support)."""
-        return (self.length, self.height(), self.supp())
-
-    # -- divisibility -----------------------------------------------------------
-
-    def _require_same_support(self, other: "SequenceVec"):
-        if self.support != other.support:
-            raise ContractError("sequences live over different support sets")
-
-    def divides(self, other: "SequenceVec") -> bool:
-        self._require_same_support(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+    # -- the monoid operation ----------------------------------------------------
 
     def __mul__(self, other: "SequenceVec") -> "SequenceVec":
-        self._require_same_support(other)
+        if self.support != other.support:
+            raise ContractError("sequences live over different support sets")
         return SequenceVec(self.support,
                            tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
@@ -320,14 +302,6 @@ class SequenceVec:
         if n < 0:
             raise ContractError("negative powers are not defined")
         return SequenceVec(self.support, tuple(n * v for v in self.exponents))
-
-    def div(self, other: "SequenceVec") -> "SequenceVec":
-        """Exact division; defined only when other divides self."""
-        if not other.divides(self):
-            raise ContractError(
-                f"{other.format()} does not divide {self.format()}")
-        return SequenceVec(self.support,
-                           tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     # -- presentation -------------------------------------------------------------
 

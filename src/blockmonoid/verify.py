@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from .atoms import enumerate_atoms
 from .classify import build_named_set, classify
+from .config import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_MEMO_LIMIT,
+                     DEFAULT_ORACLE_VECTOR_LIMIT)
 from .groups import FiniteAbelianGroup, abelian_groups_of_order, prime_factors
 from .lengths import distances_oracle
 from .sequences import SupportSet
@@ -196,11 +198,16 @@ def expected_family_atoms(which: int, support: SupportSet) -> dict[tuple[int, ..
 def verify_named_family(which: int, r: int = 3,
                         oracle_max_len: int | None = None) -> VerifyResult:
     """Check the atom inventory, min distance, and structural flags of the
-    named non-simple families; with an oracle pass for which=1."""
+    named non-simple families; with an oracle pass for which=1.
+
+    The atoms are enumerated under the default enumeration budget and the
+    oracle runs under the default vector and memo limits, so a rank too
+    large for either is refused with a `BudgetError` naming its bound.
+    Independence and spans are read off the support's span table.
+    """
     result = VerifyResult(f"remark-4.6.{which}")
     support = build_named_set(f"remark-4.6.{which}", r=r)
-    group = support.group
-    atoms = enumerate_atoms(support)
+    atoms = enumerate_atoms(support, DEFAULT_ENUMERATION_BUDGET)
     expected = expected_family_atoms(which, support)
 
     got = {a.exponents: kv for a, kv in zip(atoms.atoms, atoms.cross_numbers)}
@@ -214,21 +221,29 @@ def verify_named_family(which: int, r: int = 3,
     result.check("not simple", not record.simple)
 
     elems = support.elements
+    full = (1 << len(elems)) - 1
     if which == 1:
-        g_sum, e_r = elems[-1], elems[-2]
-        without = lambda x: tuple(e for e in elems if e != x)
+        # e_r and g sit at the last two positions
+        e_r, g_sum = len(elems) - 2, len(elems) - 1
+
+        def in_complement_span(i):
+            code = support.codec.encode(elems[i])
+            return support.span_mask(full ^ (1 << i)) >> code & 1
+
         result.check("(e_r, g) dependent",
-                     not group.is_independent((e_r, g_sum)))
+                     not support.is_independent((1 << e_r) | (1 << g_sum)))
         result.check("complements of g and e_r independent",
-                     group.is_independent(without(g_sum))
-                     and group.is_independent(without(e_r)))
+                     support.is_independent(full ^ (1 << g_sum))
+                     and support.is_independent(full ^ (1 << e_r)))
         result.check("g and e_r outside their complement spans",
-                     g_sum not in group.subgroup_closure(without(g_sum))
-                     and e_r not in group.subgroup_closure(without(e_r)))
+                     not in_complement_span(g_sum)
+                     and not in_complement_span(e_r))
         max_len = oracle_max_len
         if max_len is None:
             max_len = 2 * atoms.davenport_constant()
-        observed = distances_oracle(support, atoms, max_len)
+        observed = distances_oracle(atoms, max_len,
+                                    vector_limit=DEFAULT_ORACLE_VECTOR_LIMIT,
+                                    memo_limit=DEFAULT_MEMO_LIMIT)
         result.check(
             f"oracle at max_len={max_len} sees {observed}: multiples of {d}, "
             f"minimum {d}",
@@ -236,10 +251,10 @@ def verify_named_family(which: int, r: int = 3,
             and all(x % d == 0 for x in observed))
     else:
         result.check("no element has an independent complement",
-                     not any(group.is_independent(elems[:i] + elems[i + 1:])
+                     not any(support.is_independent(full ^ (1 << i))
                              for i in range(len(elems))))
         result.check("min delta = max{exp-2, r-1}",
-                     d == expected_max_delta_star(group))
+                     d == expected_max_delta_star(support.group))
     result.data["atom_count"] = len(atoms)
     result.data["min_delta"] = d
     return result

@@ -19,10 +19,10 @@ decides it by one rescan of the `Fraction` cross numbers per support position.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import lcm, prod
 
 from blockmonoid import (AtomSet, ConsistencyError, ContractError,
-                         ExtremalSetReport, FiniteAbelianGroup, KernelBasis,
+                         ExtremalSetReport, FiniteAbelianGroup,
                          SequenceVec, SupportSet,
                          TransferReduction, enumerate_atoms,
                          is_minimal_non_half_factorial)
@@ -155,6 +155,19 @@ def independent_by_definition(group: FiniteAbelianGroup, family) -> bool:
     return True
 
 
+def is_independent(group: FiniteAbelianGroup, family) -> bool:
+    """True iff all members are nonzero and the generated subgroup has
+    order equal to the product of the member orders (the sum of the cyclic
+    subgroups is direct exactly when the cardinality multiplies).  The
+    closure-based reference for the support's span-table test
+    `SupportSet.is_independent`."""
+    family = [group.element(g) for g in family]
+    if any(not any(g) for g in family):
+        return False
+    target = prod(group.order_of(g) for g in family)
+    return len(group.subgroup_closure(family)) == target
+
+
 def closure_by_coefficients(group: FiniteAbelianGroup, gens) -> frozenset:
     """<gens> as the set of all coefficient combinations."""
     gens = [group.element(g) for g in gens]
@@ -193,11 +206,12 @@ def encode_set(codec, elements) -> int:
     return int.from_bytes(bits, "little")
 
 
-def kernel_basis_contains(basis: KernelBasis, vector) -> bool:
-    """Membership of an integer vector in the lattice a kernel basis spans."""
+def kernel_basis_contains(basis, vector) -> bool:
+    """Membership of an integer vector in the lattice spanned by the basis
+    vectors `integer_kernel` returns."""
     probe = list(vector)
     rows: list = [None] * len(probe)
-    for v in basis.vectors:
+    for v in basis:
         echelon_insert(rows, v)
     for j, row in enumerate(rows):
         if row is not None and probe[j] % row[j] == 0:
@@ -296,7 +310,7 @@ def seed_is_simple(support: SupportSet) -> bool:
     elems = support.elements
     for i, g in enumerate(elems):
         rest = elems[:i] + elems[i + 1:]
-        if not group.is_independent(rest):
+        if not is_independent(group, rest):
             continue
         if g not in group.subgroup_closure(rest):
             continue
@@ -364,7 +378,7 @@ def seed_extremal_span_flags(group: FiniteAbelianGroup,
         if not no_gap:
             break
     independent_complement = any(
-        group.is_independent(subset_elems[:i] + subset_elems[i + 1:])
+        is_independent(group, subset_elems[:i] + subset_elems[i + 1:])
         for i in range(len(subset_elems)))
     return no_gap, independent_complement
 
@@ -740,7 +754,7 @@ def seed_extremal_report(group: FiniteAbelianGroup, elements, full_atoms: AtomSe
         atoms = seed_restrict(full_atoms, subset)
         vectors = {a.exponents for a in atoms.atoms}
         unit_bound = all(
-            2 * len(a.supp()) <= n
+            2 * sum(1 for v in a.exponents if v) <= n
             for a, kv in zip(atoms.atoms, atoms.cross_numbers) if kv == 1)
         heavy_bound = True
         for a, kv in zip(atoms.atoms, atoms.cross_numbers):

@@ -43,10 +43,9 @@ class TestClassify:
         assert rec.minimal_non_hf and rec.lcn
         assert rec.min_delta == 2
         assert not rec.simple
-        group = FAMILY.group
-        assert not any(
-            group.is_independent(FAMILY.elements[:i] + FAMILY.elements[i + 1:])
-            for i in range(len(FAMILY)))
+        full = (1 << len(FAMILY)) - 1
+        assert not any(FAMILY.is_independent(full ^ (1 << i))
+                       for i in range(len(FAMILY)))
 
     def test_half_factorial_subset(self):
         group = FiniteAbelianGroup((4,))
@@ -164,7 +163,17 @@ class TestNamedSets:
         with pytest.raises(ContractError):
             build_named_set("pm", FiniteAbelianGroup((2, 2)))
         with pytest.raises(ContractError):
+            build_named_set("pm", FiniteAbelianGroup(()))
+        with pytest.raises(ContractError):
             build_named_set("no-such-kind", FiniteAbelianGroup((5,)))
+        # the remark-4.6 kinds build their group from r and refuse one given
+        with pytest.raises(ContractError):
+            build_named_set("remark-4.6.1", FiniteAbelianGroup((9, 9, 27)), r=3)
+        for kind in ("remark-4.6.1", "remark-4.6.2"):
+            with pytest.raises(ContractError):
+                build_named_set(kind)
+            with pytest.raises(ContractError):
+                build_named_set(kind, r=2)
 
 
 class TestTransferReduce:

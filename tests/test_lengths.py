@@ -91,30 +91,36 @@ class TestDelta:
 class TestDistancesOracle:
     def test_pm_pair(self):
         atoms = enumerate_atoms(PM5)
-        assert distances_oracle(PM5, atoms, 10) == (3,)
+        assert distances_oracle(atoms, 10) == (3,)
 
     def test_half_factorial_sees_nothing(self):
         group = FiniteAbelianGroup((3, 3))
         support = SupportSet(group, ((1, 0), (0, 1)))
         atoms = enumerate_atoms(support)
-        assert distances_oracle(support, atoms, 12) == ()
+        assert distances_oracle(atoms, 12) == ()
 
     def test_basis_plus_sum(self):
         atoms = enumerate_atoms(EPS33)
-        assert distances_oracle(EPS33, atoms, 12) == (1,)
+        assert distances_oracle(atoms, 12) == (1,)
 
     def test_monotone_in_max_len(self):
         atoms = enumerate_atoms(PM5)
         seen = set()
         for max_len in (4, 6, 8, 10, 12):
-            got = set(distances_oracle(PM5, atoms, max_len))
+            got = set(distances_oracle(atoms, max_len))
             assert got >= seen
             seen = got
 
     def test_vector_budget(self):
         atoms = enumerate_atoms(PM5)
         with pytest.raises(BudgetError):
-            distances_oracle(PM5, atoms, 10, vector_limit=5)
+            distances_oracle(atoms, 10, vector_limit=5)
+        # the walk makes exactly C(10 + 2 + 1, 2) = 78 calls over two
+        # elements, and is refused from that count before it starts
+        assert distances_oracle(atoms, 10, vector_limit=78) == (3,)
+        with pytest.raises(BudgetError) as info:
+            distances_oracle(atoms, 10, vector_limit=77)
+        assert info.value.bound == 78
 
 
 class TestHalfFactorialLengths:

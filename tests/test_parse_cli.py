@@ -278,6 +278,8 @@ class TestCli:
         ("verify", "remark-4.6", "--which", "1", "--max-len", "0"),
         ("delta-observed", "--group", "C5", "--subset", "(1);(4)",
          "--max-len", "0"),
+        ("transfer-reduce", "--group", "C5", "--subset", "(1);(4)",
+         "--check", "-1"),
         ("verify", "all", "--max-order", "x"),
     ])
     def test_limits_that_leave_nothing_to_check(self, argv):
@@ -328,20 +330,25 @@ class TestCli:
         # the grid bound 10^11 passes the default budget, but one DFS mask
         # would take 10^11 bits; the run must refuse before building any, so
         # it is given about 1 GB of address space and must still exit 2
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        done = subprocess.run(
-            [sys.executable, "-m", "blockmonoid.cli", "classify",
-             "--group", "C99999999999", "--subset", "(1)"],
-            env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
-            capture_output=True, text=True, timeout=60)
+        done = run_cli_process(1 << 30, 60, "classify",
+                               "--group", "C99999999999", "--subset", "(1)")
         assert done.returncode == 2, done.stderr
         assert "bound 156250000000000000000 (grid size x 64-bit words per mask)" \
             in done.stderr
+
+    @pytest.mark.parametrize("which, r, bound", [
+        # grid size x mask words of the rank-24 family
+        ("2", "24", "atom enumeration bound 6855297075118080000"),
+        # C(70 + 6 + 1, 6) walk nodes at 2 * D(G0) = 70
+        ("1", "5", "distance oracle bound 237093780"),
+    ])
+    def test_verify_remark_refuses_large_ranks(self, which, r, bound):
+        # unbounded, r = 24 runs out of memory and r = 5 walks the oracle for
+        # minutes; each must exit 2 at once, naming its bound
+        done = run_cli_process(2 << 30, 10, "verify", "remark-4.6",
+                               "--which", which, "--r", r)
+        assert done.returncode == 2, done.stderr
+        assert bound in done.stderr
 
     def test_parse_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
@@ -408,6 +415,20 @@ class TestCli:
         payload = json.loads(out)
         assert payload["verify"] == "all" and payload["ok"] is False
         assert "thm-1.1: C3: max delta* = 1 = max{1,0} FAIL" in payload["checks"]
+
+
+def run_cli_process(address_space: int, timeout: float, *argv):
+    """The CLI in a subprocess limited to `address_space` bytes of memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run(
+        [sys.executable, "-m", "blockmonoid.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=timeout)
 
 
 def run_cli_main(*argv):

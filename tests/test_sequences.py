@@ -74,51 +74,6 @@ class TestCrossNumber:
             assert s.cross_number() >= Fraction(1, support.group.exponent)
 
 
-class TestStats:
-    def test_empty(self):
-        assert SequenceVec.empty(FAMILY).stats() == (0, 0, ())
-
-    def test_listed_atom(self):
-        length, height, supp = A1.stats()
-        assert length == 8
-        assert height == 3
-        assert set(supp) == {(1, 0, 1), (0, 0, 1), (1, 1, 0), (0, 1, 0)}
-
-    def test_full_power(self):
-        s = SequenceVec(PM5, (5, 0))
-        assert s.stats() == (5, 5, ((1,),))
-
-
-class TestDivisibility:
-    def test_self(self):
-        s = SequenceVec(PM5, (2, 1))
-        assert s.divides(s)
-
-    def test_empty_divides(self):
-        assert SequenceVec.empty(PM5).divides(SequenceVec(PM5, (3, 3)))
-
-    def test_componentwise(self):
-        assert SequenceVec(PM5, (5, 0)).divides(SequenceVec(PM5, (5, 5)))
-        assert not SequenceVec(PM5, (5, 1)).divides(SequenceVec(PM5, (5, 0)))
-
-    def test_div_contract(self):
-        s, t = SequenceVec(PM5, (1, 0)), SequenceVec(PM5, (0, 1))
-        with pytest.raises(ContractError):
-            s.div(t)
-
-    def test_different_support_rejected(self):
-        other = SupportSet(C5, ((2,), (3,)))
-        with pytest.raises(ContractError):
-            SequenceVec(PM5, (1, 0)).divides(SequenceVec(other, (1, 0)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(support_and_two_sequences())
-    def test_mul_div_roundtrip(self, data):
-        _, s, t = data
-        assert (s * t).div(t) == s
-        assert t.divides(s * t)
-
-
 class TestValidation:
     def test_zero_in_support_rejected(self):
         with pytest.raises(ContractError):
@@ -131,6 +86,11 @@ class TestValidation:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ContractError):
             SequenceVec(PM5, (-1, 0))
+
+    def test_product_over_different_supports_rejected(self):
+        other = SupportSet(C5, ((2,), (3,)))
+        with pytest.raises(ContractError):
+            SequenceVec(PM5, (1, 0)) * SequenceVec(other, (1, 0))
 
     def test_format(self):
         assert SequenceVec(PM5, (5, 5)).format() == "(1)^5 * (4)^5"

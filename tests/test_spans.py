@@ -12,7 +12,7 @@ from blockmonoid import (ContractError, FiniteAbelianGroup, SupportSet,
                          is_decomposable, is_simple, satisfies_span_property,
                          transfer_reduce)
 from blockmonoid.sweep import SubsetRecord, _extremal_report
-from oracles import (encode_set, min_multiple_in_span,
+from oracles import (encode_set, is_independent, min_multiple_in_span,
                      seed_extremal_span_flags, seed_is_decomposable,
                      seed_is_simple, seed_satisfies_span_property,
                      seed_transfer_reduce)
@@ -46,7 +46,7 @@ class TestSpanMask:
             assert mask == encode_set(support.codec, closure)
             assert mask.bit_count() == len(closure)
             assert support.is_independent(positions) == \
-                group.is_independent(family)
+                is_independent(group, family)
 
     @settings(max_examples=100, deadline=None)
     @given(supports(), st.randoms(use_true_random=False))
