@@ -16,6 +16,10 @@ A has sum W_i A_i = e (mod e*d), and = e exactly when d = 0, where
 W_i = e / ord(g_i) makes the sum e times the cross number k(A).  Adding a
 position adds one weight, which the new atoms, read as they are, determine
 together with the new d (`child_step`).
+
+`integer_kernel`, behind `min_delta_witness`, eliminates on the matrix part
+alone: the augmented columns that reduce to a vanishing matrix part carry a
+kernel basis, left in whatever form the elimination gave it.
 """
 from __future__ import annotations
 
@@ -28,16 +32,21 @@ from .errors import ConsistencyError, ContractError
 from .sequences import SequenceVec
 
 
-def echelon_insert(basis: list, vec) -> None:
-    """Insert vec into a pivot-indexed integer echelon basis.
+def echelon_insert(basis: list, vec):
+    """Insert vec into a pivot-indexed integer echelon basis; return what is
+    left of vec when it cannot be placed, None when it is.
 
-    basis has one slot per coordinate: basis[j] is the row whose leading
-    (first nonzero) index is j, or None.  The leading index of vec is found
-    once; each reduction clears it and the scan resumes after it.
-    Unimodular row operations only, so the spanned lattice is preserved.
-    Rows are never mutated, vec included: a slot is only ever replaced by a
-    new list, and vec itself may become a row.  So basis[:] is an
-    independent copy of a basis, and rows may be shared between bases.
+    basis has one slot per leading coordinate: basis[j] is the row whose
+    leading (first nonzero) index is j, or None.  vec may be longer than
+    basis; its entries past len(basis) ride along in every row operation but
+    are never pivots.  The leading index of vec is found once; each
+    reduction clears it and the scan resumes after it.  When vec's first
+    len(basis) entries vanish it is returned, reduced (all zero when vec has
+    no entries past them).  Unimodular row operations only, so the rows and
+    the returned vector span the lattice the rows and vec spanned.  Rows
+    are never mutated, vec included: a slot is only ever replaced by a new
+    list, and vec itself may become a row.  So basis[:] is an independent
+    copy of a basis, and rows may be shared between bases.
     """
     dim = len(basis)
     j = 0
@@ -48,7 +57,7 @@ def echelon_insert(basis: list, vec) -> None:
         row = basis[j]
         if row is None:
             basis[j] = v
-            return
+            return None
         a, b = row[j], v[j]
         if b % a == 0:
             q = b // a
@@ -60,6 +69,7 @@ def echelon_insert(basis: list, vec) -> None:
         j += 1
         while j < dim and not v[j]:
             j += 1
+    return v
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -89,26 +99,30 @@ def integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
     """Basis vectors of the integer kernel {z : M z = 0} of a matrix M given
     as a sequence of rows.
 
-    Column-style Hermite elimination: each column j is augmented with the j-th
-    unit vector and inserted into an echelon basis; rows whose matrix part
-    vanishes carry a kernel basis vector in their unit part.  Every emitted
-    vector is re-verified against M.
+    Column-style Hermite elimination (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4): each column j, augmented with the j-th
+    unit vector, is inserted into an echelon basis pivoting on the matrix
+    part only.  An insert whose matrix part vanishes leaves (0, z); every
+    step is unimodular, so these z span exactly the kernel, and there are
+    n_cols - rank(M) of them.  The kernel gets no Hermite form of its own.
+    Every emitted vector is re-verified against M.
     """
     matrix = [tuple(row) for row in matrix]
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if matrix else 0
     if any(len(row) != n_cols for row in matrix):
         raise ContractError("matrix rows have unequal lengths")
-    rows: list = [None] * (n_rows + n_cols)
+    rows: list = [None] * n_rows
+    basis = []
     for j in range(n_cols):
         aug = [matrix[i][j] for i in range(n_rows)]
         aug.extend(1 if i == j else 0 for i in range(n_cols))
-        echelon_insert(rows, aug)
-    # rows pivoting past the matrix part have a vanishing matrix part
-    basis = [tuple(row[n_rows:]) for row in rows[n_rows:] if row is not None]
+        left = echelon_insert(rows, aug)
+        if left is not None:
+            basis.append(tuple(left[n_rows:]))
     for z in basis:
-        for i in range(n_rows):
-            if sum(matrix[i][j] * z[j] for j in range(n_cols)) != 0:
+        for row in matrix:
+            if sum(map(mul, row, z)) != 0:
                 raise ConsistencyError(f"kernel vector {z} fails M z = 0")
     return tuple(basis)
 

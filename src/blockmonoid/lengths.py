@@ -41,28 +41,47 @@ class _LengthSearch:
     L(1) = {0}.  A set of lengths needs no order on the atoms of a
     factorization, so every atom is scanned and the memo is keyed by the
     residual alone; `memo_limit` caps the residuals kept.
+
+    Every target has all exponents at most `cap`.  A residual is packed into
+    one int, one field of cap.bit_length() + 1 bits per support position,
+    with the top (guard) bit of every field set.  Subtracting a packed atom
+    borrows across no field, and leaves a field's guard bit set exactly when
+    the atom's exponent there is at most the residual's; so A divides B iff
+    all guard bits survive B - A, which is then the packed B/A.  Atoms with
+    an exponent above cap divide no target and are dropped.  A set of
+    lengths is an int with bit l set for each length l in it.
     """
 
-    def __init__(self, atoms: AtomSet, memo_limit: int | None):
-        self.columns = tuple(a.exponents for a in atoms.atoms)
-        self.memo: dict[tuple[int, ...], frozenset[int]] = {}
+    def __init__(self, atoms: AtomSet, cap: int, memo_limit: int | None):
+        width = cap.bit_length() + 1
+        self.shifts = tuple(range(0, width * len(atoms.support), width))
+        self.guards = self._pack([1 << (width - 1)] * len(self.shifts))
+        self.columns = tuple(self._pack(a.exponents) for a in atoms.atoms
+                             if max(a.exponents) <= cap)
+        self.memo: dict[int, int] = {}
         self.memo_limit = memo_limit
 
-    def lengths(self, residual: tuple[int, ...]) -> frozenset[int]:
-        if not any(residual):
-            return frozenset((0,))
+    def _pack(self, exponents) -> int:
+        return sum(c << s for c, s in zip(exponents, self.shifts))
+
+    def lengths(self, exponents) -> tuple[int, ...]:
+        """L(B) ascending, for B given by exponents all at most cap."""
+        bits = self._search(self._pack(exponents) | self.guards)
+        return tuple(l for l in range(bits.bit_length()) if bits >> l & 1)
+
+    def _search(self, residual: int) -> int:
+        guards = self.guards
+        if residual == guards:
+            return 1
         hit = self.memo.get(residual)
         if hit is not None:
             return hit
-        out: set[int] = set()
+        out = 0
         for col in self.columns:
-            for r, c in zip(residual, col):
-                if c > r:
-                    break
-            else:
-                rest = tuple(r - c for r, c in zip(residual, col))
-                out.update(1 + l for l in self.lengths(rest))
-        result = frozenset(out)
+            rest = residual - col
+            if rest & guards == guards:
+                out |= self._search(rest)
+        result = out << 1
         if self.memo_limit is not None and len(self.memo) >= self.memo_limit:
             raise BudgetError(
                 f"factorization memo exceeded {self.memo_limit} entries",
@@ -80,12 +99,13 @@ def length_set(sequence: SequenceVec, atoms: AtomSet,
         raise ContractError(
             f"length sets are defined for zero-sum sequences only; "
             f"sigma({sequence.format()}) != 0")
-    search = _LengthSearch(atoms, memo_limit)
-    values = search.lengths(sequence.exponents)
-    if any(sequence.exponents) and not values:
+    exps = sequence.exponents
+    search = _LengthSearch(atoms, max(exps, default=0), memo_limit)
+    values = search.lengths(exps)
+    if any(exps) and not values:
         raise ConsistencyError(
             f"zero-sum sequence {sequence.format()} has no factorization")
-    return LengthSet(tuple(values))
+    return LengthSet(values)
 
 
 def distances_oracle(atoms: AtomSet, max_len: int,
@@ -96,10 +116,13 @@ def distances_oracle(atoms: AtomSet, max_len: int,
 
     A finite under-approximation of the full set of distances, monotone
     non-decreasing in max_len; used for cross-validation, never as the
-    source of truth for min Delta.  The walk over exponent vectors makes
-    C(max_len + j, j) calls at depth j, C(max_len + k + 1, k) in all over a
-    support of k elements (hockey-stick identity), so `vector_limit` refuses
-    it before it starts.
+    source of truth for min Delta.  The walk over exponent vectors solves
+    the last position instead of walking it: given the sum sigma of the
+    others, the zero-sum choices there are c0, c0 + ord, ... for the least
+    c0 with c0 * g_last = -sigma.  `vector_limit` refuses it before it
+    starts from C(max_len + k + 1, k), over a support of k elements: the
+    node count of the walk over all k positions (hockey-stick identity),
+    an upper bound on the nodes and vectors visited now.
     """
     support = atoms.support
     group = support.group
@@ -112,17 +135,36 @@ def distances_oracle(atoms: AtomSet, max_len: int,
             f"distance oracle bound {nodes} (walk nodes up to length "
             f"{max_len} over {k} elements) exceeds the limit {vector_limit}",
             bound=nodes)
-    search = _LengthSearch(atoms, memo_limit)
+    if k == 0:
+        return ()
+    search = _LengthSearch(atoms, max_len, memo_limit)
     distances: set[int] = set()
+    last = k - 1
+    # solving[s] = the least c >= 0 with s + c * g_last = 0, for s in <g_last>
+    neg_last = group.neg(gens[last])
+    solving = {zero: 0}
+    s = neg_last
+    while s != zero:
+        solving[s] = len(solving)
+        s = group.add(s, neg_last)
+    order = len(solving)
 
     def rec(pos: int, remaining: int, sigma, vec: list[int]):
-        if pos == k:
-            if sigma == zero and any(vec):
-                values = sorted(search.lengths(tuple(vec)))
+        if pos == last:
+            c = solving.get(sigma)
+            if c is None:
+                return
+            if c == 0 and not any(vec):
+                c = order
+            while c <= remaining:
+                vec[last] = c
+                values = search.lengths(vec)
                 if not values:
                     raise ConsistencyError(
                         f"zero-sum vector {tuple(vec)} has no factorization")
                 distances.update(b - a for a, b in zip(values, values[1:]))
+                c += order
+            vec[last] = 0
             return
         g = gens[pos]
         s = sigma

@@ -15,6 +15,9 @@ off its tail generator.  `echelon_min_delta` does so for one atom set;
 basis and inserts the rows of its new atoms, and decides minimality from the
 set of half-factorial masks formed so far.  `seed_is_minimal_non_half_factorial`
 decides it by one rescan of the `Fraction` cross numbers per support position.
+`hnf_integer_kernel` is the integer kernel that also put the kernel basis in
+Hermite form, and `walk_distances_oracle` the observed-distances walk over
+every position, with `naive_length_set` for the packed length search.
 """
 from __future__ import annotations
 
@@ -775,3 +778,65 @@ def seed_extremal_report(group: FiniteAbelianGroup, elements, full_atoms: AtomSe
         unit_atoms_support_bound=unit_bound,
         heavy_atoms_complement_atom=heavy_bound,
     )
+
+
+# -- the integer kernel and the distance walk as they stood before ------------------
+# -- the matrix-part elimination and the solved last position ----------------------
+
+def hnf_integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
+    """`kernel.integer_kernel` before it stopped at the matrix part, kept
+    verbatim apart from the name: the echelon basis has a slot per matrix
+    row and per column, so the inserts go on reducing each vector after its
+    matrix part vanishes and leave the kernel basis in Hermite form."""
+    matrix = [tuple(row) for row in matrix]
+    n_rows = len(matrix)
+    n_cols = len(matrix[0]) if matrix else 0
+    if any(len(row) != n_cols for row in matrix):
+        raise ContractError("matrix rows have unequal lengths")
+    rows: list = [None] * (n_rows + n_cols)
+    for j in range(n_cols):
+        aug = [matrix[i][j] for i in range(n_rows)]
+        aug.extend(1 if i == j else 0 for i in range(n_cols))
+        echelon_insert(rows, aug)
+    # rows pivoting past the matrix part have a vanishing matrix part
+    basis = [tuple(row[n_rows:]) for row in rows[n_rows:] if row is not None]
+    for z in basis:
+        for i in range(n_rows):
+            if sum(matrix[i][j] * z[j] for j in range(n_cols)) != 0:
+                raise ConsistencyError(f"kernel vector {z} fails M z = 0")
+    return tuple(basis)
+
+
+def walk_distances_oracle(atoms: AtomSet, max_len: int) -> tuple[int, ...]:
+    """`lengths.distances_oracle` before it solved the last position, kept
+    apart from the budgets and with `naive_length_set` for the memoized
+    search: every exponent vector of length <= max_len is walked, position
+    by position, and each nonzero zero-sum one has its length set taken."""
+    support = atoms.support
+    group = support.group
+    gens = support.elements
+    zero = group.zero
+    k = len(support)
+    vectors = [a.exponents for a in atoms]
+    distances: set[int] = set()
+
+    def rec(pos: int, remaining: int, sigma, vec: list[int]):
+        if pos == k:
+            if sigma == zero and any(vec):
+                seq = SequenceVec(support, tuple(vec))
+                values = sorted(naive_length_set(seq, vectors))
+                if not values:
+                    raise ConsistencyError(
+                        f"zero-sum vector {tuple(vec)} has no factorization")
+                distances.update(b - a for a, b in zip(values, values[1:]))
+            return
+        g = gens[pos]
+        s = sigma
+        for c in range(remaining + 1):
+            vec[pos] = c
+            rec(pos + 1, remaining - c, s, vec)
+            s = group.add(s, g)
+        vec[pos] = 0
+
+    rec(0, max_len, zero, [0] * k)
+    return tuple(sorted(distances))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (FiniteAbelianGroup, SupportSet, classify,
-                         enumerate_atoms, min_delta)
+from blockmonoid import (FiniteAbelianGroup, SequenceVec, SupportSet,
+                         classify, enumerate_atoms, length_set, min_delta)
 
 
 @st.composite
@@ -42,6 +42,21 @@ class TestSupportOrder:
         other = classify(shuffled, atoms=moved)
         assert other.subset == shuffled.elements
         assert vars(other) | {"subset": record.subset} == vars(record)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_supports(), st.data())
+    def test_length_sets(self, case, data):
+        # the packed length search lays positions out in support order
+        support, shuffled, perm = case
+        atoms = enumerate_atoms(support)
+        picks = data.draw(st.lists(st.sampled_from(atoms.atoms),
+                                   min_size=1, max_size=4))
+        b = SequenceVec.empty(support)
+        for a in picks:
+            b = b * a
+        moved = SequenceVec(shuffled, tuple(b.exponents[p] for p in perm))
+        assert length_set(moved, enumerate_atoms(shuffled)) == \
+            length_set(b, atoms)
 
 
 ISOMORPHIC_SPECS = [

@@ -11,8 +11,9 @@ from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          is_half_factorial, length_set, min_delta,
                          min_delta_witness)
 from blockmonoid.kernel import echelon_insert, lattice_tail_generator
-from oracles import (echelon_min_delta, kernel_basis_contains,
-                     seed_echelon_insert, seed_lattice_tail_generator)
+from oracles import (echelon_min_delta, hnf_integer_kernel,
+                     kernel_basis_contains, seed_echelon_insert,
+                     seed_lattice_tail_generator)
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
 
@@ -81,6 +82,46 @@ class TestPivotBasis:
         assert copy == [[1, 1, -1], [0, 2, -3], None]
 
 
+def assert_kernel_matches_hnf(matrix):
+    """integer_kernel spans the same lattice as the Hermite-form kernel it
+    replaced, with one vector per kernel dimension."""
+    basis = integer_kernel(matrix)
+    hnf = hnf_integer_kernel(matrix)
+    assert len(basis) == len(hnf)
+    for z in hnf:
+        assert kernel_basis_contains(basis, z)
+    for z in basis:
+        assert kernel_basis_contains(hnf, z)
+
+
+def sample_supports(orders, size, count, seed):
+    """`count` fixed-seed random supports of `size` nonzero elements."""
+    group = FiniteAbelianGroup(orders)
+    rng = random.Random(seed)
+    return [SupportSet(group, tuple(rng.sample(group.nonzero_elements, size)))
+            for _ in range(count)]
+
+
+class TestEchelonInsertLeftover:
+    def test_placed_returns_none(self):
+        basis: list = [None] * 2
+        assert echelon_insert(basis, [0, 3, 1, 0]) is None
+        assert echelon_insert(basis, [2, 0, 0, 1]) is None
+        assert basis == [[2, 0, 0, 1], [0, 3, 1, 0]]
+
+    def test_vanishing_leading_part_is_returned(self):
+        basis: list = [None] * 2
+        echelon_insert(basis, [2, 4, 1, 0])
+        # [4, 8, 0, 1] - 2 * [2, 4, 1, 0]: its first two entries vanish
+        assert echelon_insert(basis, [4, 8, 0, 1]) == [0, 0, -2, 1]
+        assert basis == [[2, 4, 1, 0], None]
+
+    def test_full_length_vector_reduces_to_zero(self):
+        basis: list = [None] * 2
+        echelon_insert(basis, [2, 1])
+        assert echelon_insert(basis, [4, 2]) == [0, 0]
+
+
 class TestIntegerKernel:
     def test_pm_matrix(self):
         # the atom matrix of {g, -g} in C5 under one column ordering
@@ -116,6 +157,34 @@ class TestIntegerKernel:
         for z in basis:
             for row in matrix:
                 assert sum(r * c for r, c in zip(row, z)) == 0
+
+
+class TestKernelAgainstHermiteForm:
+    """The matrix-part elimination against the kernel it replaced, which also
+    reduced the kernel basis to Hermite form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_support())
+    def test_small_supports(self, support):
+        atoms = enumerate_atoms(support)
+        assert_kernel_matches_hnf(atoms.exponent_matrix)
+
+    @pytest.mark.parametrize("orders", [(7, 7), (6, 6), (2, 2, 2, 2, 2)],
+                             ids=lambda o: FiniteAbelianGroup(o).spec_string())
+    def test_five_element_subsets(self, orders):
+        for support in sample_supports(orders, 5, 2, seed=5):
+            assert_kernel_matches_hnf(enumerate_atoms(support).exponent_matrix)
+
+    def test_witness_example(self):
+        # the C7^2 support min-delta --explain documents; the basis is no
+        # longer in Hermite form, so the witness differs from the old one
+        group = FiniteAbelianGroup((7, 7))
+        support = SupportSet(group, ((1, 0), (0, 1), (3, 5), (6, 6)))
+        atoms = enumerate_atoms(support)
+        assert_kernel_matches_hnf(atoms.exponent_matrix)
+        witness = min_delta_witness(atoms)
+        assert witness.lengths == (2, 3)
+        assert witness.vector[:4] == (0, -1, 3, -1)
 
 
 class TestKernelRank:

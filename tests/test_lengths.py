@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
                          LengthSet, SequenceVec, SupportSet, delta_of_lengths,
                          distances_oracle, enumerate_atoms, length_set)
-from oracles import naive_length_set
+from oracles import naive_length_set, walk_distances_oracle
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
 
@@ -76,6 +76,61 @@ class TestLengthSet:
         assert values[-1] <= k * support.group.exponent
 
 
+def assert_matches_naive(sequence, atoms):
+    assert set(length_set(sequence, atoms).values) == naive_length_set(
+        sequence, [a.exponents for a in atoms])
+
+
+class TestPackedSearch:
+    """The packed residual search at the edges of its field width: a field
+    holds the target's largest exponent m in m.bit_length() bits under a
+    guard bit, so m = 1, 2^j - 1 and 2^j are where the width changes."""
+
+    EDGES = (1, 2, 3, 4, 7, 8, 15, 16)
+    SUPPORTS = (
+        SupportSet(FiniteAbelianGroup((3,)), ((1,), (2,))),
+        SupportSet(FiniteAbelianGroup((4,)), ((1,), (3,))),
+        SupportSet(FiniteAbelianGroup((3, 3)), ((1, 0), (0, 1), (2, 2))),
+        SupportSet(FiniteAbelianGroup((2, 2)), ((1, 0), (0, 1), (1, 1))),
+    )
+
+    @pytest.mark.parametrize("m", EDGES)
+    @pytest.mark.parametrize("support", SUPPORTS,
+                             ids=lambda s: s.group.spec_string())
+    def test_all_fields_at_the_edge(self, support, m):
+        # each support sums to 0, so the sequence with every exponent m is
+        # zero-sum
+        sequence = SequenceVec(support, (m,) * len(support))
+        assert sequence.is_zero_sum()
+        assert_matches_naive(sequence, enumerate_atoms(support))
+
+    @pytest.mark.parametrize("m", EDGES)
+    def test_one_field_at_the_edge(self, m):
+        # one field at m, the others at m mod 2, first and last in the int
+        group = FiniteAbelianGroup((2, 2, 2))
+        support = SupportSet(group, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        atoms = enumerate_atoms(support)
+        rest = m % 2
+        for exps in ((m, rest, rest, rest), (rest, rest, rest, m)):
+            sequence = SequenceVec(support, exps)
+            assert sequence.is_zero_sum()
+            assert_matches_naive(sequence, atoms)
+
+    def test_atoms_above_the_largest_exponent_are_dropped(self):
+        # (5, 0) and (0, 5) cannot divide (1, 1)
+        atoms = enumerate_atoms(PM5)
+        assert length_set(SequenceVec(PM5, (1, 1)), atoms).values == (1,)
+
+    def test_memo_limit_boundary(self):
+        # (8, 8, 8, 8) over the C2xC4xC4 family has 232 nonzero residuals
+        atoms = enumerate_atoms(FAMILY)
+        b = SequenceVec(FAMILY, (8, 8, 8, 8))
+        assert length_set(b, atoms, memo_limit=232).values == (4, 6, 8)
+        with pytest.raises(BudgetError) as info:
+            length_set(b, atoms, memo_limit=231)
+        assert info.value.bound == 231
+
+
 class TestDelta:
     @pytest.mark.parametrize("values,expected", [
         ((2, 5), (3,)),
@@ -121,6 +176,43 @@ class TestDistancesOracle:
         with pytest.raises(BudgetError) as info:
             distances_oracle(atoms, 10, vector_limit=77)
         assert info.value.bound == 78
+
+
+class TestDistancesAgainstWalk:
+    """The solved last position against the walk over every position."""
+
+    CASES = (
+        (PM5, 10),
+        (EPS33, 12),
+        (FAMILY, 8),
+        (SupportSet(FiniteAbelianGroup((2, 4)), ((1, 0), (0, 1), (1, 3))), 10),
+        (SupportSet(FiniteAbelianGroup((6,)), ((1,), (2,), (3,))), 9),
+    )
+
+    @pytest.mark.parametrize("support,max_len", CASES)
+    def test_cases(self, support, max_len):
+        atoms = enumerate_atoms(support)
+        assert distances_oracle(atoms, max_len) == \
+            walk_distances_oracle(atoms, max_len)
+
+    def test_one_element_support(self):
+        # only multiples of the order are zero-sum, each with one length
+        atoms = enumerate_atoms(SupportSet(FiniteAbelianGroup((4,)), ((1,),)))
+        for max_len in (0, 3, 4, 9):
+            assert distances_oracle(atoms, max_len) == () == \
+                walk_distances_oracle(atoms, max_len)
+
+    def test_empty_support(self):
+        atoms = enumerate_atoms(SupportSet(FiniteAbelianGroup((5,)), ()))
+        assert distances_oracle(atoms, 5) == () == \
+            walk_distances_oracle(atoms, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_support(), st.integers(0, 8))
+    def test_small_supports(self, support, max_len):
+        atoms = enumerate_atoms(support)
+        assert distances_oracle(atoms, max_len) == \
+            walk_distances_oracle(atoms, max_len)
 
 
 class TestHalfFactorialLengths:
