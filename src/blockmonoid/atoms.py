@@ -2,7 +2,7 @@
 
 One depth-first search finds them (`_search`).  It walks the support
 positions in fixed order and raises the exponent at a position one copy at a
-time.  Along the branch it maintains two sets of group elements:
+time, except at the last position, which it solves (below).  Along the branch it maintains two sets of group elements:
 
     PS(w) = sums of all nonempty subsequences of the partial vector w,
     Q(w)  = sums of all proper nonempty subsequences of w.
@@ -25,6 +25,29 @@ which ends its branch.  A branch also dies when the current deficit
 -sigma(w) is not reachable from the remaining support positions (it lies
 outside the subgroup H they generate).  Since H is a subgroup, -sigma(w)
 lies in H exactly when sigma(w) does, so the test needs no negation.
+
+The last position is solved, not walked.  Let g be its element and w a
+nonempty partial vector with sigma(w) != 0 and 0 not in Q(w).  Only copies
+of g can follow, and w g^c is zero-sum for c = c(w), the unique
+c in [1, ord(g)) with c*g = -sigma(w) (no such c when sigma(w) is not in
+<g>), so w g^c is the one candidate.  It is an atom iff PS(w) misses
+N_c = {-g, -2g, ..., -(c-1)g}.  Proof: a proper nonempty subsequence of
+w g^c is w' g^i, with w' a subsequence of w and 0 <= i <= c.  With w'
+empty it sums to i*g != 0, as 0 < i <= c < ord(g).  With w' nonempty and
+i = 0 its sum lies in PS(w) and is 0 only if 0 is in Q(w) (w' = w has sum
+sigma(w) != 0).  With i = c it is proper only if w' is not w, and sums to
+0 only if the rest of w does, again 0 in Q(w).  That leaves w' nonempty
+and 0 < i < c, where w' g^i sums to 0 iff sigma(w') = -i*g; some such
+choice does iff PS(w) meets N_c.  So a frame at the last position costs
+one lookup in the table of multiples of g (`SupportSet.multiples`:
+sigma -> (c, the mask of N_c)) and one AND, and the search pushes no frame
+past it.  The empty vector there, from `enumerate_atoms`, takes sigma = 0
+to c = ord(g) and N_c to the nonzero multiples of g, which PS = {} misses:
+the atom g^ord(g).  The walk that raised the last exponent one copy at a
+time is kept in the test suite as an oracle.  The exponent vectors the search visits are a subset of those
+the walk visited, so `enumeration_bound` is still an upper bound on its
+nodes; the budget test reads only that bound, so it refuses the same
+supports.
 
 The branch state is held in bitmasks.  Every subsequence sum lies in the
 subgroup <S> that the support generates; the support's codec (`_Span` in
@@ -67,8 +90,9 @@ class MaskAtoms:
     """The atoms with one support mask: their exponent tuples (`atoms`),
     cross numbers scaled to integers (`scaled`, in the same order), whether
     some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`), and the sparse form
-    the sweep reads, built on first use: where the sweep saturates early, as
-    in prime cyclic groups, it never looks most masks up."""
+    the sweep reads (`sparse`): each atom A as (A_b, the pairs (i, A_i) for
+    the mask's positions i above its lowest one, b), which
+    `ExactSupportAtoms.entry` fills in; None in `AtomSet.mask_index`."""
 
     __slots__ = ("atoms", "scaled", "sparse", "nonunit", "light")
 
@@ -79,15 +103,6 @@ class MaskAtoms:
         self.sparse: list | None = None
         self.light = min(scaled) < n
         self.nonunit = self.light or max(scaled) > n
-
-    def sparse_atoms(self, b: int) -> list:
-        """Each atom A as (A_b, the pairs (i, A_i) with i > b and A_i != 0),
-        b being the lowest support position, so A_b >= 1."""
-        if self.sparse is None:
-            self.sparse = [
-                (exps[b], [(i, c) for i, c in enumerate(exps[b + 1:], b + 1) if c])
-                for exps in self.atoms]
-        return self.sparse
 
 
 @dataclass(frozen=True)
@@ -151,19 +166,18 @@ class AtomSet:
                         lcm(*self.support.orders))
 
 
-def _search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
-            q: int) -> list[tuple[int, ...]]:
+def _search(steps, gbits, spans, last, vec: tuple[int, ...], sig: int,
+            ps: int, q: int) -> list[tuple[int, ...]]:
     """The atoms that raise exponents of `vec`, position by position from the
     first, given the state (sigma, PS, Q) of `vec`, with 0 not in Q; sorted.
 
     Position i carries the translation steps `steps[i]` and the bit
     `gbits[i]` of its element, and spans[i], the span of the positions from
-    i on, as a mask.
+    i on, as a mask.  `last` is the table of multiples of the last
+    position's element (`SupportSet.multiples`), which solves that position
+    in one step.
     """
-    # nothing is reachable past the last position: a zero-sum branch is
-    # recorded or abandoned before the deficit test, and the empty vector
-    # is no atom
-    spans = (*spans, 0)
+    end = len(steps) - 1
     found: list[tuple[int, ...]] = []
     # frame: (position, exponent vector, sigma, PS, Q); a frame is pushed
     # only while 0 is not in Q
@@ -173,6 +187,14 @@ def _search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
         if sig == 1 and ps:
             found.append(vec)
             continue  # any extension would contain this zero-sum properly
+        if i == end:
+            # the exponent is forced: c copies of g with c*g = -sigma, and an
+            # atom iff no subsequence of vec sums to one of -g .. -(c-1)g;
+            # no entry means -sigma is not in <g>
+            hit = last.get(sig)
+            if hit is not None and not ps & hit[1]:
+                found.append(vec[:i] + (vec[i] + hit[0],))
+            continue
         if not spans[i] & sig:
             continue  # the deficit cannot be repaired from here on
         stack.append((i + 1, vec, sig, ps, q))
@@ -224,7 +246,8 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     spans = [0] * k
     for i in range(k - 1, -1, -1):
         spans[i] = support.span_mask(full ^ ((1 << i) - 1))
-    found = _search(support.steps, gbits, spans, (0,) * k, 1, 0, 0)
+    found = _search(support.steps, gbits, spans, support.multiples(k - 1),
+                    (0,) * k, 1, 0, 0) if k else []
     return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
                                  for v in found))
 
@@ -245,12 +268,13 @@ class ExactSupportAtoms:
 
     EMPTY_STATE = (1, 0, 0, ())
 
-    __slots__ = ("gbits", "steps", "n", "weights")
+    __slots__ = ("gbits", "steps", "multiples", "n", "weights")
 
     def __init__(self, support: SupportSet):
         codec = support.codec
         self.gbits = [1 << codec.encode(g) for g in support.elements]
         self.steps = support.steps
+        self.multiples = [support.multiples(i) for i in range(len(support))]
         self.n = lcm(*support.orders)
         self.weights = [self.n // o for o in support.orders]
 
@@ -285,6 +309,7 @@ class ExactSupportAtoms:
         sig, ps, q, spans = state
         found = _search([self.steps[p] for p in positions],
                         [self.gbits[p] for p in positions], spans,
+                        self.multiples[positions[-1]],
                         (1,) * len(positions), sig, ps, q)
         if not found:
             return None
@@ -298,4 +323,7 @@ class ExactSupportAtoms:
                 total += c * w
             atoms.append(tuple(full))
             scaled.append(total)
-        return MaskAtoms(atoms, scaled, self.n)
+        entry = MaskAtoms(atoms, scaled, self.n)
+        above = positions[1:]
+        entry.sparse = [(vec[0], list(zip(above, vec[1:]))) for vec in found]
+        return entry

@@ -70,24 +70,46 @@ class _LengthSearch:
         return tuple(l for l in range(bits.bit_length()) if bits >> l & 1)
 
     def _search(self, residual: int) -> int:
-        guards = self.guards
+        """L(residual) as a bitset, by a depth-first search on an explicit
+        stack, not on Python's: a factorization takes one frame per atom,
+        and a long sequence has thousands.  A frame is [B, the atoms not yet
+        tried on B, the union of L(B/A) over the atoms A tried].  B is filed
+        in the memo once every atom has been tried on it, so `memo_limit`
+        is reached after the same number of residuals in any order."""
+        guards, columns, memo, limit = (self.guards, self.columns, self.memo,
+                                        self.memo_limit)
         if residual == guards:
             return 1
-        hit = self.memo.get(residual)
+        hit = memo.get(residual)
         if hit is not None:
             return hit
-        out = 0
-        for col in self.columns:
-            rest = residual - col
-            if rest & guards == guards:
-                out |= self._search(rest)
-        result = out << 1
-        if self.memo_limit is not None and len(self.memo) >= self.memo_limit:
-            raise BudgetError(
-                f"factorization memo exceeded {self.memo_limit} entries",
-                bound=self.memo_limit)
-        self.memo[residual] = result
-        return result
+        stack = [[residual, iter(columns), 0]]
+        while True:
+            frame = stack[-1]
+            residual, rest_columns, out = frame
+            for col in rest_columns:
+                rest = residual - col
+                if rest & guards != guards:
+                    continue
+                hit = memo.get(rest)
+                if hit is None:
+                    if rest != guards:
+                        frame[2] = out
+                        stack.append([rest, iter(columns), 0])
+                        break
+                    hit = 1
+                out |= hit
+            else:
+                result = out << 1
+                if limit is not None and len(memo) >= limit:
+                    raise BudgetError(
+                        f"factorization memo exceeded {limit} entries",
+                        bound=limit)
+                memo[residual] = result
+                stack.pop()
+                if not stack:
+                    return result
+                stack[-1][2] |= result
 
 
 def length_set(sequence: SequenceVec, atoms: AtomSet,

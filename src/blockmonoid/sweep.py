@@ -27,7 +27,7 @@ bit b to a mask M of higher bits gains exactly the atoms whose support is b
 plus a submask of M.  It builds its own entry, for b plus all of M, from
 the state that it carries down the chain (`ExactSupportAtoms.grow`), and
 looks the others up in the index, reading each atom as its exponent at b
-and its nonzero exponents above b, kept per mask from the first lookup on.
+and its exponents above b, in the sparse form that its entry was built with.
 Siblings go in ascending order of b, so the masks are formed in increasing
 integer order, and each subset's record is written once, already sorted.
 So every mask T it looks up was formed, and its entry built, before: were T
@@ -162,7 +162,7 @@ def delta_star(group: FiniteAbelianGroup, *,
                         minimal = sub == mask and not nu
                         nu = True
                     nl = nl or entry.light
-                    for c, pairs in entry.sparse_atoms(b):
+                    for c, pairs in entry.sparse:
                         cs.append(c)
                         bs.append(e - sum([weights[i] * v for i, v in pairs]))
                 if not sub:

@@ -18,6 +18,8 @@ decides it by one rescan of the `Fraction` cross numbers per support position.
 `hnf_integer_kernel` is the integer kernel that also put the kernel basis in
 Hermite form, and `walk_distances_oracle` the observed-distances walk over
 every position, with `naive_length_set` for the packed length search.
+`walk_search` is the atom DFS that walked the last support position one copy
+at a time instead of solving it from a table of multiples.
 """
 from __future__ import annotations
 
@@ -780,7 +782,7 @@ def seed_extremal_report(group: FiniteAbelianGroup, elements, full_atoms: AtomSe
     )
 
 
-# -- the integer kernel and the distance walk as they stood before ------------------
+# -- the integer kernel, the distance walk and the atom DFS as they stood before ----
 # -- the matrix-part elimination and the solved last position ----------------------
 
 def hnf_integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
@@ -840,3 +842,63 @@ def walk_distances_oracle(atoms: AtomSet, max_len: int) -> tuple[int, ...]:
 
     rec(0, max_len, zero, [0] * k)
     return tuple(sorted(distances))
+
+
+def walk_search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
+                q: int) -> list[tuple[int, ...]]:
+    """`atoms._search` before it solved the last position, kept verbatim apart
+    from the name: it raises the last exponent one copy at a time, as it
+    does every other, and pushes a frame past the last position that is
+    recorded when its sum is 0 and dies at the empty span otherwise.
+
+    The atoms that raise exponents of `vec`, position by position from the
+    first, given the state (sigma, PS, Q) of `vec`, with 0 not in Q; sorted.
+
+    Position i carries the translation steps `steps[i]` and the bit
+    `gbits[i]` of its element, and spans[i], the span of the positions from
+    i on, as a mask.
+    """
+    # nothing is reachable past the last position: a zero-sum branch is
+    # recorded or abandoned before the deficit test, and the empty vector
+    # is no atom
+    spans = (*spans, 0)
+    found: list[tuple[int, ...]] = []
+    # frame: (position, exponent vector, sigma, PS, Q); a frame is pushed
+    # only while 0 is not in Q
+    stack = [(0, vec, sig, ps, q)]
+    while stack:
+        i, vec, sig, ps, q = stack.pop()
+        if sig == 1 and ps:
+            found.append(vec)
+            continue  # any extension would contain this zero-sum properly
+        if not spans[i] & sig:
+            continue  # the deficit cannot be repaired from here on
+        stack.append((i + 1, vec, sig, ps, q))
+        if ps:
+            # translations by g, written out: a helper call per translation
+            # costs about a quarter of the search time
+            for low, up, down in steps[i]:
+                lo = q & low
+                q = (lo << up) | ((q ^ lo) >> down)
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            q |= ps | gbits[i]
+            if q & 1:
+                continue
+        else:
+            # the empty vector: g alone has no proper nonempty subsequence
+            sig = gbits[i]
+        stack.append((i, vec[:i] + (vec[i] + 1,) + vec[i + 1:],
+                      sig, q | sig, q))
+    found.sort()
+    return found
+
+
+def walk_enumerate_atoms(support: SupportSet) -> list[tuple[int, ...]]:
+    """The atom vectors of `support`, by `walk_search` from the empty vector
+    on every position, with the suffix spans `enumerate_atoms` gives it."""
+    k = len(support)
+    gbits = [1 << support.codec.encode(g) for g in support.elements]
+    full = (1 << k) - 1
+    spans = [support.span_mask(full ^ ((1 << i) - 1)) for i in range(k)]
+    return walk_search(support.steps, gbits, spans, (0,) * k, 1, 0, 0)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockmonoid import (AtomSet, BudgetError, ContractError,
@@ -12,7 +12,8 @@ from blockmonoid import (AtomSet, BudgetError, ContractError,
                          enumerate_atoms, enumeration_bound)
 from blockmonoid.atoms import ExactSupportAtoms
 from blockmonoid.sequences import _Span
-from oracles import encode_set, grid_atoms, seed_enumerate_atoms
+from oracles import (encode_set, grid_atoms, seed_enumerate_atoms,
+                     walk_enumerate_atoms, walk_search)
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -404,3 +405,91 @@ class TestSpanCodec:
                 break
             mask = grown
         assert mask == encode_set(codec, span)
+
+
+# the groups the queries benchmark draws its supports from
+QUERY_GROUPS = [(2, 2, 4), (4, 4), (2, 8), (3, 3, 3), (5, 5), (6, 6), (7, 7),
+                (2, 2, 2, 2, 2)]
+
+
+@st.composite
+def query_support(draw):
+    """2 to 5 distinct nonzero elements of a queries group, in drawn order."""
+    group = FiniteAbelianGroup(draw(st.sampled_from(QUERY_GROUPS)))
+    picked = draw(st.lists(st.sampled_from(group.nonzero_elements),
+                           min_size=2, max_size=5, unique=True))
+    return SupportSet(group, tuple(picked))
+
+
+def walk_entry(exact, support, mask, state):
+    """The atoms with support exactly `mask` by the walking search, from the
+    state of the mask's 0/1 vector, as full exponent tuples and in the
+    sparse form the sweep reads."""
+    positions = [i for i in range(len(support)) if mask >> i & 1]
+    sig, ps, q, spans = state
+    found = walk_search([support.steps[p] for p in positions],
+                        [exact.gbits[p] for p in positions], spans,
+                        (1,) * len(positions), sig, ps, q)
+    atoms = []
+    for vec in found:
+        full = [0] * len(support)
+        for p, c in zip(positions, vec):
+            full[p] = c
+        atoms.append(tuple(full))
+    return atoms, [(v[0], list(zip(positions[1:], v[1:]))) for v in found]
+
+
+class TestSolvedLastPosition:
+    """The search solves its last position from the table of multiples of
+    that position's element; the walk it replaced, kept as
+    `oracles.walk_search`, must give the same atoms in the same order from
+    both starting states."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(query_support())
+    def test_empty_vector(self, support):
+        assert list(vectors(support)) == walk_enumerate_atoms(support)
+
+    @settings(max_examples=150, deadline=None)
+    @given(query_support(), st.data())
+    def test_mask_state(self, support, data):
+        exact = ExactSupportAtoms(support)
+        mask = data.draw(st.integers(1, (1 << len(support)) - 1))
+        state = ones_state(exact, mask)
+        assume(state is not None)
+        atoms, sparse = walk_entry(exact, support, mask, state)
+        entry = exact.entry(mask, state)
+        if entry is None:
+            assert atoms == []
+        else:
+            assert (entry.atoms, entry.sparse) == (atoms, sparse)
+
+    def test_one_element_support(self):
+        # the empty vector at the last position goes straight to g^ord(g)
+        for g, order in (((2,), 5), ((5,), 6), ((1,), 2)):
+            support = SupportSet(FiniteAbelianGroup((order,)), (g,))
+            assert vectors(support) == ((order,),)
+            exact = ExactSupportAtoms(support)
+            entry = exact.entry(1, exact.grow(exact.EMPTY_STATE, 0))
+            assert (entry.atoms, entry.sparse) == ([(order,)], [(order, [])])
+
+    def test_last_element_of_order_two(self):
+        # the table of an element of order 2 has c = 2 at 0 and c = 1 at g
+        group = FiniteAbelianGroup((2, 4))
+        support = SupportSet(group, ((0, 1), (1, 1), (1, 2), (1, 0)))
+        bit = 1 << support.codec.encode((1, 0))
+        assert support.multiples(3) == {1: (2, bit), bit: (1, 0)}
+        assert list(vectors(support)) == walk_enumerate_atoms(support) \
+            == grid_atoms(support)
+
+    def test_boundary_multiple(self):
+        # over C5 with g = 4 last, sigma(1^2) = 2 = -2g, so c = 2 and
+        # N_c = {-g} = {1}; the proper zero-sum 1 4 of 1^2 4^2 takes
+        # c - 1 copies of g, so only -(c - 1)g, the last multiple in N_c,
+        # shows that 1^2 4^2 is no atom
+        codec = PM5.codec
+        bit = {x: 1 << codec.encode((x,)) for x in range(5)}
+        assert PM5.multiples(1)[bit[2]] == (2, bit[1])
+        assert PM5.multiples(1)[bit[1]] == (1, 0)
+        assert PM5.multiples(1)[bit[0]] == (5, bit[1] | bit[2] | bit[3] | bit[4])
+        assert vectors(PM5) == ((0, 5), (1, 1), (5, 0))

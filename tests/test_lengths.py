@@ -41,6 +41,13 @@ class TestLengthSet:
         with pytest.raises(BudgetError):
             length_set(b, atoms, memo_limit=2)
 
+    def test_long_factorization(self):
+        # 999 atoms in one factorization: deeper than Python's recursion
+        # limit, so the search runs on an explicit stack
+        support = SupportSet(FiniteAbelianGroup((4,)), ((1,),))
+        b = SequenceVec(support, (3996,))
+        assert length_set(b, enumerate_atoms(support)).values == (999,)
+
     @settings(max_examples=40, deadline=None)
     @given(small_support(), st.data())
     def test_matches_naive_enumerator(self, support, data):

@@ -350,6 +350,24 @@ class TestCli:
         assert done.returncode == 2, done.stderr
         assert bound in done.stderr
 
+    def test_lengths_of_long_sequences(self):
+        # the length search keeps one stack frame per atom of a
+        # factorization on a list, not on Python's call stack: (1)^4000 is
+        # a product of 1000 atoms
+        code, out = run_cli("lengths", "--group", "C4", "--subset", "(1)",
+                            "--sequence", "(1)^4000")
+        assert code == 0
+        assert out == "L((1)^4000) = {1000}\nDelta(L) = {}\n"
+        # (1 3)^j (1^4 3^4)^i with j + 4i = 2000, of length 2000 - 2i; its
+        # memo holds about 10^6 residuals, so it runs in its own process
+        done = run_cli_process(2 << 30, 120, "lengths", "--group", "C4",
+                               "--subset", "(1);(3)",
+                               "--sequence", "(1)^2000*(3)^2000")
+        assert done.returncode == 0, done.stderr
+        values = ", ".join(str(v) for v in range(1000, 2001, 2))
+        assert done.stdout == (f"L((1)^2000 * (3)^2000) = {{{values}}}\n"
+                               "Delta(L) = {2}\n")
+
     def test_parse_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run_cli_main("atoms", "--group", "C5", "--subset", "(0)")
