@@ -201,37 +201,30 @@ class SupportSet:
         codec = self.codec
         return tuple(codec.translation(g) for g in self.elements)
 
-    @cached_property
-    def _multiples(self) -> dict[int, dict[int, tuple[int, int]]]:
-        return {}
-
     def multiples(self, i: int) -> dict[int, tuple[int, int]]:
         """The multiples t*g of the element g at position i, 0 <= t < ord(g),
         each keyed by its bit and mapped to (ord(g) - t, the mask of the
-        later multiples j*g, t < j < ord(g)); memoized per position.
+        later multiples j*g, t < j < ord(g)).
 
         So for x in <g>, table[bit of x] = (c, N) with c the least c >= 1
         such that c*g = -x, and N = {-g, -2g, ..., -(c - 1)g}.
         """
-        tables = self._multiples
-        table = tables.get(i)
-        if table is None:
-            steps = self.steps[i]
-            bits = [1]
-            x = 1
-            while True:
-                for low, up, down in steps:
-                    lo = x & low
-                    x = (lo << up) | ((x ^ lo) >> down)
-                if x == 1:
-                    break
-                bits.append(x)
-            order = len(bits)
-            table = tables[i] = {}
-            later = 0
-            for t in range(order - 1, -1, -1):
-                table[bits[t]] = (order - t, later)
-                later |= bits[t]
+        steps = self.steps[i]
+        bits = [1]
+        x = 1
+        while True:
+            for low, up, down in steps:
+                lo = x & low
+                x = (lo << up) | ((x ^ lo) >> down)
+            if x == 1:
+                break
+            bits.append(x)
+        order = len(bits)
+        table = {}
+        later = 0
+        for t in range(order - 1, -1, -1):
+            table[bits[t]] = (order - t, later)
+            later |= bits[t]
         return table
 
     @cached_property
