@@ -14,8 +14,16 @@ t = lambda(r) mod d} for a length functional lambda that extends to all
 integer vectors as sum W_i x_i / e, with integer weights W_i.  So every atom
 A has sum W_i A_i = e (mod e*d), and = e exactly when d = 0, where
 W_i = e / ord(g_i) makes the sum e times the cross number k(A).  Adding a
-position adds one weight, which the new atoms, read as they are, determine
-together with the new d (`child_step`).
+position b adds one weight, which the new atoms, read as they are,
+determine together with the new d (`child_step`).  Each new atom a gives
+the pair (c, B) = (a_b, e - sum W_i a_i), and e*d' is the D of the 2x2
+Hermite form [[g, S], [0, D]] of the lattice spanned by (0, e*d) and these
+pairs.  The step folds them into the form one at a time, computing each B
+only when it reaches it: with g' = gcd(g, c) = x*g + y*c, the pair sets D
+to gcd(D, (c*S - g*B)/g') and (g, S) to (g', x*S + y*B).  D only shrinks,
+and it stays 0 or a positive multiple of e, so once it reaches e the new d
+is 1, the child is pruned whatever its weight, and the step stops reading
+atoms.
 
 `integer_kernel`, behind `min_delta_witness`, eliminates on the matrix part
 alone: the augmented columns that reduce to a vanishing matrix part carry a
@@ -127,34 +135,65 @@ def integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
-def child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
-    """(d', W_b) for the child that adds position b to a mask in state (d, W).
+def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]:
+    """(d', W_b) for the child that adds position b to a mask in state (d, W),
+    or (1, None) as soon as d' = 1 is certain.
 
-    Each new atom a, the atoms over the child with a_b >= 1, enters as
-    c_a = a_b (in `cs`) and B_a = e - sum_{i in mask} W_i a_i (in `bs`).
-    Take g = gcd of the c's and S = sum s_a B_a for Bezout coefficients,
-    sum s_a c_a = g.  The child's lattice vectors (r, t) with r_b = 0 are
-    spanned by the parent's lattice and the vectors
-    (c_a/g) * sum s_a col_a - col_a, col_a = (a, 1), whose B is
-    (c_a/g)*S - B_a; on all of them B = e*(t - lambda(r)) (mod e*d), so
-    D = gcd(e*d, every (c_a/g)*S - B_a) is e*d'.  W_b solves g*W_b = S,
-    exactly when D = 0 and mod D otherwise.
+    The new atoms, those over the child with a_b >= 1, come as a list of
+    sparse entry lists: each atom a as (c, pairs), c = a_b and pairs the
+    (i, a_i) at the mask's positions above b; the fold computes its
+    B = e - sum W_i a_i when it reaches it.  The child's lattice vectors
+    (r, t) with r_b = 0 are spanned by the parent's lattice and the integer
+    combinations of the augmented atom columns (a, 1) whose b parts cancel,
+    and on all of them B = e*(t - lambda(r)) (mod e*d).  So e*d' is the D
+    of the Hermite form [[g, S], [0, D]] of the lattice in Z^2 spanned by
+    (0, e*d) and every (c, B), and W_b solves g*W_b = S, exactly when D = 0
+    and mod D otherwise.  The fold starts from g = S = 0 and D = e*d; the
+    first atom sets (g, S) = (c, B), and each later one, with
+    g' = gcd(g, c) = x*g + y*c, replaces the rows by
+    (c/g')*(g, S) - (g/g')*(c, B) = (0, (c*S - g*B)/g'), which joins D by a
+    gcd, and x*(g, S) + y*(c, B) = (g', x*S + y*B).
+
+    D = e is final.  Each D along the fold is the gcd of the D before it and
+    one more number, so it divides the D before it, is nonzero once one
+    is, and is 0 or a multiple of e, since every such number is: a vector
+    (0, t) of the lattice so far has t = sum n_a B_a + m*e*d with
+    sum n_a a_b = 0, so r = sum n_a a restricted to the mask is a relation
+    of the parent, sum W_i r_i = e*(the length of r in parent atoms)
+    (mod e*d), and t = e*(sum n_a - that length) (mod e*d).  So once
+    0 < D <= e, D = e, every later D is e too, and d' = 1, the first
+    divisor-closed value: the sweep prunes the child, so no descendant
+    reads W_b, and min Delta 1 ends `min_delta`.  The fold returns
+    (1, None) there and reads no further atom.  A D in (0, e) is a bug.
 
     The parent's weights are kept unreduced: they hold mod e*d, hence mod
     e*d'.  W_b then exists, since the child's weights differ from the
     parent's by some U with U.r = 0 (mod e*d') on the parent's relations r,
-    and U.p, for p the mask part of sum s_a col_a, is a multiple of
-    gcd(g, e*d') (ord(g_b) / gcd(ord(g_b), g) times p is a relation, and
-    ord(g_b) divides e).  So each check below fails only on a bug.
+    and U.p, for p the mask part of sum s_a (a, 1) with sum s_a a_b = g, is
+    a multiple of gcd(g, e*d') (ord(g_b) / gcd(ord(g_b), g) times p is a
+    relation, and ord(g_b) divides e).  So each check below fails only on
+    a bug.
     """
+    big_d = e * d
     g = big_s = 0
-    for c, big_b in zip(cs, bs):
-        if not g:
-            g, big_s = c, big_b
-        elif c % g:
-            g, x, y = ext_gcd(g, c)
-            big_s = x * big_s + y * big_b
-    big_d = gcd(e * d, *[(c // g) * big_s - big_b for c, big_b in zip(cs, bs)])
+    for sparse in entries:
+        for c, pairs in sparse:
+            big_b = e - sum([weights[i] * v for i, v in pairs])
+            if not g:
+                g, big_s = c, big_b
+                continue
+            if c % g:
+                h, x, y = ext_gcd(g, c)
+                big_d = gcd(big_d, (c * big_s - g * big_b) // h)
+                big_s = x * big_s + y * big_b
+                g = h
+            else:
+                big_d = gcd(big_d, (c // g) * big_s - big_b)
+            if 0 < big_d <= e:
+                if big_d != e:
+                    raise ConsistencyError(
+                        f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
+                return 1, None
     if big_d == 0:
         if big_s % g:
             raise ConsistencyError(
@@ -176,8 +215,10 @@ def min_delta(atoms: AtomSet) -> int:
 
     0 means Delta(G0) is empty, i.e. the support set is half-factorial.  The
     positions join from last to first, each with the atoms whose lowest
-    support position it is, so the weights not set yet are 0 and B may sum
-    over the whole exponent vector.
+    support position it is, in the sparse form `child_step` reads, so B
+    sums over the positions whose weights are set.  min Delta 1 ends the
+    fold, inside a position or between two: min Delta of a superset divides
+    it.
     """
     k = len(atoms.support)
     e = atoms.support.group.exponent
@@ -187,18 +228,17 @@ def min_delta(atoms: AtomSet) -> int:
         b = 0
         while not exps[b]:
             b += 1
-        joining[b].append(exps)
+        joining[b].append(
+            (exps[b], [(i, exps[i]) for i in range(b + 1, k) if exps[i]]))
     if [] in joining:
         # every g in the support brings the atom g^ord(g) at its position
         raise ContractError(f"no atom has lowest support position {joining.index([])}")
     weights = [0] * k
     d = 0
     for b in range(k - 1, -1, -1):
-        d, weights[b] = child_step(
-            e, d, [exps[b] for exps in joining[b]],
-            [e - sum(map(mul, weights, exps)) for exps in joining[b]])
+        d, weights[b] = child_step(e, d, [joining[b]], weights)
         if d == 1:
-            break  # 1 is final: min Delta of a superset divides it
+            break
     return d
 
 

@@ -11,7 +11,9 @@ cheap:
   (`atoms.ExactSupportAtoms`);
 * each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
   a child that adds one element derives its state from its new atoms, read
-  as they are, in one `kernel.child_step`;
+  as they are, in one `kernel.child_step`, which folds them in one at a
+  time and reads no further atom once the child's min Delta is certain to
+  be 1 (then the child is pruned, and its weight is never read);
 * every superset X of a non-half-factorial subset with min Delta d has
   0 < min Delta(X) | d, so once every divisor of d is among the min Delta
   values recorded, the subtree adds nothing to Delta* and is counted
@@ -26,8 +28,9 @@ Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask M of higher bits gains exactly the atoms whose support is b
 plus a submask of M.  It builds its own entry, for b plus all of M, from
 the state that it carries down the chain (`ExactSupportAtoms.grow`), and
-looks the others up in the index, reading each atom as its exponent at b
-and its exponents above b, in the sparse form that its entry was built with.
+looks the others up in the index.  It hands the entries' sparse lists, each
+atom as its exponent at b and its exponents above b, to the child step
+unread.
 Siblings go in ascending order of b, so the masks are formed in increasing
 integer order, and each subset's record is written once, already sorted.
 So every mask T it looks up was formed, and its entry built, before: were T
@@ -145,8 +148,7 @@ def delta_star(group: FiniteAbelianGroup, *,
             new_mask = mask | bit
             nu, nl = has_nonunit, has_light
             minimal = False
-            cs: list[int] = []
-            bs: list[int] = []
+            entries = []
             # the first probe is the new mask's own entry, built here
             new_state = entry = None
             if state is not None:
@@ -162,14 +164,14 @@ def delta_star(group: FiniteAbelianGroup, *,
                         minimal = sub == mask and not nu
                         nu = True
                     nl = nl or entry.light
-                    for c, pairs in entry.sparse:
-                        cs.append(c)
-                        bs.append(e - sum([weights[i] * v for i, v in pairs]))
+                    entries.append(entry.sparse)
                 if not sub:
                     break
                 sub = (sub - 1) & mask
                 entry = get(bit | sub)
-            child_d, weights[b] = child_step(e, d, cs, bs)
+            # W_b is None when child_d = 1, which always prunes: slot b is
+            # read only in this child's subtree
+            child_d, weights[b] = child_step(e, d, entries, weights)
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")

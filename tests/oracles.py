@@ -10,7 +10,9 @@ set to each subset and builds a `SupportSet` for it.  The echelon-basis
 readouts are what the dual state (d, W) replaced, in the sweep and in
 `min_delta`, so they share no min Delta code with the package: they insert
 augmented atom columns into a pivot-indexed echelon basis and read min Delta
-off its tail generator.  `echelon_min_delta` does so for one atom set;
+off its tail generator.  `batch_child_step` is the dual-state step as it
+was before it folded the atoms in one at a time: it takes every new atom's
+(c, B) at once.  `echelon_min_delta` reads min Delta off one atom set;
 `echelon_delta_star` is the descent in which each node copies its parent's
 basis and inserts the rows of its new atoms, and decides minimality from the
 set of half-factorial masks formed so far.  `seed_is_minimal_non_half_factorial`
@@ -24,7 +26,7 @@ at a time instead of solving it from a table of multiples.
 from __future__ import annotations
 
 import itertools
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          ExtremalSetReport, FiniteAbelianGroup,
@@ -597,6 +599,37 @@ def echelon_min_delta(atoms: AtomSet) -> int:
     for a in atoms.atoms:
         echelon_insert(rows, [*a.exponents, 1])
     return lattice_tail_generator(rows, dim)
+
+
+# -- the dual-state child step as it stood before it folded atom by atom ----------
+
+def batch_child_step(e: int, d: int, cs: list[int], bs: list[int]) -> tuple[int, int]:
+    """`kernel.child_step` before it folded the atoms one at a time, kept
+    verbatim apart from the name and the oracles' own extended gcd: it takes
+    every new atom's c = a_b and B = e - sum W_i a_i, computed beforehand,
+    and reads D = gcd(e*d, every (c/g)*S - B) once g and S are final."""
+    g = big_s = 0
+    for c, big_b in zip(cs, bs):
+        if not g:
+            g, big_s = c, big_b
+        elif c % g:
+            g, x, y = _seed_ext_gcd(g, c)
+            big_s = x * big_s + y * big_b
+    big_d = gcd(e * d, *[(c // g) * big_s - big_b for c, big_b in zip(cs, bs)])
+    if big_d == 0:
+        if big_s % g:
+            raise ConsistencyError(
+                f"half-factorial child: gcd {g} of the new coefficients does "
+                f"not divide {big_s}")
+        return 0, big_s // g
+    if big_d % e:
+        raise ConsistencyError(
+            f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
+    h, x, _ = _seed_ext_gcd(g, big_d)
+    if big_s % h:
+        raise ConsistencyError(
+            f"dual-state step: gcd({g}, {big_d}) does not divide {big_s}")
+    return big_d // e, x * (big_s // h) % big_d
 
 
 # -- the sweep descent as it stood before the dual state (d, W) -------------------

@@ -7,8 +7,8 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          is_half_factorial)
 from blockmonoid import kernel, sweep
 from blockmonoid.atoms import ExactSupportAtoms
-from oracles import (echelon_delta_star, echelon_min_delta, seed_delta_star,
-                     seed_extremal_report)
+from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
+                     seed_delta_star, seed_extremal_report)
 
 
 class TestDeltaStarExamples:
@@ -145,6 +145,53 @@ class TestEchelonOracle:
         assert_matches_full_descent(sweep_cache(group), echelon_delta_star(group))
 
 
+BATCH_STEP_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
+BATCH_STEP_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
+
+
+class TestBatchStepOracle:
+    """Every child step of the sweep, which folds the atoms one at a time
+    and stops at D = e, against the batch step it replaced, fed the (c, B)
+    of all the new atoms: the same d', the same W_b when d' = 0 and mod
+    e*d' when d' > 1; and every child with d' = 1, whose W_b is None, is
+    pruned."""
+
+    @pytest.mark.parametrize("group", BATCH_STEP_GROUPS,
+                             ids=lambda g: g.spec_string())
+    def test_every_child_step(self, monkeypatch, sweep_cache, group):
+        expected = sweep_cache(group)
+        fold = kernel.child_step
+        calls = 0
+
+        def checked(e, d, entries, weights):
+            nonlocal calls
+            calls += 1
+            atoms = [atom for sparse in entries for atom in sparse]
+            cs = [c for c, _ in atoms]
+            bs = [e - sum(weights[i] * v for i, v in pairs) for _, pairs in atoms]
+            child_d, w = fold(e, d, entries, weights)
+            want_d, want_w = batch_child_step(e, d, cs, bs)
+            assert child_d == want_d
+            if child_d == 0:
+                assert w == want_w
+            elif child_d > 1:
+                assert (w - want_w) % (e * child_d) == 0
+            else:
+                assert w is None
+            return child_d, w
+
+        monkeypatch.setattr(sweep, "child_step", checked)
+        report = delta_star(group, sweep_max_group=None)
+        assert report == expected
+        assert calls == report.counters["subsets_computed"]
+        # the records come in preorder, so a computed subset below a record
+        # would be the next record
+        for rec, after in zip(report.records, report.records[1:]):
+            if rec.min_delta == 1:
+                low = rec.mask & -rec.mask
+                assert after.mask & -low != rec.mask
+
+
 class TestMembershipAndBounds:
     @pytest.mark.parametrize("orders", [(5,), (8,), (2, 4), (3, 3), (2, 2, 2)])
     def test_known_memberships(self, sweep_cache, orders):
@@ -279,8 +326,8 @@ class TestHalfFactorialityTrap:
     def test_generator_forced_to_zero(self, monkeypatch):
         child_step = kernel.child_step
 
-        def forced(e, d, cs, bs):
-            return 0, child_step(e, d, cs, bs)[1]
+        def forced(e, d, entries, weights):
+            return 0, child_step(e, d, entries, weights)[1]
 
         monkeypatch.setattr(sweep, "child_step", forced)
         with pytest.raises(ConsistencyError, match="routes disagree"):
@@ -301,21 +348,70 @@ class TestHalfFactorialityTrap:
 
 
 class TestDualStateTraps:
-    """The child step's consistency checks, each fed (c, B) pairs that no
-    set of atoms produces, where an atom a gives c = a_b and
-    B = e - sum W_i a_i."""
+    """The child step's consistency checks, each fed atoms that no set of
+    atoms produces: an atom a comes as (c, pairs), c = a_b and pairs the
+    (i, a_i) above b, and the fold computes B = e - sum W_i a_i from the
+    weights given."""
 
     def test_exponent_divides_d(self):
-        # g = 1 and S = 0, so D = gcd(4, 0, -1) = 1, which 4 does not divide
-        with pytest.raises(ConsistencyError, match="does not divide D = 1"):
-            kernel.child_step(4, 1, [1, 1], [0, 1])
+        # B = 0, then 4 + 2 = 6: g = 1, S = 0 and D = gcd(12, 0 - 6) = 6, which
+        # stays above e = 4, so the fold ends and 4 does not divide D
+        with pytest.raises(ConsistencyError, match="does not divide D = 6"):
+            kernel.child_step(4, 3, [[(1, [(0, 1)])], [(1, [(1, 1)])]], [4, -2])
 
     def test_g_divides_s_when_half_factorial(self):
-        # g = 2, S = 1 and D = gcd(0, 1 - 1) = 0, but 2 does not divide 1
+        # B = 4 - 3 = 1: g = 2, S = 1 and D stays 0, but 2 does not divide 1
         with pytest.raises(ConsistencyError, match="half-factorial child"):
-            kernel.child_step(4, 0, [2], [1])
+            kernel.child_step(4, 0, [[(2, [(0, 1)])]], [3])
 
     def test_weight_congruence_solvable(self):
-        # g = 2, S = 1 and D = gcd(2, 1 - 1) = 2, but gcd(2, 2) does not divide 1
+        # B = 2 - 1 = 1: g = 2, S = 1 and D = 2, but gcd(2, 2) does not divide 1
         with pytest.raises(ConsistencyError, match=r"gcd\(2, 2\) does not divide 1"):
-            kernel.child_step(2, 1, [2], [1])
+            kernel.child_step(2, 1, [[(2, [(0, 1)])]], [1])
+
+    def test_d_below_exponent_partway(self):
+        # B = 0, 2, 1: D = gcd(8, 0 - 2) = 2 at the second atom, which is no
+        # multiple of e = 4; the fold stops there, where it would have read
+        # D = 1 at the end
+        with pytest.raises(ConsistencyError, match="does not divide D = 2$"):
+            kernel.child_step(4, 2, [[(1, [(0, 1)]), (1, [(1, 1)])], [(1, [(2, 1)])]],
+                              [4, 2, 3])
+
+
+class TestEarlyExit:
+    """D = e ends the fold with (1, None) at the atom that brings it there."""
+
+    def test_at_the_last_atom(self):
+        # B = 0, then 4 - 0 = 4: D = gcd(8, 0 - 4) = 4 = e
+        assert kernel.child_step(4, 2, [[(1, [(0, 1)]), (1, [(1, 1)])]], [4, 0]) == \
+            (1, None)
+
+    def test_later_atoms_unread(self):
+        # the third atom's weight is None, which it would fail to read
+        assert kernel.child_step(4, 2, [[(1, [(0, 1)]), (1, [(1, 1)])],
+                                        [(1, [(2, 1)])]], [4, 0, None]) == (1, None)
+
+    def test_min_delta_stops_inside_a_position(self, monkeypatch):
+        # on the whole of C3^2 the first position brings 4 atoms, and D = e
+        # at the second of them
+        fold = kernel.child_step
+        steps = []
+
+        def counted(e, d, entries, weights):
+            read = 0
+
+            def walk(sparse):
+                nonlocal read
+                for atom in sparse:
+                    read += 1
+                    yield atom
+
+            out = fold(e, d, [walk(sparse) for sparse in entries], weights)
+            steps.append((out[0], read, sum(map(len, entries))))
+            return out
+
+        monkeypatch.setattr(kernel, "child_step", counted)
+        group = FiniteAbelianGroup((3, 3))
+        atoms = enumerate_atoms(SupportSet(group, group.nonzero_elements))
+        assert kernel.min_delta(atoms) == 1
+        assert steps[-1] == (1, 2, 4)
