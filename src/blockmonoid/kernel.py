@@ -1,4 +1,5 @@
-"""Exact computation of min Delta(G0), and the integer kernel of the atom matrix.
+"""Exact computation of min Delta(G0), its witness, and the integer kernel of
+the atom matrix.
 
 Any integer vector z with M z = 0 splits as z = z+ - z-, giving two
 factorizations of the same zero-sum sequence, so {1^T z : M z = 0} is exactly
@@ -25,7 +26,14 @@ and it stays 0 or a positive multiple of e, so once it reaches e the new d
 is 1, the child is pruned whatever its weight, and the step stops reading
 atoms.
 
-`integer_kernel`, behind `min_delta_witness`, eliminates on the matrix part
+`min_delta_witness` checks min Delta by a route that shares no code with
+the step: one elimination of the augmented columns into a (k+1)-slot
+echelon basis, k the support size, whose slot k row (0, t) gives the tail
+generator |t| of the columns inserted so far.  Until |t| reaches min Delta
+each column also carries a unit tail e_j, so that row is (0, t, z) with
+M z = 0 and 1^T z = t; the first z with |t| = min Delta is the witness, and
+the rest of the columns go in without tails.  After the last column |t|
+must equal min Delta.  `integer_kernel` eliminates on the matrix part
 alone: the augmented columns that reduce to a vanishing matrix part carry a
 kernel basis, left in whatever form the elimination gave it.
 """
@@ -270,33 +278,51 @@ class MinDeltaWitness:
 
 
 def min_delta_witness(atoms: AtomSet) -> MinDeltaWitness | None:
-    """One kernel vector z with |1^T z| = min Delta, or None when half-factorial.
+    """One kernel vector z with 1^T z = min Delta, or None when half-factorial.
 
     z+ and z- are two factorizations of the same zero-sum sequence whose
-    lengths differ by exactly the gcd.
+    lengths differ by exactly min Delta.  The augmented columns (a_j, 1) go
+    into a (k+1)-slot echelon basis in atom order; while min Delta is not
+    yet reached, column j carries the unit tail e_j.  Every row is then
+    sum z_j (a_j, 1, e_j) for some z, so the row in slot k, (0, t, z) with
+    t its pivot, has M z = 0 and 1^T z = t, and |t| generates the tail
+    group of the columns so far, a subgroup of min Delta * Z.  The first
+    row there with |t| = min Delta gives z (negated when t < 0); the rows
+    are then cut to their first k + 1 entries and the remaining columns
+    inserted without tails.  A half-factorial support carries no tails.
+    The final |t| generates {1^T z : M z = 0} and must equal the
+    dual-state min Delta, and z is checked against the atoms directly.
     """
-    basis = integer_kernel(atoms.exponent_matrix)
     target = min_delta(atoms)
-    if gcd(*map(sum, basis)) != target:
+    k = len(atoms.support)
+    vectors = [a.exponents for a in atoms.atoms]
+    n = len(vectors)
+    basis: list = [None] * (k + 1)
+    z = None
+    j = 0
+    if target:
+        while j < n:
+            aug = [0] * (k + 1 + n)
+            aug[:k] = vectors[j]
+            aug[k] = aug[k + 1 + j] = 1
+            echelon_insert(basis, aug)
+            j += 1
+            row = basis[k]
+            if row is not None and abs(row[k]) == target:
+                z = row[k + 1:] if row[k] > 0 else [-c for c in row[k + 1:]]
+                break
+        basis = [None if r is None else r[:k + 1] for r in basis]
+    for exps in vectors[j:]:
+        echelon_insert(basis, [*exps, 1])
+    if lattice_tail_generator(basis, k + 1) != target:
         raise ConsistencyError("kernel-basis gcd disagrees with dual-state min Delta")
-    if target == 0:
+    if not target:
         return None
-    # accumulate basis vectors with extended-gcd coefficients until 1^T z = gcd
-    z = [0] * len(atoms)
-    acc = 0
-    for b in basis:
-        acc, x, y = ext_gcd(acc, sum(b))
-        z = [x * zi + y * bi for zi, bi in zip(z, b)]
-        if abs(acc) == target:
-            break
-    if abs(acc) != target:
-        raise ConsistencyError("failed to realize the gcd from the kernel basis")
-    if acc < 0:
-        z = [-zi for zi in z]
+    used = [(c, exps) for c, exps in zip(z, vectors) if c]
+    if sum(z) != target or any(sum(c * exps[i] for c, exps in used)
+                               for i in range(k)):
+        raise ConsistencyError(f"witness {z} fails M z = 0 or 1^T z = {target}")
+    plus = tuple(sum(c * exps[i] for c, exps in used if c > 0) for i in range(k))
     plus_len = sum(c for c in z if c > 0)
-    minus_len = -sum(c for c in z if c < 0)
-    seq = SequenceVec.empty(atoms.support)
-    for c, a in zip(z, atoms.atoms):
-        if c > 0:
-            seq = seq * (a ** c)
-    return MinDeltaWitness(tuple(z), seq, (minus_len, plus_len))
+    return MinDeltaWitness(tuple(z), SequenceVec._unchecked(atoms.support, plus),
+                           (plus_len - target, plus_len))

@@ -130,7 +130,9 @@ def delta_star(group: FiniteAbelianGroup, *,
     get = index.get
 
     records: list[SubsetRecord] = []
-    pruned = 0
+    # subsets in pruned subtrees: pruned[0] under a node with min Delta 1,
+    # pruned[1] under one with a larger min Delta
+    pruned = [0, 0]
     # the min Delta values recorded so far, and those of them whose every
     # divisor is recorded too
     seen: set[int] = set()
@@ -142,7 +144,6 @@ def delta_star(group: FiniteAbelianGroup, *,
 
     def descend(mask: int, top_bit: int, d: int, has_nonunit: bool,
                 has_light: bool, state):
-        nonlocal pruned
         for b in range(top_bit + 1):
             bit = 1 << b
             new_mask = mask | bit
@@ -184,17 +185,17 @@ def delta_star(group: FiniteAbelianGroup, *,
             if child_d in closed:
                 # every superset X has 0 < min Delta(X) | child_d, a value
                 # already recorded; count the subtree and skip it
-                pruned += bit - 1
+                pruned[child_d > 1] += bit - 1
             else:
                 descend(new_mask, b - 1, child_d, nu, nl, new_state)
 
     descend(0, k - 1, 0, False, False, exact.EMPTY_STATE)
 
     total = (1 << k) - 1
-    if len(records) + pruned != total:
+    if len(records) + sum(pruned) != total:
         raise ConsistencyError(
-            f"sweep accounting is off: {len(records)} visited + {pruned} pruned "
-            f"!= {total}")
+            f"sweep accounting is off: {len(records)} visited + {sum(pruned)} "
+            f"pruned != {total}")
 
     # min Delta is 0 exactly on the half-factorial subsets
     dstar = sorted({rec.min_delta for rec in records} - {0})
@@ -215,7 +216,9 @@ def delta_star(group: FiniteAbelianGroup, *,
         counters={
             "subsets_total": total,
             "subsets_computed": len(records),
-            "subsets_pruned": pruned,
+            "subsets_pruned": sum(pruned),
+            "subsets_pruned_min_delta_1": pruned[0],
+            "subsets_pruned_min_delta_above_1": pruned[1],
         },
         records=tuple(records),
     )

@@ -18,8 +18,10 @@ basis and inserts the rows of its new atoms, and decides minimality from the
 set of half-factorial masks formed so far.  `seed_is_minimal_non_half_factorial`
 decides it by one rescan of the `Fraction` cross numbers per support position.
 `hnf_integer_kernel` is the integer kernel that also put the kernel basis in
-Hermite form, and `walk_distances_oracle` the observed-distances walk over
-every position, with `naive_length_set` for the packed length search.
+Hermite form, `kernel_basis_witness` the min Delta witness that built a
+whole kernel basis and combined its vectors, and `walk_distances_oracle`
+the observed-distances walk over every position, with `naive_length_set`
+for the packed length search.
 `walk_search` is the atom DFS that walked the last support position one copy
 at a time instead of solving it from a table of multiples.
 """
@@ -31,10 +33,11 @@ from math import gcd, lcm, prod
 from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          ExtremalSetReport, FiniteAbelianGroup,
                          SequenceVec, SupportSet,
-                         TransferReduction, enumerate_atoms,
-                         is_minimal_non_half_factorial)
+                         TransferReduction, enumerate_atoms, integer_kernel,
+                         is_minimal_non_half_factorial, min_delta)
 from blockmonoid.classify import ReductionStep
-from blockmonoid.kernel import echelon_insert, lattice_tail_generator
+from blockmonoid.kernel import (MinDeltaWitness, echelon_insert,
+                                lattice_tail_generator)
 from blockmonoid.sweep import SubsetRecord, _extremal_report
 
 
@@ -840,6 +843,41 @@ def hnf_integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
             if sum(matrix[i][j] * z[j] for j in range(n_cols)) != 0:
                 raise ConsistencyError(f"kernel vector {z} fails M z = 0")
     return tuple(basis)
+
+
+# -- the min Delta witness as it stood before the (k+1)-slot elimination ------------
+
+def kernel_basis_witness(atoms: AtomSet) -> MinDeltaWitness | None:
+    """`kernel.min_delta_witness` before it eliminated into k + 1 slots, kept
+    verbatim apart from the name and the oracles' own extended gcd: it
+    builds a whole kernel basis with `integer_kernel`, checks the gcd of its
+    length differences against `min_delta`, and accumulates basis vectors
+    with extended-gcd coefficients until 1^T z reaches it."""
+    basis = integer_kernel(atoms.exponent_matrix)
+    target = min_delta(atoms)
+    if gcd(*map(sum, basis)) != target:
+        raise ConsistencyError("kernel-basis gcd disagrees with dual-state min Delta")
+    if target == 0:
+        return None
+    # accumulate basis vectors with extended-gcd coefficients until 1^T z = gcd
+    z = [0] * len(atoms)
+    acc = 0
+    for b in basis:
+        acc, x, y = _seed_ext_gcd(acc, sum(b))
+        z = [x * zi + y * bi for zi, bi in zip(z, b)]
+        if abs(acc) == target:
+            break
+    if abs(acc) != target:
+        raise ConsistencyError("failed to realize the gcd from the kernel basis")
+    if acc < 0:
+        z = [-zi for zi in z]
+    plus_len = sum(c for c in z if c > 0)
+    minus_len = -sum(c for c in z if c < 0)
+    seq = SequenceVec.empty(atoms.support)
+    for c, a in zip(z, atoms.atoms):
+        if c > 0:
+            seq = seq * (a ** c)
+    return MinDeltaWitness(tuple(z), seq, (minus_len, plus_len))
 
 
 def walk_distances_oracle(atoms: AtomSet, max_len: int) -> tuple[int, ...]:

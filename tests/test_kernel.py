@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import gcd
 
@@ -12,8 +13,8 @@ from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          min_delta_witness)
 from blockmonoid.kernel import echelon_insert, lattice_tail_generator
 from oracles import (echelon_min_delta, hnf_integer_kernel,
-                     kernel_basis_contains, seed_echelon_insert,
-                     seed_lattice_tail_generator)
+                     kernel_basis_contains, kernel_basis_witness,
+                     seed_echelon_insert, seed_lattice_tail_generator)
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
 
@@ -185,6 +186,117 @@ class TestKernelAgainstHermiteForm:
         witness = min_delta_witness(atoms)
         assert witness.lengths == (2, 3)
         assert witness.vector[:4] == (0, -1, 3, -1)
+
+
+def assert_witness_matches_kernel_basis(atoms):
+    """min_delta_witness against the kernel-basis witness it replaced: the
+    same min Delta, M z = 0 with 1^T z = min Delta, one sequence for both
+    halves, and lengths that differ by min Delta."""
+    witness = min_delta_witness(atoms)
+    oracle = kernel_basis_witness(atoms)
+    d = min_delta(atoms)
+    assert (witness is None) == (oracle is None) == (d == 0)
+    if witness is None:
+        return
+    assert oracle.lengths[1] - oracle.lengths[0] == d
+    z = witness.vector
+    assert len(z) == len(atoms)
+    for row in atoms.exponent_matrix:
+        assert sum(r * c for r, c in zip(row, z)) == 0
+    assert sum(z) == d
+    halves = []
+    for sign in (1, -1):
+        seq = SequenceVec.empty(atoms.support)
+        for c, a in zip(z, atoms.atoms):
+            if sign * c > 0:
+                seq = seq * (a ** (sign * c))
+        halves.append(seq)
+    assert halves[0] == halves[1] == witness.sequence
+    assert witness.sequence.is_zero_sum()
+    minus_len, plus_len = witness.lengths
+    assert plus_len == sum(c for c in z if c > 0)
+    assert minus_len == -sum(c for c in z if c < 0)
+    assert plus_len - minus_len == d
+
+
+class TestWitnessAgainstKernelBasis:
+    """The (k+1)-slot elimination that stops carrying unit tails once the
+    tail generator reaches min Delta, against the witness combined from a
+    whole kernel basis."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_support(max_size=5))
+    def test_small_supports(self, support):
+        assert_witness_matches_kernel_basis(enumerate_atoms(support))
+
+    @pytest.mark.parametrize("orders", [(7, 7), (6, 6), (2, 2, 2, 2, 2)],
+                             ids=lambda o: FiniteAbelianGroup(o).spec_string())
+    def test_five_element_subsets(self, orders):
+        for support in sample_supports(orders, 5, 3, seed=17):
+            assert_witness_matches_kernel_basis(enumerate_atoms(support))
+
+    def test_tail_passes_a_multiple(self):
+        # the tail generator reads 2 and then 1 here: the witness stops at
+        # the first |t| = min Delta, not at the first |t| it sees
+        support = SupportSet(FiniteAbelianGroup((8,)), ((4,), (5,), (6,)))
+        assert_witness_matches_kernel_basis(enumerate_atoms(support))
+
+
+class TestWitnessTraps:
+    """A min Delta the elimination cannot confirm raises, wherever the
+    elimination stops carrying tails."""
+
+    @staticmethod
+    def patched(monkeypatch, value):
+        kernel = importlib.import_module("blockmonoid.kernel")
+        monkeypatch.setattr(kernel, "min_delta", lambda atoms: value)
+
+    @pytest.mark.parametrize("value", [1, 6, 0])
+    def test_pm_pair(self, monkeypatch, value):
+        # min Delta 3: 1 and 6 are never reached, and 0 carries no tails
+        atoms = enumerate_atoms(PM5)
+        self.patched(monkeypatch, value)
+        with pytest.raises(ConsistencyError, match="kernel-basis gcd disagrees"):
+            min_delta_witness(atoms)
+
+    def test_independent_set(self, monkeypatch):
+        group = FiniteAbelianGroup((3, 3))
+        atoms = enumerate_atoms(SupportSet(group, ((1, 0), (0, 1))))
+        self.patched(monkeypatch, 1)
+        with pytest.raises(ConsistencyError, match="kernel-basis gcd disagrees"):
+            min_delta_witness(atoms)
+
+    @pytest.mark.parametrize("orders, elements, value", [
+        ((8,), ((4,), (5,), (6,)), 2),
+        ((2, 6), ((1, 0), (1, 2), (1, 4)), 4),
+    ])
+    def test_stop_at_a_multiple(self, monkeypatch, orders, elements, value):
+        # the tail generator passes `value`, twice min Delta, before it ends
+        # at min Delta: the elimination stops there with a z that passes
+        # M z = 0 and 1^T z = value, and only the final check catches it
+        atoms = enumerate_atoms(SupportSet(FiniteAbelianGroup(orders), elements))
+        self.patched(monkeypatch, value)
+        with pytest.raises(ConsistencyError, match="kernel-basis gcd disagrees"):
+            min_delta_witness(atoms)
+
+    def test_corrupt_coefficients(self, monkeypatch):
+        # a slot-k row whose coefficient tail is off by one: the tail
+        # generator still ends at min Delta, so only the direct check on z
+        # sees it
+        kernel = importlib.import_module("blockmonoid.kernel")
+        insert = kernel.echelon_insert
+
+        def corrupting(basis, vec):
+            left = insert(basis, vec)
+            row = basis[-1]
+            if row is not None and len(row) > len(basis):
+                basis[-1] = [*row[:-1], row[-1] + 1]
+            return left
+
+        atoms = enumerate_atoms(PM5)
+        monkeypatch.setattr(kernel, "echelon_insert", corrupting)
+        with pytest.raises(ConsistencyError, match=r"fails M z = 0 or 1\^T z = 3"):
+            min_delta_witness(atoms)
 
 
 class TestKernelRank:

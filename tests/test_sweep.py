@@ -43,7 +43,9 @@ class TestDeltaStarExamples:
         group = FiniteAbelianGroup(())
         assert delta_star(group) == SweepReport(
             group, (), (), 0, 0, (), {
-                "subsets_total": 0, "subsets_computed": 0, "subsets_pruned": 0},
+                "subsets_total": 0, "subsets_computed": 0, "subsets_pruned": 0,
+                "subsets_pruned_min_delta_1": 0,
+                "subsets_pruned_min_delta_above_1": 0},
             ())
 
     def test_budget_refusal(self):
@@ -99,7 +101,8 @@ def assert_matches_full_descent(report: SweepReport, full: dict) -> None:
     the same Delta*, maximum, m(G) and extremal reports; every computed
     record equal to the full descent's record at its mask, and every record
     it has beyond them of a min Delta already in Delta*; the counters add
-    up to every subset."""
+    up to every subset, the pruned ones split by the pruning node's min
+    Delta as its records show."""
     assert report.delta_star == full["delta_star"]
     assert report.max_delta_star == max(full["delta_star"], default=0)
     assert report.m_of_g == full["m_of_g"]
@@ -113,6 +116,16 @@ def assert_matches_full_descent(report: SweepReport, full: dict) -> None:
     assert counters["subsets_computed"] == len(report.records)
     assert counters["subsets_computed"] + counters["subsets_pruned"] == \
         counters["subsets_total"] == (1 << len(report.elements)) - 1
+    # a computed mask's subtree, the masks adding bits below its lowest,
+    # was pruned when no child of it was computed
+    split = {False: 0, True: 0}
+    for rec in report.records:
+        low = (rec.mask & -rec.mask).bit_length() - 1
+        if not any(rec.mask | 1 << b in computed for b in range(low)):
+            split[rec.min_delta > 1] += (1 << low) - 1
+    assert counters["subsets_pruned_min_delta_1"] == split[False]
+    assert counters["subsets_pruned_min_delta_above_1"] == split[True]
+    assert split[False] + split[True] == counters["subsets_pruned"]
 
 
 SEED_ORACLE_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
