@@ -62,8 +62,9 @@ The search starts from one of two states.  `enumerate_atoms` starts it from
 the empty vector on every support position, so exponents run from 0, and
 files the atoms in an `AtomSet`.  An `AtomSet` files its atoms by support
 mask (`mask_index`), with cross numbers scaled to integers by the common
-multiple of the support's orders.  The half-factorial, LCN and minimality
-flags and the largest cross number are read off it.
+multiple of the support's orders, and each atom in the one sparse form
+of `MaskAtoms`, never as a k-tuple.  The half-factorial, LCN and minimality
+flags, min Delta and the largest cross number are read off the index.
 
 `ExactSupportAtoms` builds one entry of that index on its own: the atoms
 whose support is exactly a given mask.  Such an atom contains each element
@@ -81,26 +82,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from operator import mul
 
 from .errors import BudgetError, ContractError
 from .sequences import SequenceVec, SupportSet, join_cyclic
 
 
+def mask_positions(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class MaskAtoms:
-    """The atoms with one support mask: their exponent tuples (`atoms`),
-    cross numbers scaled to integers (`scaled`, in the same order), whether
-    some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`), and the sparse form
-    the sweep reads (`sparse`): each atom A as (A_b, the pairs (i, A_i) for
-    the mask's positions i above its lowest one, b), which
-    `ExactSupportAtoms.entry` fills in; None in `AtomSet.mask_index`."""
+    """The atoms with one support mask, in the sparse form the min Delta
+    steps read (`sparse`): each atom A as (A_b, the pairs (i, A_i) for the
+    mask's positions i above its lowest one, b); their cross numbers scaled
+    to integers (`scaled`, in the same order); and whether some has
+    k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
 
-    __slots__ = ("atoms", "scaled", "sparse", "nonunit", "light")
+    __slots__ = ("sparse", "scaled", "nonunit", "light")
 
-    def __init__(self, atoms: list[tuple[int, ...]], scaled: list[int], n: int):
-        """Files nonempty `atoms`, with n k(A) for each atom A in `scaled`."""
-        self.atoms = atoms
+    def __init__(self, positions: list[int], vectors: list, scaled: list[int],
+                 n: int):
+        """Files nonempty `vectors`, each an atom's exponents at the mask's
+        `positions`, ascending, with n k(A) for each atom A in `scaled`."""
+        above = positions[1:]
+        self.sparse = [(vec[0], list(zip(above, vec[1:]))) for vec in vectors]
         self.scaled = scaled
-        self.sparse: list | None = None
         self.light = min(scaled) < n
         self.nonunit = self.light or max(scaled) > n
 
@@ -119,13 +127,6 @@ class AtomSet:
         return iter(self.atoms)
 
     @cached_property
-    def exponent_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """|G0| x |atoms| matrix; column j is the exponent vector of atom j."""
-        return tuple(
-            tuple(a.exponents[i] for a in self.atoms)
-            for i in range(len(self.support)))
-
-    @cached_property
     def cross_numbers(self) -> tuple[Fraction, ...]:
         return tuple(a.cross_number() for a in self.atoms)
 
@@ -138,19 +139,20 @@ class AtomSet:
         weights = [n // o for o in orders]
         filed: dict[int, tuple[list, list]] = {}
         for a in self.atoms:
-            exps = a.exponents
             mask = scaled = 0
-            for i, c in enumerate(exps):
+            vec = []
+            for i, c in enumerate(a.exponents):
                 if c:
                     mask |= 1 << i
                     scaled += c * weights[i]
+                    vec.append(c)
             lists = filed.get(mask)
             if lists is None:
                 lists = filed[mask] = ([], [])
-            lists[0].append(exps)
+            lists[0].append(vec)
             lists[1].append(scaled)
-        return {mask: MaskAtoms(atoms, scaled, n)
-                for mask, (atoms, scaled) in filed.items()}
+        return {mask: MaskAtoms(mask_positions(mask), vectors, scaled, n)
+                for mask, (vectors, scaled) in filed.items()}
 
     def davenport_constant(self) -> int:
         """Maximal atom length."""
@@ -300,12 +302,7 @@ class ExactSupportAtoms:
 
     def entry(self, mask: int, state: tuple) -> MaskAtoms | None:
         """The atoms with support exactly `mask`, given its state."""
-        positions = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            positions.append(low.bit_length() - 1)
-            rest ^= low
+        positions = mask_positions(mask)
         sig, ps, q, spans = state
         found = _search([self.steps[p] for p in positions],
                         [self.gbits[p] for p in positions], spans,
@@ -314,16 +311,5 @@ class ExactSupportAtoms:
         if not found:
             return None
         weights = [self.weights[p] for p in positions]
-        atoms, scaled = [], []
-        full = [0] * len(self.weights)
-        for vec in found:
-            total = 0
-            for p, c, w in zip(positions, vec, weights):
-                full[p] = c
-                total += c * w
-            atoms.append(tuple(full))
-            scaled.append(total)
-        entry = MaskAtoms(atoms, scaled, self.n)
-        above = positions[1:]
-        entry.sparse = [(vec[0], list(zip(above, vec[1:]))) for vec in found]
-        return entry
+        scaled = [sum(map(mul, vec, weights)) for vec in found]
+        return MaskAtoms(positions, found, scaled, self.n)

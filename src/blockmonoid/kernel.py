@@ -24,7 +24,8 @@ only when it reaches it: with g' = gcd(g, c) = x*g + y*c, the pair sets D
 to gcd(D, (c*S - g*B)/g') and (g, S) to (g', x*S + y*B).  D only shrinks,
 and it stays 0 or a positive multiple of e, so once it reaches e the new d
 is 1, the child is pruned whatever its weight, and the step stops reading
-atoms.
+atoms.  It reads them in the sparse form of the support-mask index entries
+(`atoms.MaskAtoms`), which `min_delta` and the sweep both hand it.
 
 `min_delta_witness` checks min Delta by a route that shares no code with
 the step: one elimination of the augmented columns into a (k+1)-slot
@@ -222,29 +223,24 @@ def min_delta(atoms: AtomSet) -> int:
     """min Delta(G0) as the positive generator of the length-difference group.
 
     0 means Delta(G0) is empty, i.e. the support set is half-factorial.  The
-    positions join from last to first, each with the atoms whose lowest
-    support position it is, in the sparse form `child_step` reads, so B
-    sums over the positions whose weights are set.  min Delta 1 ends the
-    fold, inside a position or between two: min Delta of a superset divides
-    it.
+    positions join from last to first, each with the sparse lists of the
+    index entries (`AtomSet.mask_index`) whose lowest support position it
+    is, so B sums over the positions whose weights are set.  min Delta 1
+    ends the fold, inside a position or between two: min Delta of a
+    superset divides it.
     """
     k = len(atoms.support)
     e = atoms.support.group.exponent
     joining = [[] for _ in range(k)]
-    for atom in atoms.atoms:
-        exps = atom.exponents
-        b = 0
-        while not exps[b]:
-            b += 1
-        joining[b].append(
-            (exps[b], [(i, exps[i]) for i in range(b + 1, k) if exps[i]]))
+    for mask, entry in atoms.mask_index.items():
+        joining[(mask & -mask).bit_length() - 1].append(entry.sparse)
     if [] in joining:
         # every g in the support brings the atom g^ord(g) at its position
         raise ContractError(f"no atom has lowest support position {joining.index([])}")
     weights = [0] * k
     d = 0
     for b in range(k - 1, -1, -1):
-        d, weights[b] = child_step(e, d, [joining[b]], weights)
+        d, weights[b] = child_step(e, d, joining[b], weights)
         if d == 1:
             break
     return d

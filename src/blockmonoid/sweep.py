@@ -47,14 +47,14 @@ mask is minimal iff its own entry, its first probe, has one and neither the
 parent nor its other new entries do.
 
 The extremal reports read the whole-group support's span table, on position
-masks, and the index entries of an LCN set's submasks, with the cross
+masks, and the sparse index entries of an LCN set's submasks, with the cross
 numbers, scaled by exp(G) to integers, that the index keeps beside them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atoms import ExactSupportAtoms, MaskAtoms
+from .atoms import ExactSupportAtoms, MaskAtoms, mask_positions
 from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
@@ -232,7 +232,7 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
     n = group.exponent
     r = group.rank
     mask = rec.mask
-    positions = [i for i in range(len(support)) if mask >> i & 1]
+    positions = mask_positions(mask)
     subset_elems = tuple(support.elements[i] for i in positions)
 
     pm_pair = (len(positions) == 2
@@ -258,12 +258,13 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
         while sub:
             entry = index.get(sub)
             if entry is not None:
-                for exps, scaled in zip(entry.atoms, entry.scaled):
+                low = (sub & -sub).bit_length() - 1
+                for atom, scaled in zip(entry.sparse, entry.scaled):
                     if scaled == n:
                         unit_bound = unit_bound and 2 * sub.bit_count() <= n
                     elif scaled > n and heavy_bound:
                         heavy_bound = scaled < r * n and _complement_is_atom(
-                            support.orders, positions, index, exps)
+                            support.orders, positions, index, low, atom)
             sub = (sub - 1) & mask
 
     return ExtremalSetReport(
@@ -279,14 +280,18 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
     )
 
 
-def _complement_is_atom(orders, positions, index, exps) -> bool:
+def _complement_is_atom(orders, positions, index, low, atom) -> bool:
     """Whether the complement of an atom within the subset at `positions`,
-    ord(g) - v_g at each of them, is itself an atom."""
-    complement = list(exps)
+    ord(g) - v_g at each of them, is itself an atom; the atom in its sparse
+    form about `low`, the complement in that form about its own lowest
+    position, below `low` when the atom misses a lower position."""
+    exps = dict([(low, atom[0]), *atom[1]])
+    complement = []
     cmask = 0
     for i in positions:
-        complement[i] = orders[i] - exps[i]
-        if complement[i]:
+        v = orders[i] - exps.get(i, 0)
+        if v:
             cmask |= 1 << i
+            complement.append((i, v))
     entry = index.get(cmask)
-    return entry is not None and tuple(complement) in entry.atoms
+    return entry is not None and (complement[0][1], complement[1:]) in entry.sparse

@@ -24,6 +24,9 @@ the observed-distances walk over every position, with `naive_length_set`
 for the packed length search.
 `walk_search` is the atom DFS that walked the last support position one copy
 at a time instead of solving it from a table of multiples.
+`exponent_matrix` and `entry_vectors` lay atoms out as full exponent
+vectors, which the package no longer stores: the atom matrix, and the
+atoms of one support-mask index entry, read off its sparse form.
 """
 from __future__ import annotations
 
@@ -39,6 +42,27 @@ from blockmonoid.classify import ReductionStep
 from blockmonoid.kernel import (MinDeltaWitness, echelon_insert,
                                 lattice_tail_generator)
 from blockmonoid.sweep import SubsetRecord, _extremal_report
+
+
+def exponent_matrix(atoms: AtomSet) -> tuple[tuple[int, ...], ...]:
+    """|G0| x |atoms| matrix; column j is the exponent vector of atom j."""
+    return tuple(tuple(a.exponents[i] for a in atoms.atoms)
+                 for i in range(len(atoms.support)))
+
+
+def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
+    """The atoms of the index entry of `mask` as exponent tuples of length
+    k, read off its sparse form (A_b, [(i, A_i) for i above b])."""
+    low = (mask & -mask).bit_length() - 1
+    out = []
+    for c, pairs in entry.sparse:
+        assert sum(1 << i for i, _ in pairs) | 1 << low == mask
+        vec = [0] * k
+        vec[low] = c
+        for i, v in pairs:
+            vec[i] = v
+        out.append(tuple(vec))
+    return out
 
 
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
@@ -658,7 +682,7 @@ def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
         rows = reduced.get(smask)
         if rows is None:
             basis: list = [None] * dim
-            for exps in entry.atoms:
+            for exps in entry_vectors(smask, entry, k):
                 echelon_insert(basis, [*exps, 1])
             rows = reduced[smask] = [row for row in basis if row is not None]
         return rows
@@ -853,7 +877,7 @@ def kernel_basis_witness(atoms: AtomSet) -> MinDeltaWitness | None:
     builds a whole kernel basis with `integer_kernel`, checks the gcd of its
     length differences against `min_delta`, and accumulates basis vectors
     with extended-gcd coefficients until 1^T z reaches it."""
-    basis = integer_kernel(atoms.exponent_matrix)
+    basis = integer_kernel(exponent_matrix(atoms))
     target = min_delta(atoms)
     if gcd(*map(sum, basis)) != target:
         raise ConsistencyError("kernel-basis gcd disagrees with dual-state min Delta")

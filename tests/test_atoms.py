@@ -12,8 +12,8 @@ from blockmonoid import (AtomSet, BudgetError, ContractError,
                          enumerate_atoms, enumeration_bound)
 from blockmonoid.atoms import ExactSupportAtoms
 from blockmonoid.sequences import _Span
-from oracles import (encode_set, grid_atoms, seed_enumerate_atoms,
-                     walk_enumerate_atoms, walk_search)
+from oracles import (encode_set, entry_vectors, grid_atoms,
+                     seed_enumerate_atoms, walk_enumerate_atoms, walk_search)
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -159,7 +159,7 @@ class TestRestrict:
     the sub-family's own coordinates, against a direct enumeration."""
 
     @staticmethod
-    def indexed(index, positions) -> list[tuple[int, ...]]:
+    def indexed(index, positions, k) -> list[tuple[int, ...]]:
         mask = sum(1 << i for i in positions)
         out = []
         sub = mask
@@ -167,7 +167,7 @@ class TestRestrict:
             entry = index.get(sub)
             if entry is not None:
                 out.extend(tuple(exps[i] for i in positions)
-                           for exps in entry.atoms)
+                           for exps in entry_vectors(sub, entry, k))
             sub = (sub - 1) & mask
         return sorted(out)
 
@@ -175,7 +175,7 @@ class TestRestrict:
         atoms = enumerate_atoms(FAMILY)
         index = atoms.mask_index
         sub = SupportSet(C244, ((0, 1, 0), (0, 0, 1), (1, 0, 1)))
-        assert self.indexed(index, [1, 2, 3]) == \
+        assert self.indexed(index, [1, 2, 3], len(FAMILY)) == \
             [a.exponents for a in enumerate_atoms(sub)]
 
     @pytest.mark.parametrize("orders", [(2, 2, 2), (3, 3), (2, 4)])
@@ -184,21 +184,21 @@ class TestRestrict:
         full = SupportSet(group, group.nonzero_elements)
         atoms = enumerate_atoms(full)
         index = atoms.mask_index
-        # the index keeps the exponent tuples the enumeration built
-        built = {id(a.exponents) for a in atoms}
-        assert sum(len(entry.atoms) for entry in index.values()) == len(atoms)
-        assert all(id(exps) in built
-                   for entry in index.values() for exps in entry.atoms)
+        k = len(full)
+        # every atom once, in the sparse form of its support mask's entry
+        assert sorted(exps for mask, entry in index.items()
+                      for exps in entry_vectors(mask, entry, k)) == \
+            [a.exponents for a in atoms]
         # beside each atom, its cross number scaled by exp(G)
         cross = dict(zip((a.exponents for a in atoms), atoms.cross_numbers))
-        for entry in index.values():
+        for mask, entry in index.items():
             assert entry.scaled == [group.exponent * cross[exps]
-                                    for exps in entry.atoms]
+                                    for exps in entry_vectors(mask, entry, k)]
         for mask in range(1, 1 << len(full)):
             positions = [i for i in range(len(full)) if mask >> i & 1]
             sub = SupportSet(group, tuple(full.elements[i] for i in positions))
             direct = enumerate_atoms(sub)
-            assert self.indexed(index, positions) == \
+            assert self.indexed(index, positions, k) == \
                 [a.exponents for a in direct]
             # the flags of the atoms whose support is exactly the mask
             exact = [kv for a, kv in zip(direct, direct.cross_numbers)
@@ -271,7 +271,7 @@ class TestSeedOracle:
 def entry_fields(entry):
     if entry is None:
         return None
-    return entry.atoms, entry.scaled, entry.nonunit, entry.light
+    return entry.sparse, entry.scaled, entry.nonunit, entry.light
 
 
 ON_DEMAND_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
@@ -334,7 +334,7 @@ class TestOnDemandIndex:
         exact, index = whole_group((2, 2))
         full = exact.grow(exact.grow(exact.grow(exact.EMPTY_STATE, 2), 1), 0)
         assert full is not None and full[0] == 1
-        assert exact.entry(0b111, full).atoms == [(1, 1, 1)]
+        assert exact.entry(0b111, full).sparse == [(1, [(1, 1), (2, 1)])]
         assert exact.grow(full, 0) is None
         assert ones_state(exact, 0b101) is not None
         assert exact_entry(exact, 0b101) is None
@@ -423,20 +423,13 @@ def query_support(draw):
 
 def walk_entry(exact, support, mask, state):
     """The atoms with support exactly `mask` by the walking search, from the
-    state of the mask's 0/1 vector, as full exponent tuples and in the
-    sparse form the sweep reads."""
+    state of the mask's 0/1 vector, in the sparse form of an index entry."""
     positions = [i for i in range(len(support)) if mask >> i & 1]
     sig, ps, q, spans = state
     found = walk_search([support.steps[p] for p in positions],
                         [exact.gbits[p] for p in positions], spans,
                         (1,) * len(positions), sig, ps, q)
-    atoms = []
-    for vec in found:
-        full = [0] * len(support)
-        for p, c in zip(positions, vec):
-            full[p] = c
-        atoms.append(tuple(full))
-    return atoms, [(v[0], list(zip(positions[1:], v[1:]))) for v in found]
+    return [(v[0], list(zip(positions[1:], v[1:]))) for v in found]
 
 
 class TestSolvedLastPosition:
@@ -457,12 +450,12 @@ class TestSolvedLastPosition:
         mask = data.draw(st.integers(1, (1 << len(support)) - 1))
         state = ones_state(exact, mask)
         assume(state is not None)
-        atoms, sparse = walk_entry(exact, support, mask, state)
+        sparse = walk_entry(exact, support, mask, state)
         entry = exact.entry(mask, state)
         if entry is None:
-            assert atoms == []
+            assert sparse == []
         else:
-            assert (entry.atoms, entry.sparse) == (atoms, sparse)
+            assert entry.sparse == sparse
 
     def test_one_element_support(self):
         # the empty vector at the last position goes straight to g^ord(g)
@@ -471,7 +464,7 @@ class TestSolvedLastPosition:
             assert vectors(support) == ((order,),)
             exact = ExactSupportAtoms(support)
             entry = exact.entry(1, exact.grow(exact.EMPTY_STATE, 0))
-            assert (entry.atoms, entry.sparse) == ([(order,)], [(order, [])])
+            assert entry.sparse == [(order, [])]
 
     def test_last_element_of_order_two(self):
         # the table of an element of order 2 has c = 2 at 0 and c = 1 at g

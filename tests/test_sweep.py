@@ -3,8 +3,8 @@ import pytest
 from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          FiniteAbelianGroup, SequenceVec, SubsetRecord,
                          SupportSet, SweepReport, abelian_groups_of_order,
-                         delta_star, enumerate_atoms, expected_max_delta_star,
-                         is_half_factorial)
+                         build_named_set, delta_star, enumerate_atoms,
+                         expected_max_delta_star, is_half_factorial)
 from blockmonoid import kernel, sweep
 from blockmonoid.atoms import ExactSupportAtoms
 from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
@@ -331,6 +331,34 @@ class TestExtremalReports:
         got = sweep._extremal_report(support, atoms.mask_index, rec)
         assert got == seed_extremal_report(group, support.elements, atoms, rec)
         assert got.heavy_atoms_complement_atom is False
+
+    def test_complement_on_a_remark_set(self):
+        # the LCN extremal set of Remark 4.6.2 at r = 3: each heavy atom
+        # covers all four positions and its complement is an atom
+        support = build_named_set("remark-4.6.2", r=3)
+        atoms = enumerate_atoms(support)
+        rec = SubsetRecord(0b1111, 2, False, True, True)
+        got = sweep._extremal_report(support, atoms.mask_index, rec)
+        assert got == seed_extremal_report(support.group, support.elements,
+                                           atoms, rec)
+        assert got.heavy_atoms_complement_atom is True
+
+    def test_complement_below_the_atom(self):
+        # a heavy atom that misses the lowest position of the set has a
+        # complement with ord(g) copies there, so the complement's own
+        # lowest position, not the atom's, keys its sparse form.  Over real
+        # atoms such a complement contains g^ord(g) and is no atom, so the
+        # inventory is made up: over {(1,0), (0,1), (3,3)} in C4^2, the
+        # complement of (0, 2, 3), k = 5/4, is (4, 2, 1), k = 7/4, and the
+        # other way round
+        group = FiniteAbelianGroup((4, 4))
+        support = SupportSet(group, ((1, 0), (0, 1), (3, 3)))
+        atoms = AtomSet(support, tuple(SequenceVec(support, v)
+                                       for v in ((0, 2, 3), (4, 2, 1))))
+        rec = SubsetRecord(0b111, 1, False, True, True)
+        got = sweep._extremal_report(support, atoms.mask_index, rec)
+        assert got == seed_extremal_report(group, support.elements, atoms, rec)
+        assert got.heavy_atoms_complement_atom is True
 
 
 class TestHalfFactorialityTrap:
