@@ -7,7 +7,8 @@ from __future__ import annotations
 DEFAULT_ENUMERATION_BUDGET = 10 ** 12
 # Largest |G| the whole-group subset sweep will accept.
 DEFAULT_SWEEP_MAX_GROUP = 16
-# Cap on memo-table entries in the factorization-length search.
+# Cap on the nonempty zero-sum sequences the length pass files.
 DEFAULT_MEMO_LIMIT = 5_000_000
-# Cap on exponent vectors visited by the observed-distances oracle.
+# Cap on C(max_len + k + 1, k) over k support elements, the observed-distances
+# oracle's upper bound on the sequences it files.
 DEFAULT_ORACLE_VECTOR_LIMIT = 20_000_000

@@ -1,12 +1,13 @@
-"""Sets of factorization lengths and a brute-force observed-distances oracle."""
+"""Sets of lengths and the observed-distances oracle, from one forward pass."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from .atoms import AtomSet
 from .errors import BudgetError, ConsistencyError, ContractError
-from .sequences import SequenceVec
+from .sequences import SequenceVec, SupportSet
 
 
 @dataclass(frozen=True)
@@ -34,167 +35,126 @@ def delta_of_lengths(values) -> tuple[int, ...]:
     return tuple(sorted({b - a for a, b in zip(vals, vals[1:])}))
 
 
-class _LengthSearch:
-    """Memoized factorization-length search shared across queries.
+def _lengths(bits: int) -> tuple[int, ...]:
+    """The set of lengths with bit l set for each length l in it, ascending."""
+    return tuple(l for l in range(bits.bit_length()) if bits >> l & 1)
 
-    L(B) is the union of 1 + L(B/A) over the atoms A dividing B, and
-    L(1) = {0}.  A set of lengths needs no order on the atoms of a
-    factorization, so every atom is scanned and the memo is keyed by the
-    residual alone; `memo_limit` caps the residuals kept.
 
-    Every target has all exponents at most `cap`.  A residual is packed into
-    one int, one field of cap.bit_length() + 1 bits per support position,
-    with the top (guard) bit of every field set.  Subtracting a packed atom
-    borrows across no field, and leaves a field's guard bit set exactly when
-    the atom's exponent there is at most the residual's; so A divides B iff
-    all guard bits survive B - A, which is then the packed B/A.  Atoms with
-    an exponent above cap divide no target and are dropped.  A set of
-    lengths is an int with bit l set for each length l in it.
+def _length_layers(atoms: AtomSet, caps, max_len: int,
+                   memo_limit: int | None):
+    """Yield (n, the sets L(D)) for each length n <= max_len of a product of
+    atoms D <= caps, in increasing order; a set of lengths is an int with
+    bit l set for each length l in it.  L(1) = {0}, and L(D) is the union of
+    1 + L(D/A) over the atoms A that divide D; so the pass adds 1 + L(D) to
+    the entry of D*A for every atom A, and a layer is complete, and counted
+    against `memo_limit` (the empty D aside), once every shorter one is
+    read.  Only pending layers are kept.  D is packed as room - D: one field
+    of max(caps).bit_length() + 1 bits per position holds the room left
+    under a set guard bit, so subtracting an atom borrows across no field
+    and D*A <= caps iff every guard bit survives.
     """
+    width = max(caps, default=0).bit_length() + 1
+    shifts = range(0, width * len(caps), width)
+    guards = sum(1 << (width - 1 + s) for s in shifts)
+    columns = [(a.length, sum(c << s for c, s in zip(a.exponents, shifts)))
+               for a in atoms.atoms
+               if a.length <= max_len and all(map(le, a.exponents, caps))]
+    pending = {0: {guards + sum(c << s for c, s in zip(caps, shifts)): 1}}
+    filed = -1
+    while pending:
+        n = min(pending)
+        layer = pending.pop(n)
+        filed += len(layer)
+        if memo_limit is not None and filed > memo_limit:
+            raise BudgetError(f"length pass filed more than {memo_limit} "
+                              f"zero-sum sequences", bound=memo_limit)
+        if not layer:
+            continue
+        yield n, layer.values()
+        targets = [(pending.setdefault(n + size, {}), col)
+                   for size, col in columns if n + size <= max_len]
+        for room, bits in layer.items():
+            bits <<= 1
+            for target, col in targets:
+                rest = room - col
+                if rest & guards == guards:
+                    target[rest] = target.get(rest, 0) | bits
 
-    def __init__(self, atoms: AtomSet, cap: int, memo_limit: int | None):
-        width = cap.bit_length() + 1
-        self.shifts = tuple(range(0, width * len(atoms.support), width))
-        self.guards = self._pack([1 << (width - 1)] * len(self.shifts))
-        self.columns = tuple(self._pack(a.exponents) for a in atoms.atoms
-                             if max(a.exponents) <= cap)
-        self.memo: dict[int, int] = {}
-        self.memo_limit = memo_limit
 
-    def _pack(self, exponents) -> int:
-        return sum(c << s for c, s in zip(exponents, self.shifts))
-
-    def lengths(self, exponents) -> tuple[int, ...]:
-        """L(B) ascending, for B given by exponents all at most cap."""
-        bits = self._search(self._pack(exponents) | self.guards)
-        return tuple(l for l in range(bits.bit_length()) if bits >> l & 1)
-
-    def _search(self, residual: int) -> int:
-        """L(residual) as a bitset, by a depth-first search on an explicit
-        stack, not on Python's: a factorization takes one frame per atom,
-        and a long sequence has thousands.  A frame is [B, the atoms not yet
-        tried on B, the union of L(B/A) over the atoms A tried].  B is filed
-        in the memo once every atom has been tried on it, so `memo_limit`
-        is reached after the same number of residuals in any order."""
-        guards, columns, memo, limit = (self.guards, self.columns, self.memo,
-                                        self.memo_limit)
-        if residual == guards:
-            return 1
-        hit = memo.get(residual)
-        if hit is not None:
-            return hit
-        stack = [[residual, iter(columns), 0]]
-        while True:
-            frame = stack[-1]
-            residual, rest_columns, out = frame
-            for col in rest_columns:
-                rest = residual - col
-                if rest & guards != guards:
-                    continue
-                hit = memo.get(rest)
-                if hit is None:
-                    if rest != guards:
-                        frame[2] = out
-                        stack.append([rest, iter(columns), 0])
-                        break
-                    hit = 1
-                out |= hit
-            else:
-                result = out << 1
-                if limit is not None and len(memo) >= limit:
-                    raise BudgetError(
-                        f"factorization memo exceeded {limit} entries",
-                        bound=limit)
-                memo[residual] = result
-                stack.pop()
-                if not stack:
-                    return result
-                stack[-1][2] |= result
+def _zero_sum_counts(support: SupportSet, max_len: int) -> list[int]:
+    """The number of zero-sum exponent vectors of each length 0 .. max_len
+    over the support, by group arithmetic alone.  T_i[n] maps each sum of
+    the vectors of length n on the first i positions to their number; such
+    a vector leaves g_i out or is g_i times one of length n - 1, so T_i[n]
+    is T_(i-1)[n] plus T_i[n - 1] translated by g_i.  Only sums reached are
+    kept."""
+    group, gens = support.group, support.elements
+    steps = [{} for _ in gens]  # per position, x -> x + g_i
+    rows = [{} for _ in gens]  # per position, T_i[n - 1]
+    counts = []
+    for n in range(max_len + 1):
+        row = {group.zero: 1} if n == 0 else {}
+        for i, g in enumerate(gens):
+            row, step = dict(row), steps[i]
+            for x, c in rows[i].items():
+                y = step.get(x)
+                if y is None:
+                    y = step[x] = group.add(x, g)
+                row[y] = row.get(y, 0) + c
+            rows[i] = row
+        counts.append(row.get(group.zero, 0))
+    return counts
 
 
 def length_set(sequence: SequenceVec, atoms: AtomSet,
                memo_limit: int | None = None) -> LengthSet:
-    """L(B): all k such that B is a product of k atoms."""
+    """L(B): all k such that B is a product of k atoms, read off the last
+    layer of the pass over the divisors of B."""
     if sequence.support != atoms.support:
         raise ContractError("sequence and atoms live over different support sets")
     if not sequence.is_zero_sum():
         raise ContractError(
             f"length sets are defined for zero-sum sequences only; "
             f"sigma({sequence.format()}) != 0")
-    exps = sequence.exponents
-    search = _LengthSearch(atoms, max(exps, default=0), memo_limit)
-    values = search.lengths(exps)
-    if any(exps) and not values:
+    size = sequence.length
+    bits = 0
+    for n, sets in _length_layers(atoms, sequence.exponents, size, memo_limit):
+        if n == size:
+            (bits,) = sets
+    if not bits:
         raise ConsistencyError(
             f"zero-sum sequence {sequence.format()} has no factorization")
-    return LengthSet(values)
+    return LengthSet(_lengths(bits))
 
 
 def distances_oracle(atoms: AtomSet, max_len: int,
                      vector_limit: int | None = None,
                      memo_limit: int | None = None) -> tuple[int, ...]:
     """Union of Delta(L(B)) over all zero-sum B with |B| <= max_len, over the
-    support the atoms were enumerated on.
-
-    A finite under-approximation of the full set of distances, monotone
-    non-decreasing in max_len; used for cross-validation, never as the
-    source of truth for min Delta.  The walk over exponent vectors solves
-    the last position instead of walking it: given the sum sigma of the
-    others, the zero-sum choices there are c0, c0 + ord, ... for the least
-    c0 with c0 * g_last = -sigma.  `vector_limit` refuses it before it
-    starts from C(max_len + k + 1, k), over a support of k elements: the
-    node count of the walk over all k positions (hockey-stick identity),
-    an upper bound on the nodes and vectors visited now.
+    support the atoms were enumerated on: a finite under-approximation of
+    the full set of distances, monotone non-decreasing in max_len; used for
+    cross-validation, never as the source of truth for min Delta.  One pass
+    files every product of atoms of length <= max_len, and must file as
+    many at each length as there are zero-sum vectors, or the atoms miss
+    one.  `vector_limit` refuses it before it starts from C(max_len + k + 1,
+    k), over k support elements, an upper bound on the sequences it files.
     """
-    support = atoms.support
-    group = support.group
-    gens = support.elements
-    zero = group.zero
-    k = len(support)
-    nodes = comb(max_len + k + 1, k)
-    if vector_limit is not None and nodes > vector_limit:
+    k = len(atoms.support)
+    bound = comb(max_len + k + 1, k)
+    if vector_limit is not None and bound > vector_limit:
         raise BudgetError(
-            f"distance oracle bound {nodes} (walk nodes up to length "
+            f"distance oracle bound {bound} (sequences up to length "
             f"{max_len} over {k} elements) exceeds the limit {vector_limit}",
-            bound=nodes)
-    if k == 0:
-        return ()
-    search = _LengthSearch(atoms, max_len, memo_limit)
+            bound=bound)
+    expected = _zero_sum_counts(atoms.support, max_len)
+    filed = [0] * (max_len + 1)
     distances: set[int] = set()
-    last = k - 1
-    # solving[s] = the least c >= 0 with s + c * g_last = 0, for s in <g_last>
-    neg_last = group.neg(gens[last])
-    solving = {zero: 0}
-    s = neg_last
-    while s != zero:
-        solving[s] = len(solving)
-        s = group.add(s, neg_last)
-    order = len(solving)
-
-    def rec(pos: int, remaining: int, sigma, vec: list[int]):
-        if pos == last:
-            c = solving.get(sigma)
-            if c is None:
-                return
-            if c == 0 and not any(vec):
-                c = order
-            while c <= remaining:
-                vec[last] = c
-                values = search.lengths(vec)
-                if not values:
-                    raise ConsistencyError(
-                        f"zero-sum vector {tuple(vec)} has no factorization")
-                distances.update(b - a for a, b in zip(values, values[1:]))
-                c += order
-            vec[last] = 0
-            return
-        g = gens[pos]
-        s = sigma
-        for c in range(remaining + 1):
-            vec[pos] = c
-            rec(pos + 1, remaining - c, s, vec)
-            s = group.add(s, g)
-        vec[pos] = 0
-
-    rec(0, max_len, zero, [0] * k)
+    for n, sets in _length_layers(atoms, (max_len,) * k, max_len, memo_limit):
+        filed[n] = len(sets)
+        for bits in set(sets):
+            distances.update(delta_of_lengths(_lengths(bits)))
+    for n, (got, want) in enumerate(zip(filed, expected)):
+        if got != want:
+            raise ConsistencyError(f"the atoms factor {got} of the {want} "
+                                   f"zero-sum sequences of length {n}")
     return tuple(sorted(distances))

@@ -10,6 +10,8 @@ and the expected token.
 """
 from __future__ import annotations
 
+import sys
+
 from .errors import ContractError, ParseError
 from .groups import Element, FiniteAbelianGroup
 from .sequences import SequenceVec, SupportSet
@@ -45,11 +47,18 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError(self.text, start, "an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            # longer than the interpreter's limit on int-from-string digits
+            raise ParseError(
+                self.text, start,
+                f"an integer of at most {sys.get_int_max_str_digits()} digits"
+            ) from None
 
     def end(self):
         if not self.done():

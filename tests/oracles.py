@@ -18,10 +18,11 @@ basis and inserts the rows of its new atoms, and decides minimality from the
 set of half-factorial masks formed so far.  `seed_is_minimal_non_half_factorial`
 decides it by one rescan of the `Fraction` cross numbers per support position.
 `hnf_integer_kernel` is the integer kernel that also put the kernel basis in
-Hermite form, `kernel_basis_witness` the min Delta witness that built a
-whole kernel basis and combined its vectors, and `walk_distances_oracle`
-the observed-distances walk over every position, with `naive_length_set`
-for the packed length search.
+Hermite form, and `kernel_basis_witness` the min Delta witness that built a
+whole kernel basis and combined its vectors.  `naive_length_set` takes a
+set of lengths by exhaustive recursion, and `walk_distances_oracle` walks
+every exponent vector and takes its set of lengths from `naive_length_set`;
+neither shares code with the package's forward length pass.
 `walk_search` is the atom DFS that walked the last support position one copy
 at a time instead of solving it from a table of multiples.
 `exponent_matrix` and `entry_vectors` lay atoms out as full exponent
@@ -905,10 +906,11 @@ def kernel_basis_witness(atoms: AtomSet) -> MinDeltaWitness | None:
 
 
 def walk_distances_oracle(atoms: AtomSet, max_len: int) -> tuple[int, ...]:
-    """`lengths.distances_oracle` before it solved the last position, kept
-    apart from the budgets and with `naive_length_set` for the memoized
-    search: every exponent vector of length <= max_len is walked, position
-    by position, and each nonzero zero-sum one has its length set taken."""
+    """`lengths.distances_oracle` as a walk, before it solved the last
+    position or took its sets of lengths from one forward pass, kept apart
+    from the budgets and with `naive_length_set` for the length search:
+    every exponent vector of length <= max_len is walked, position by
+    position, and each nonzero zero-sum one has its length set taken."""
     support = atoms.support
     group = support.group
     gens = support.elements

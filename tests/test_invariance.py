@@ -49,7 +49,7 @@ class TestSupportOrder:
     @settings(max_examples=60, deadline=None)
     @given(shuffled_supports(), st.data())
     def test_length_sets(self, case, data):
-        # the packed length search lays positions out in support order
+        # the packed length pass lays positions out in support order
         support, shuffled, perm = case
         atoms = enumerate_atoms(support)
         picks = data.draw(st.lists(st.sampled_from(atoms.atoms),

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (BudgetError, ContractError, FiniteAbelianGroup,
-                         LengthSet, SequenceVec, SupportSet, delta_of_lengths,
+from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
+                         ContractError, FiniteAbelianGroup, LengthSet,
+                         SequenceVec, SupportSet, delta_of_lengths,
                          distances_oracle, enumerate_atoms, length_set)
 from oracles import naive_length_set, walk_distances_oracle
 from test_atoms import EPS33, FAMILY, PM5, small_support
@@ -42,8 +43,8 @@ class TestLengthSet:
             length_set(b, atoms, memo_limit=2)
 
     def test_long_factorization(self):
-        # 999 atoms in one factorization: deeper than Python's recursion
-        # limit, so the search runs on an explicit stack
+        # 999 atoms in one factorization, more than Python's recursion
+        # limit allows frames: the pass reads its 1000 layers in a loop
         support = SupportSet(FiniteAbelianGroup((4,)), ((1,),))
         b = SequenceVec(support, (3996,))
         assert length_set(b, enumerate_atoms(support)).values == (999,)
@@ -89,9 +90,10 @@ def assert_matches_naive(sequence, atoms):
 
 
 class TestPackedSearch:
-    """The packed residual search at the edges of its field width: a field
-    holds the target's largest exponent m in m.bit_length() bits under a
-    guard bit, so m = 1, 2^j - 1 and 2^j are where the width changes."""
+    """The packed length pass at the edges of its field width: a field holds
+    the room left, at most the target's largest exponent m, in
+    m.bit_length() bits below a guard bit, so m = 1, 2^j - 1 and 2^j are
+    where the width changes."""
 
     EDGES = (1, 2, 3, 4, 7, 8, 15, 16)
     SUPPORTS = (
@@ -177,16 +179,46 @@ class TestDistancesOracle:
         atoms = enumerate_atoms(PM5)
         with pytest.raises(BudgetError):
             distances_oracle(atoms, 10, vector_limit=5)
-        # the walk makes exactly C(10 + 2 + 1, 2) = 78 calls over two
-        # elements, and is refused from that count before it starts
+        # C(10 + 2 + 1, 2) = 78 bounds the sequences of length <= 10 over
+        # two elements, and the oracle is refused from it before it starts
         assert distances_oracle(atoms, 10, vector_limit=78) == (3,)
         with pytest.raises(BudgetError) as info:
             distances_oracle(atoms, 10, vector_limit=77)
         assert info.value.bound == 78
 
+    def test_memo_limit_boundary(self):
+        # the pass files each nonempty zero-sum B with |B| <= 10 once
+        atoms = enumerate_atoms(PM5)
+        count = sum(SequenceVec(PM5, (a, b)).is_zero_sum()
+                    for a in range(11) for b in range(11 - a)) - 1
+        assert count == 13
+        assert distances_oracle(atoms, 10, memo_limit=count) == (3,)
+        with pytest.raises(BudgetError) as info:
+            distances_oracle(atoms, 10, memo_limit=count - 1)
+        assert info.value.bound == count - 1
+
+
+class TestIncompleteAtoms:
+    """A zero-sum sequence that the given atoms cannot factor is a bug trap,
+    not an empty set of lengths."""
+
+    ATOMS = AtomSet(PM5, tuple(a for a in enumerate_atoms(PM5).atoms
+                               if a.exponents != (1, 1)))
+
+    def test_oracle(self):
+        # the pass builds only products of the atoms it has, so it is the
+        # tally of zero-sum vectors by length that sees (1, 1) missing
+        with pytest.raises(ConsistencyError):
+            distances_oracle(self.ATOMS, 10)
+
+    def test_length_set(self):
+        with pytest.raises(ConsistencyError):
+            length_set(SequenceVec(PM5, (6, 1)), self.ATOMS)
+
 
 class TestDistancesAgainstWalk:
-    """The solved last position against the walk over every position."""
+    """The forward length pass against the walk over every exponent vector,
+    which takes each length set from `naive_length_set`."""
 
     CASES = (
         (PM5, 10),

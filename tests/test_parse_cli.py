@@ -28,7 +28,9 @@ class TestParseGroup:
     def test_single(self):
         assert parse_group("C5").orders == (5,)
 
-    @pytest.mark.parametrize("text", ["", "D4", "C", "C1", "C4^0", "C4x", "C4y"])
+    # str.isdigit() holds for the superscript two, which int() refuses
+    @pytest.mark.parametrize("text", ["", "D4", "C", "C1", "C4^0", "C4x", "C4y",
+                                      "C\u00b2"])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_group(text)
@@ -82,6 +84,44 @@ class TestParseSequence:
         support = parse_subset("(1);(4)", parse_group("C5"))
         with pytest.raises(ParseError):
             parse_sequence("(2)", support)
+
+
+# the most digits int() converts from a string; 0 (or no such limit) means
+# it converts any number of them
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (INT_DIGITS + 1)
+
+
+@pytest.mark.skipif(not INT_DIGITS,
+                    reason="int() converts strings of any length here")
+class TestOverLongIntegers:
+    """An integer past the digit limit of int() is a positioned parse error,
+    not the ValueError that int() raises."""
+
+    def assert_refused(self, parse, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert info.value.expected == f"an integer of at most {INT_DIGITS} digits"
+
+    def test_group_order(self):
+        self.assert_refused(parse_group, "C" + TOO_LONG, 1)
+        self.assert_refused(parse_group, "C4^" + TOO_LONG, 3)
+
+    def test_subset_coordinate(self):
+        group = parse_group("C5")
+        self.assert_refused(lambda text: parse_subset(text, group),
+                            "(1);(" + TOO_LONG + ")", 5)
+
+    def test_sequence_exponent(self):
+        support = parse_subset("(1);(4)", parse_group("C5"))
+        self.assert_refused(lambda text: parse_sequence(text, support),
+                            "(1)^5*(4)^" + TOO_LONG, 10)
+
+    def test_cli_exits_2(self):
+        with pytest.raises(SystemExit) as info:
+            run_cli_main("atoms", "--group", "C" + TOO_LONG, "--subset", "(1)")
+        assert info.value.code == 2
 
 
 small_groups = st.builds(
@@ -339,27 +379,28 @@ class TestCli:
     @pytest.mark.parametrize("which, r, bound", [
         # grid size x mask words of the rank-24 family
         ("2", "24", "atom enumeration bound 6855297075118080000"),
-        # C(70 + 6 + 1, 6) walk nodes at 2 * D(G0) = 70
+        # C(70 + 6 + 1, 6), the oracle's bound on the sequences it files
+        # at 2 * D(G0) = 70
         ("1", "5", "distance oracle bound 237093780"),
     ])
     def test_verify_remark_refuses_large_ranks(self, which, r, bound):
-        # unbounded, r = 24 runs out of memory and r = 5 walks the oracle for
-        # minutes; each must exit 2 at once, naming its bound
+        # unbounded, r = 24 runs out of memory; r = 5 is over the oracle's
+        # default vector limit; each must exit 2 at once, naming its bound
         done = run_cli_process(2 << 30, 10, "verify", "remark-4.6",
                                "--which", which, "--r", r)
         assert done.returncode == 2, done.stderr
         assert bound in done.stderr
 
     def test_lengths_of_long_sequences(self):
-        # the length search keeps one stack frame per atom of a
-        # factorization on a list, not on Python's call stack: (1)^4000 is
-        # a product of 1000 atoms
+        # (1)^4000 is a product of 1000 atoms: the length pass reads one
+        # layer per divisor (1)^(4i), with no recursion
         code, out = run_cli("lengths", "--group", "C4", "--subset", "(1)",
                             "--sequence", "(1)^4000")
         assert code == 0
         assert out == "L((1)^4000) = {1000}\nDelta(L) = {}\n"
-        # (1 3)^j (1^4 3^4)^i with j + 4i = 2000, of length 2000 - 2i; its
-        # memo holds about 10^6 residuals, so it runs in its own process
+        # (1 3)^j (1^4 3^4)^i with j + 4i = 2000, of length 2000 - 2i; the
+        # pass files about 10^6 zero-sum divisors, but keeps only the few
+        # pending layers, and runs in its own process
         done = run_cli_process(2 << 30, 120, "lengths", "--group", "C4",
                                "--subset", "(1);(3)",
                                "--sequence", "(1)^2000*(3)^2000")
