@@ -9,11 +9,10 @@ from .classify import (ClassificationRecord, TransferReduction, build_named_set,
 from .errors import (BlockMonoidError, BudgetError, ConsistencyError,
                      ContractError, ParseError)
 from .groups import Element, FiniteAbelianGroup, abelian_groups_of_order
-from .kernel import (integer_kernel, is_half_factorial, min_delta,
-                     min_delta_witness)
+from .kernel import integer_kernel, min_delta, min_delta_witness
 from .lengths import LengthSet, delta_of_lengths, distances_oracle, length_set
 from .sequences import SequenceVec, SupportSet
-from .specparse import parse_group, parse_sequence, parse_specs, parse_subset
+from .specparse import parse_group, parse_sequence, parse_subset
 from .sweep import ExtremalSetReport, SubsetRecord, SweepReport, delta_star
 from .verify import expected_max_delta_star
 
@@ -27,8 +26,8 @@ __all__ = [
     "TransferReduction", "abelian_groups_of_order", "build_named_set",
     "classify", "delta_of_lengths", "delta_star", "distances_oracle",
     "enumerate_atoms", "enumeration_bound", "expected_max_delta_star",
-    "integer_kernel", "is_decomposable", "is_half_factorial",
-    "is_minimal_non_half_factorial", "is_simple", "length_set",
-    "min_delta", "min_delta_witness", "parse_group", "parse_sequence",
-    "parse_specs", "parse_subset", "satisfies_span_property", "transfer_reduce",
+    "integer_kernel", "is_decomposable", "is_minimal_non_half_factorial",
+    "is_simple", "length_set", "min_delta", "min_delta_witness",
+    "parse_group", "parse_sequence", "parse_subset", "satisfies_span_property",
+    "transfer_reduce",
 ]

@@ -232,12 +232,16 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     under the componentwise order, sorted lexicographically.
     """
     # at most one node per grid point, each on masks |<S>| bits wide, a width
-    # the codec measures before any mask is built
-    bound = enumeration_bound(support) * -(-support.codec.width // 64)
+    # the codec measures before any mask is built; a grid over the budget is
+    # refused before the codec is built, as grid x words >= grid
+    bound, what = enumeration_bound(support), "grid size"
+    if budget is not None and bound <= budget:
+        bound *= -(-support.codec.width // 64)
+        what = "grid size x 64-bit words per mask"
     if budget is not None and bound > budget:
         raise BudgetError(
-            f"atom enumeration bound {bound} (grid size x 64-bit words per mask) "
-            f"exceeds budget {budget}; raise the budget to proceed", bound=bound)
+            f"atom enumeration bound {bound} ({what}) exceeds budget {budget}; "
+            f"raise the budget to proceed", bound=bound)
 
     k = len(support)
     codec = support.codec

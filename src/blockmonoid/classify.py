@@ -99,11 +99,11 @@ def is_simple(support: SupportSet) -> bool:
     return False
 
 
-def classify(support: SupportSet, budget: int | None = None,
+def classify(support: SupportSet,
              atoms: AtomSet | None = None) -> ClassificationRecord:
     """Full classification of one support set."""
     if atoms is None:
-        atoms = enumerate_atoms(support, budget)
+        atoms = enumerate_atoms(support)
     d = min_delta(atoms)
     return ClassificationRecord(
         subset=support.elements,

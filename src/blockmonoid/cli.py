@@ -15,13 +15,12 @@ from .classify import classify, transfer_reduce
 from .config import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_MEMO_LIMIT,
                      DEFAULT_ORACLE_VECTOR_LIMIT, DEFAULT_SWEEP_MAX_GROUP)
 from .errors import BudgetError, ContractError, ParseError
-from .groups import abelian_groups_of_order
 from .kernel import half_factorial, min_delta, min_delta_witness
 from .lengths import distances_oracle, length_set
 from .sequences import SequenceVec
-from .specparse import parse_sequence, parse_specs
+from .specparse import parse_group, parse_sequence, parse_subset
 from .sweep import delta_star
-from .verify import (verify_all, verify_extremal_structure,
+from .verify import (sweep_groups, verify_all, verify_extremal_structure,
                      verify_main_theorem, verify_named_family, verify_p_group_m,
                      verify_pm_and_basis_families)
 
@@ -40,24 +39,14 @@ def _at_least(low: int):
     return parse
 
 
-def _add_common(p, subset=True, budget=True, group=True):
-    if group:
-        p.add_argument("--group", required=True, help="group spec, e.g. C2^2xC4")
-    if subset:
-        p.add_argument("--subset", required=True,
-                       help="subset spec, e.g. \"(1);(4)\"")
+def _add_common(p):
+    p.add_argument("--group", required=True, help="group spec, e.g. C2^2xC4")
+    p.add_argument("--subset", required=True,
+                   help="subset spec, e.g. \"(1);(4)\"")
     p.add_argument("--format", choices=rpt.FORMATS, default="text")
-    if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-                       help="atom enumeration budget (grid size times "
-                            f"words per mask; default {DEFAULT_ENUMERATION_BUDGET})")
-
-
-def _add_sweep_common(p, group=True):
-    _add_common(p, subset=False, budget=False, group=group)
-    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
-                   help=f"largest |G| the sweep accepts "
-                        f"(default {DEFAULT_SWEEP_MAX_GROUP})")
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+                   help="atom enumeration budget (grid size times "
+                        f"words per mask; default {DEFAULT_ENUMERATION_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,15 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("delta-star", help="whole-group sweep of minimal distances")
-    _add_sweep_common(p, group=False)
+    p.add_argument("--format", choices=rpt.FORMATS, default="text")
+    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
+                   help=f"largest |G| the sweep accepts "
+                        f"(default {DEFAULT_SWEEP_MAX_GROUP})")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--group", help="group spec, e.g. C2^2xC4")
     which.add_argument("--max-order", type=_at_least(3), metavar="N",
                        help="one summary row per abelian group of order "
                             "3 .. N, with no |G| cap")
-
-    p = sub.add_parser("m-of-g", help="max of min Delta over non-HF LCN subsets")
-    _add_sweep_common(p)
 
     p = sub.add_parser("transfer-reduce",
                        help="reduce a minimal non-HF set to span form")
@@ -142,24 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
+    if "subset" in args:
+        # each command that takes a --subset (`_add_common`) starts from
+        # its atoms
+        support = parse_subset(args.subset, parse_group(args.group))
+        atoms = enumerate_atoms(support, args.budget)
 
     if args.command == "atoms":
-        group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, args.budget)
         out.write(rpt.emit_atoms(atoms, args.format))
         return 0
 
     if args.command == "lengths":
-        group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, args.budget)
         seq = parse_sequence(args.sequence, support)
         lengths = length_set(seq, atoms, memo_limit=DEFAULT_MEMO_LIMIT)
         out.write(rpt.emit_lengths(seq, lengths, args.format))
         return 0
 
     if args.command == "min-delta":
-        group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, args.budget)
         d = min_delta(atoms)
         hf = half_factorial(atoms, d)
         # M has full row rank: every g^ord(g) is an atom
@@ -169,8 +157,6 @@ def run(argv=None) -> int:
         return 0
 
     if args.command == "delta-observed":
-        group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, args.budget)
         observed = distances_oracle(
             atoms, args.max_len,
             vector_limit=DEFAULT_ORACLE_VECTOR_LIMIT,
@@ -179,32 +165,22 @@ def run(argv=None) -> int:
         return 0
 
     if args.command == "classify":
-        group, support = parse_specs(args.group, args.subset)
-        record = classify(support, args.budget)
+        record = classify(support, atoms=atoms)
         out.write(rpt.emit_classify(record, args.format))
         return 0
 
     if args.command == "delta-star":
         if args.max_order is not None:
-            reports = [delta_star(group, sweep_max_group=None)
-                       for order in range(3, args.max_order + 1)
-                       for group in abelian_groups_of_order(order)]
+            # the table lists the groups of order 3 .. N
+            reports = [report for report in sweep_groups(args.max_order).values()
+                       if report.group.size > 2]
             out.write(rpt.emit_sweep_table(reports, args.format))
             return 0
-        group, _ = parse_specs(args.group, None)
-        report = delta_star(group, sweep_max_group=args.budget)
+        report = delta_star(parse_group(args.group), sweep_max_group=args.budget)
         out.write(rpt.emit_sweep(report, args.format))
         return 0
 
-    if args.command == "m-of-g":
-        group, _ = parse_specs(args.group, None)
-        report = delta_star(group, sweep_max_group=args.budget)
-        out.write(rpt.emit_m_of_g(report, args.format))
-        return 0
-
     if args.command == "transfer-reduce":
-        group, support = parse_specs(args.group, args.subset)
-        atoms = enumerate_atoms(support, args.budget)
         reduction = transfer_reduce(support, atoms=atoms)
         probes = 0
         if args.check:
@@ -223,13 +199,13 @@ def run(argv=None) -> int:
 
     if args.command == "verify":
         if args.target == "thm-1.1":
-            result = verify_main_theorem(args.max_order)
+            result = verify_main_theorem(sweep_groups(args.max_order))
         elif args.target == "prop-3.2":
             # the default --max-order of thm-1.1 and all
-            result = verify_p_group_m(16, {})
+            result = verify_p_group_m(sweep_groups(16))
         elif args.target == "thm-4.5":
-            group, _ = parse_specs(args.group, None)
-            result = verify_extremal_structure(group)
+            report = delta_star(parse_group(args.group))
+            result = verify_extremal_structure(report)
         elif args.target == "remark-4.6":
             result = verify_named_family(args.which, r=args.r,
                                          oracle_max_len=args.max_len)

@@ -246,11 +246,6 @@ def min_delta(atoms: AtomSet) -> int:
     return d
 
 
-def is_half_factorial(atoms: AtomSet) -> bool:
-    """`half_factorial` with min Delta computed here."""
-    return half_factorial(atoms, min_delta(atoms))
-
-
 def half_factorial(atoms: AtomSet, d: int) -> bool:
     """Half-factoriality of a support with min Delta d, by two independent
     routes: every atom has cross number 1, and d = 0.  The routes are

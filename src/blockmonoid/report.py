@@ -215,15 +215,6 @@ def emit_sweep_table(reports, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_m_of_g(report: SweepReport, fmt: str) -> str:
-    spec = report.group.spec_string()
-    if fmt == "json":
-        return _json({"group": spec, "m_of_g": report.m_of_g})
-    if fmt == "csv":
-        return _csv(("group", "m_of_g"), [(spec, report.m_of_g)])
-    return f"m({spec}) = {report.m_of_g}\n"
-
-
 def emit_transfer(reduction: TransferReduction, probes, fmt: str) -> str:
     steps = [{"element": list(s.element), "multiple": s.multiple,
               "replacement": list(s.replacement)} for s in reduction.steps]

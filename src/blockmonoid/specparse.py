@@ -141,13 +141,6 @@ def parse_sequence(text: str, support: SupportSet) -> SequenceVec:
     return SequenceVec(support, tuple(vec))
 
 
-def parse_specs(group_text: str, subset_text: str | None):
-    """(group, optional support set) from their spec strings."""
-    group = parse_group(group_text)
-    support = None if subset_text is None else parse_subset(subset_text, group)
-    return group, support
-
-
 def format_element(g: Element) -> str:
     return "(" + ",".join(str(c) for c in g) + ")"
 

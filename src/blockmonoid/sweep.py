@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atoms import ExactSupportAtoms, MaskAtoms, mask_positions
-from .config import DEFAULT_SWEEP_MAX_GROUP
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import child_step
@@ -110,15 +109,24 @@ class SweepReport:
 # -- the sweep --------------------------------------------------------------------
 
 def delta_star(group: FiniteAbelianGroup, *,
-               sweep_max_group: int | None = DEFAULT_SWEEP_MAX_GROUP) -> SweepReport:
+               sweep_max_group: int | None = None) -> SweepReport:
     """Collect the set of minimal distances, its maximum, the LCN maximum and
     the extremal minimal non-half-factorial subsets of the nonzero elements,
-    classifying every subset that is not pruned."""
-    if sweep_max_group is not None and group.size > sweep_max_group:
-        raise BudgetError(
-            f"sweep over {group.spec_string()}: |G| = {group.size} exceeds the "
-            f"sweep cap {sweep_max_group}; raise the cap to proceed",
-            bound=group.size)
+    classifying every subset that is not pruned; refused when |G| exceeds
+    `sweep_max_group`, if one is given."""
+    if sweep_max_group is not None:
+        # each component n has n >= 2^(bit_length(n) - 1), so |G| >= 2^low;
+        # once that alone exceeds the cap, refuse on it before forming |G|,
+        # which on a spec with many or large components is slow to form and
+        # too long to print
+        low = sum(n.bit_length() - 1 for n in group.orders)
+        size = None if low >= sweep_max_group.bit_length() else group.size
+        if size is None or size > sweep_max_group:
+            shown = f">= 2^{low}" if size is None else f"= {size}"
+            raise BudgetError(
+                f"sweep over {group.spec_string()}: |G| {shown} exceeds the "
+                f"sweep cap {sweep_max_group}; raise the cap to proceed",
+                bound=size or 1 << low)
     elements = group.nonzero_elements
     k = len(elements)
 

@@ -38,51 +38,48 @@ def expected_max_delta_star(group: FiniteAbelianGroup) -> int:
     return max(group.exponent - 2, group.rank - 1)
 
 
-def verify_main_theorem(max_order: int = 16,
-                        reports: dict | None = None) -> VerifyResult:
-    """Sweep every abelian group of order <= max_order and compare
-    max of the minimal distances against max{exp(G)-2, r(G)-1}
-    (empty for orders <= 2)."""
+def sweep_groups(max_order: int) -> dict[tuple[int, ...], SweepReport]:
+    """The sweep of every abelian group of order <= max_order, with no |G|
+    cap, keyed by component orders, by order and then in the order of
+    `abelian_groups_of_order`."""
+    return {group.orders: delta_star(group)
+            for order in range(1, max_order + 1)
+            for group in abelian_groups_of_order(order)}
+
+
+def verify_main_theorem(reports: dict) -> VerifyResult:
+    """Compare max of the minimal distances of each swept group against
+    max{exp(G)-2, r(G)-1} (empty for orders <= 2)."""
     result = VerifyResult("thm-1.1")
-    for order in range(1, max_order + 1):
-        for group in abelian_groups_of_order(order):
-            report = delta_star(group, sweep_max_group=None)
-            if reports is not None:
-                reports[group.orders] = report
-            if order <= 2:
-                result.check(
-                    f"{group.spec_string()}: delta* = {{}} (order <= 2)",
-                    report.delta_star == ())
-                continue
-            want = expected_max_delta_star(group)
+    for report in reports.values():
+        group = report.group
+        if group.size <= 2:
             result.check(
-                f"{group.spec_string()}: max delta* = {report.max_delta_star} "
-                f"= max{{{group.exponent - 2},{group.rank - 1}}}",
-                report.max_delta_star == want)
-    return result
-
-
-def verify_p_group_m(max_order: int, reports: dict) -> VerifyResult:
-    """m(G) = r(G) - 1 on every abelian p-group of order <= max_order.
-
-    `reports` maps group orders to the sweeps already run, as
-    `verify_main_theorem` files them; the other groups are swept here."""
-    result = VerifyResult("prop-3.2")
-    for order in range(2, max_order + 1):
-        if len(prime_factors(order)) != 1:
+                f"{group.spec_string()}: delta* = {{}} (order <= 2)",
+                report.delta_star == ())
             continue
-        for group in abelian_groups_of_order(order):
-            report = reports.get(group.orders)
-            if report is None:
-                report = delta_star(group, sweep_max_group=None)
-            result.check(f"{group.spec_string()}: m(G) = {report.m_of_g} "
-                         f"= r-1 = {group.rank - 1}",
-                         report.m_of_g == group.rank - 1)
+        want = expected_max_delta_star(group)
+        result.check(
+            f"{group.spec_string()}: max delta* = {report.max_delta_star} "
+            f"= max{{{group.exponent - 2},{group.rank - 1}}}",
+            report.max_delta_star == want)
     return result
 
 
-def verify_extremal_structure(group: FiniteAbelianGroup,
-                              report: SweepReport | None = None) -> VerifyResult:
+def verify_p_group_m(reports: dict) -> VerifyResult:
+    """m(G) = r(G) - 1 on every swept abelian p-group."""
+    result = VerifyResult("prop-3.2")
+    for report in reports.values():
+        group = report.group
+        if len(prime_factors(group.size)) != 1:
+            continue
+        result.check(f"{group.spec_string()}: m(G) = {report.m_of_g} "
+                     f"= r-1 = {group.rank - 1}",
+                     report.m_of_g == group.rank - 1)
+    return result
+
+
+def verify_extremal_structure(report: SweepReport) -> VerifyResult:
     """Structure of the minimal non-half-factorial sets attaining the maximum:
 
     r < n-1: every attainer is {g, -g} with ord(g) = n.
@@ -92,8 +89,7 @@ def verify_extremal_structure(group: FiniteAbelianGroup,
     LCN attainers additionally satisfy the atom-inventory bounds.
     """
     result = VerifyResult("thm-4.5")
-    if report is None:
-        report = delta_star(group, sweep_max_group=None)
+    group = report.group
     n = group.exponent
     r = group.rank
     name = group.spec_string()
@@ -261,18 +257,17 @@ def verify_named_family(which: int, r: int = 3,
 
 
 def verify_all(max_order: int = 16) -> VerifyResult:
-    """Every routine above in one result: thm-1.1 and prop-3.2 up to
-    max_order, lemma-3.1, remark-4.6.1 and 4.6.2 at r = 3, and thm-4.5 on
-    every swept group with extremal sets; prop-3.2 and thm-4.5 reuse the
-    thm-1.1 sweeps.  Each check line is prefixed with the name of its
-    routine."""
-    reports: dict = {}
-    runs = [verify_main_theorem(max_order, reports=reports),
-            verify_p_group_m(max_order, reports),
+    """Every routine above in one result: thm-1.1 and prop-3.2 on one
+    `sweep_groups(max_order)`, lemma-3.1, remark-4.6.1 and 4.6.2 at r = 3,
+    and thm-4.5 on every swept group with extremal sets.  Each check line is
+    prefixed with the name of its routine."""
+    reports = sweep_groups(max_order)
+    runs = [verify_main_theorem(reports),
+            verify_p_group_m(reports),
             verify_pm_and_basis_families(),
             verify_named_family(1, r=3),
             verify_named_family(2, r=3)]
-    runs += [verify_extremal_structure(report.group, report=report)
+    runs += [verify_extremal_structure(report)
              for _, report in sorted(reports.items()) if report.extremal]
     result = VerifyResult("all")
     for run in runs:

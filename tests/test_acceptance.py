@@ -13,19 +13,21 @@ import pytest
 from blockmonoid import (FiniteAbelianGroup, SequenceVec, SupportSet,
                          abelian_groups_of_order, build_named_set, classify,
                          delta_star, distances_oracle, enumerate_atoms,
-                         expected_max_delta_star, is_half_factorial,
-                         length_set, min_delta, satisfies_span_property,
-                         transfer_reduce)
+                         expected_max_delta_star, length_set, min_delta,
+                         satisfies_span_property, transfer_reduce)
 from blockmonoid.cli import run as run_cli
-from blockmonoid.verify import verify_main_theorem
+from blockmonoid.kernel import half_factorial
+from blockmonoid.verify import sweep_groups, verify_main_theorem
 
 
 @pytest.fixture(scope="module")
 def main_sweeps():
-    """The full order-<=16 verification, shared by criteria 3, 4, 9, 10."""
-    reports: dict = {}
+    """The sweeps of every abelian group of order <= 16, from one
+    `sweep_groups(16)`, and thm-1.1 checked on them, with the time both
+    took; shared by criteria 3, 4, 9, 10."""
     start = time.time()
-    result = verify_main_theorem(16, reports=reports)
+    reports = sweep_groups(16)
+    result = verify_main_theorem(reports)
     return result, reports, time.time() - start
 
 
@@ -189,7 +191,7 @@ def test_criterion_8_oracle_cross_validation():
         support = SupportSet(group, tuple(rng.sample(nonzero, size)))
         atoms = enumerate_atoms(support)
         d = min_delta(atoms)
-        hf = is_half_factorial(atoms)  # raises on route disagreement
+        hf = half_factorial(atoms, d)  # raises on route disagreement
         assert hf == (d == 0)
         big = atoms.davenport_constant()
         if hf:

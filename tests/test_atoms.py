@@ -79,6 +79,14 @@ class TestExamples:
             enumerate_atoms(PM5, budget=10)
         assert info.value.bound == enumeration_bound(PM5) == 36
 
+    def test_grid_refused_before_the_codec(self):
+        # the grid 3^1497 x 5^4 alone is over the budget, so the span codec,
+        # |<S>| = 2^1500 bits wide, is never built
+        support = build_named_set("remark-4.6.2", r=1500)
+        with pytest.raises(BudgetError, match=r"\(grid size\) exceeds"):
+            enumerate_atoms(support, 10**12)
+        assert "codec" not in support.__dict__
+
 
 class TestDerivedConstants:
     def test_davenport_pm(self):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          build_named_set, enumerate_atoms, integer_kernel,
-                         is_half_factorial, length_set, min_delta,
-                         min_delta_witness)
-from blockmonoid.kernel import echelon_insert, lattice_tail_generator
+                         length_set, min_delta, min_delta_witness)
+from blockmonoid.kernel import (echelon_insert, half_factorial,
+                                lattice_tail_generator)
 from oracles import (echelon_min_delta, exponent_matrix, hnf_integer_kernel,
                      kernel_basis_contains, kernel_basis_witness,
                      seed_echelon_insert, seed_lattice_tail_generator)
@@ -395,19 +395,21 @@ class TestMinDelta:
 class TestHalfFactorial:
     def test_independent_set(self):
         group = FiniteAbelianGroup((3, 3))
-        support = SupportSet(group, ((1, 0), (0, 1)))
-        assert is_half_factorial(enumerate_atoms(support))
+        atoms = enumerate_atoms(SupportSet(group, ((1, 0), (0, 1))))
+        assert half_factorial(atoms, min_delta(atoms))
 
     def test_pm_pair(self):
-        assert not is_half_factorial(enumerate_atoms(PM5))
+        atoms = enumerate_atoms(PM5)
+        assert not half_factorial(atoms, min_delta(atoms))
 
     def test_singleton(self):
-        support = SupportSet(FiniteAbelianGroup((5,)), ((2,),))
-        assert is_half_factorial(enumerate_atoms(support))
+        atoms = enumerate_atoms(SupportSet(FiniteAbelianGroup((5,)), ((2,),)))
+        assert half_factorial(atoms, min_delta(atoms))
 
     @settings(max_examples=40, deadline=None)
     @given(small_support())
     def test_routes_agree(self, support):
-        # is_half_factorial raises ConsistencyError itself on disagreement
+        # half_factorial raises ConsistencyError itself on disagreement
         atoms = enumerate_atoms(support)
-        assert is_half_factorial(atoms) == (min_delta(atoms) == 0)
+        d = min_delta(atoms)
+        assert half_factorial(atoms, d) == (d == 0)

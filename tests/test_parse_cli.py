@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from blockmonoid import (ConsistencyError, FiniteAbelianGroup, ParseError,
                          SequenceVec,
                          SupportSet, delta_star, parse_group, parse_sequence,
-                         parse_specs, parse_subset)
+                         parse_subset)
 from blockmonoid.cli import run
 from blockmonoid.specparse import format_subset
 
@@ -43,8 +43,8 @@ class TestParseGroup:
 
 class TestParseSubset:
     def test_remark_set(self):
-        group, support = parse_specs("C9^2xC27",
-                                     "(3,0,0);(0,3,0);(0,0,1);(1,1,1)")
+        support = parse_subset("(3,0,0);(0,3,0);(0,0,1);(1,1,1)",
+                               parse_group("C9^2xC27"))
         assert support.elements == ((3, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1))
 
     def test_zero_rejected(self):
@@ -66,7 +66,7 @@ class TestParseSubset:
     @pytest.mark.parametrize("text", ["", "  "])
     def test_empty_rejected_with_a_position(self, text):
         with pytest.raises(ParseError) as info:
-            parse_specs("C5", text)
+            parse_subset(text, parse_group("C5"))
         assert info.value.position == len(text)
 
 
@@ -344,27 +344,34 @@ class TestCli:
         assert code == 0
         assert "(0,2)" in out
 
-    @pytest.mark.parametrize("fmt, expected", [
-        ("text", "m(C2^2xC3) = 1\n"),
-        ("json", '{\n  "group": "C2^2xC3",\n  "m_of_g": 1\n}\n'),
-        ("csv", "group,m_of_g\nC2^2xC3,1\n"),
-    ])
-    def test_m_of_g_formats(self, fmt, expected):
-        code, out = run_cli("m-of-g", "--group", "C2^2xC3", "--format", fmt)
+    def test_delta_star_reports_m_of_g(self):
+        code, out = run_cli("delta-star", "--group", "C2^2xC3")
         assert code == 0
-        assert out == expected
+        assert "  max delta* = 4   m(G) = 1" in out.splitlines()
+        code, out = run_cli("delta-star", "--group", "C2^2xC3",
+                            "--format", "json")
+        assert code == 0 and json.loads(out)["m_of_g"] == 1
 
     def test_sweep_budget_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run_cli_main("delta-star", "--group", "C17")
         assert info.value.code == 2
 
-    def test_m_of_g_shares_the_sweep_budget(self):
-        with pytest.raises(SystemExit) as info:
-            run_cli_main("m-of-g", "--group", "C17")
-        assert info.value.code == 2
-        code, out = run_cli("m-of-g", "--group", "C17", "--budget", "17")
-        assert code == 0 and out == "m(C17) = 0\n"
+    def test_sweep_budget_raised(self):
+        code, out = run_cli("delta-star", "--group", "C17", "--budget", "17")
+        assert code == 0
+        assert "  max delta* = 15   m(G) = 0" in out.splitlines()
+
+    @pytest.mark.parametrize("spec", ["C2^20000", "C2^3000000"])
+    def test_sweep_cap_on_many_components(self, spec):
+        # |G| = 2^20000 has 6021 digits, past the interpreter's limit on
+        # printing an int, and 2^3000000 is slow to form: both are refused
+        # on the lower bound 2^N, a factor 2 per component, before |G| is
+        # formed
+        done = run_cli_process(2 << 30, 10, "delta-star", "--group", spec)
+        assert done.returncode == 2, done.stderr
+        count = spec.split("^")[1]
+        assert f"|G| >= 2^{count} exceeds the sweep cap 16" in done.stderr
 
     def test_budget_bounds_the_mask_memory(self):
         # the grid bound 10^11 passes the default budget, but one DFS mask
@@ -377,15 +384,19 @@ class TestCli:
             in done.stderr
 
     @pytest.mark.parametrize("which, r, bound", [
-        # grid size x mask words of the rank-24 family
-        ("2", "24", "atom enumeration bound 6855297075118080000"),
+        # the grid 3^21 x 5^4 of the rank-24 family, over the budget alone
+        ("2", "24", "atom enumeration bound 6537720751875 (grid size)"),
+        # the grid 3^13 x 5^4 of the rank-16 family is under the budget, and
+        # times the 4096 words of a 2^18-bit mask over it
+        ("2", "16", "atom enumeration bound 4081466880000 (grid size x"),
         # C(70 + 6 + 1, 6), the oracle's bound on the sequences it files
         # at 2 * D(G0) = 70
         ("1", "5", "distance oracle bound 237093780"),
     ])
     def test_verify_remark_refuses_large_ranks(self, which, r, bound):
-        # unbounded, r = 24 runs out of memory; r = 5 is over the oracle's
-        # default vector limit; each must exit 2 at once, naming its bound
+        # unbounded, r = 24 runs out of memory; r = 16 is over the atom
+        # budget on its mask words; r = 5 is over the oracle's default
+        # vector limit; each must exit 2 at once, naming its bound
         done = run_cli_process(2 << 30, 10, "verify", "remark-4.6",
                                "--which", which, "--r", r)
         assert done.returncode == 2, done.stderr
@@ -451,19 +462,45 @@ class TestCli:
         assert "C2^2xC4: m(G) = 2 = r-1 = 2 OK" in lines
 
     def test_verify_all_sweeps_each_group_once(self, monkeypatch):
-        module = importlib.import_module("blockmonoid.verify")
-        swept = []
-
-        def counted(group, **kwargs):
-            swept.append(group.orders)
-            return delta_star(group, **kwargs)
-
-        monkeypatch.setattr(module, "delta_star", counted)
+        swept = record_sweeps(monkeypatch)
         code, out = run_cli("verify", "all", "--max-order", "8")
         assert code == 0
         # the 11 abelian groups of order <= 8, the trivial one included
         assert len(swept) == len(set(swept)) == 11
         assert "prop-3.2: C2^3: m(G) = 2 = r-1 = 2 OK" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, count, line", [
+        # the 11 abelian groups of order <= 8, as for `verify all`
+        (("verify", "thm-1.1", "--max-order", "8"), 11,
+         "C2^3: max delta* = 2 = max{0,2} OK"),
+        (("delta-star", "--max-order", "8"), 11,
+         "C2^3           2    3      2    2         7 {1,2}"),
+        # the 25 abelian groups of order <= 16, of which 18 are p-groups
+        (("verify", "prop-3.2"), 25, "C2^2xC4: m(G) = 2 = r-1 = 2 OK"),
+    ])
+    def test_other_sweeps_take_each_group_once(self, monkeypatch, argv,
+                                               count, line):
+        swept = record_sweeps(monkeypatch)
+        code, out = run_cli(*argv)
+        assert code == 0
+        assert len(swept) == len(set(swept)) == count
+        assert line in out.splitlines()
+
+    def test_verify_routines_read_the_sweeps_they_are_given(self,
+                                                             monkeypatch):
+        verify = importlib.import_module("blockmonoid.verify")
+        reports = verify.sweep_groups(8)
+
+        def refuse(group, **kwargs):
+            raise AssertionError(f"swept {group.spec_string()} again")
+
+        monkeypatch.setattr(verify, "delta_star", refuse)
+        monkeypatch.setattr(importlib.import_module("blockmonoid.sweep"),
+                            "delta_star", refuse)
+        assert verify.verify_main_theorem(reports).ok
+        assert verify.verify_p_group_m(reports).ok
+        assert all(verify.verify_extremal_structure(report).ok
+                   for report in reports.values())
 
     def test_verify_all_fails_with_any_routine(self, monkeypatch):
         module = importlib.import_module("blockmonoid.verify")
@@ -474,6 +511,19 @@ class TestCli:
         payload = json.loads(out)
         assert payload["verify"] == "all" and payload["ok"] is False
         assert "thm-1.1: C3: max delta* = 1 = max{1,0} FAIL" in payload["checks"]
+
+
+def record_sweeps(monkeypatch) -> list:
+    """The component orders of each group `verify` sweeps from now on."""
+    swept = []
+
+    def counted(group, **kwargs):
+        swept.append(group.orders)
+        return delta_star(group, **kwargs)
+
+    monkeypatch.setattr(importlib.import_module("blockmonoid.verify"),
+                        "delta_star", counted)
+    return swept
 
 
 def run_cli_process(address_space: int, timeout: float, *argv):

@@ -4,7 +4,7 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          FiniteAbelianGroup, SequenceVec, SubsetRecord,
                          SupportSet, SweepReport, abelian_groups_of_order,
                          build_named_set, delta_star, enumerate_atoms,
-                         expected_max_delta_star, is_half_factorial)
+                         expected_max_delta_star)
 from blockmonoid import kernel, sweep
 from blockmonoid.atoms import ExactSupportAtoms
 from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
@@ -92,7 +92,8 @@ class TestCrossValidation:
                 assert expected in report.delta_star
             else:
                 assert rec.min_delta == expected
-                assert rec.half_factorial == is_half_factorial(atoms)
+                assert rec.half_factorial == kernel.half_factorial(atoms,
+                                                                   expected)
                 assert rec.lcn == all(x >= 1 for x in atoms.cross_numbers)
 
 
