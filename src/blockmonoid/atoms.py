@@ -61,30 +61,29 @@ of subgroup masks, `SupportSet.span_mask`.
 The search starts from one of two states.  `enumerate_atoms` starts it from
 the empty vector on every support position, so exponents run from 0, and
 files the atoms in an `AtomSet`.  An `AtomSet` files its atoms by support
-mask (`mask_index`), with cross numbers scaled to integers by the common
-multiple of the support's orders, and each atom in the one sparse form
-of `MaskAtoms`, never as a k-tuple.  The half-factorial, LCN and minimality
-flags, min Delta and the largest cross number are read off the index.
+mask (`mask_index`), with cross numbers scaled to integers by the support's
+`cross_scale`, and each atom in the one sparse form of `MaskAtoms`, never as
+a k-tuple.  The half-factorial, LCN and minimality flags, min Delta and the
+largest cross number are read off the index.
 
-`ExactSupportAtoms` builds one entry of that index on its own: the atoms
-whose support is exactly a given mask.  Such an atom contains each element
-of the mask once, so it starts the search on the positions of the mask from
-their 0/1 vector, on the same codec, and only raises exponents.  The caller
-supplies that vector's state, with the spans of the mask's suffixes.  When a
-proper nonempty subset of the mask sums to 0, that state already has 0 in Q
-and no atom has the mask as its support.  The whole-group sweep builds the
-entry of each subset it forms this way and never enumerates the atoms of the
-whole group.
+`exact_entry` builds one entry of that index on its own: the atoms whose
+support is exactly a given mask.  Such an atom contains each element of the
+mask once, so it starts the search on the positions of the mask from their
+0/1 vector, on the same codec, and only raises exponents.  The caller grows
+that vector's state from `EMPTY_STATE` (`grow`).  When a proper nonempty
+subset of the mask sums to 0, that state already has 0 in Q and no atom has
+the mask as its support.  The whole-group sweep builds the entry of each
+subset it forms this way and never enumerates the atoms of the whole group.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from operator import mul
 
-from .errors import BudgetError, ContractError
+from .errors import BudgetError, ContractError, format_bound
 from .sequences import SequenceVec, SupportSet, join_cyclic
 
 
@@ -96,19 +95,21 @@ def mask_positions(mask: int) -> list[int]:
 class MaskAtoms:
     """The atoms with one support mask, in the sparse form the min Delta
     steps read (`sparse`): each atom A as (A_b, the pairs (i, A_i) for the
-    mask's positions i above its lowest one, b); their cross numbers scaled
-    to integers (`scaled`, in the same order); and whether some has
-    k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
+    mask's positions i above its lowest one, b); their cross numbers n k(A),
+    on the support's scale n (`scaled`, in the same order); and whether some
+    has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
 
     __slots__ = ("sparse", "scaled", "nonunit", "light")
 
-    def __init__(self, positions: list[int], vectors: list, scaled: list[int],
-                 n: int):
+    def __init__(self, support: SupportSet, positions: list[int],
+                 vectors: list):
         """Files nonempty `vectors`, each an atom's exponents at the mask's
-        `positions`, ascending, with n k(A) for each atom A in `scaled`."""
+        `positions` of `support`, ascending."""
+        n, weights = support.cross_scale
+        weights = [weights[p] for p in positions]
         above = positions[1:]
         self.sparse = [(vec[0], list(zip(above, vec[1:]))) for vec in vectors]
-        self.scaled = scaled
+        self.scaled = scaled = [sum(map(mul, vec, weights)) for vec in vectors]
         self.light = min(scaled) < n
         self.nonunit = self.light or max(scaled) > n
 
@@ -133,26 +134,17 @@ class AtomSet:
     @cached_property
     def mask_index(self) -> dict[int, MaskAtoms]:
         """The atoms grouped by support mask, bit i standing for position i."""
-        # k(A) = sum c_i / ord(g_i), times the common multiple n of the orders
-        orders = self.support.orders
-        n = lcm(*orders)
-        weights = [n // o for o in orders]
-        filed: dict[int, tuple[list, list]] = {}
+        filed: dict[int, list] = {}
         for a in self.atoms:
-            mask = scaled = 0
+            mask = 0
             vec = []
             for i, c in enumerate(a.exponents):
                 if c:
                     mask |= 1 << i
-                    scaled += c * weights[i]
                     vec.append(c)
-            lists = filed.get(mask)
-            if lists is None:
-                lists = filed[mask] = ([], [])
-            lists[0].append(vec)
-            lists[1].append(scaled)
-        return {mask: MaskAtoms(mask_positions(mask), vectors, scaled, n)
-                for mask, (vectors, scaled) in filed.items()}
+            filed.setdefault(mask, []).append(vec)
+        return {mask: MaskAtoms(self.support, mask_positions(mask), vectors)
+                for mask, vectors in filed.items()}
 
     def davenport_constant(self) -> int:
         """Maximal atom length."""
@@ -165,7 +157,7 @@ class AtomSet:
         if not self.atoms:
             raise ContractError("cross number of an empty atom set")
         return Fraction(max(max(entry.scaled) for entry in self.mask_index.values()),
-                        lcm(*self.support.orders))
+                        self.support.cross_scale[0])
 
 
 def _search(steps, gbits, spans, last, vec: tuple[int, ...], sig: int,
@@ -240,80 +232,65 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
         what = "grid size x 64-bit words per mask"
     if budget is not None and bound > budget:
         raise BudgetError(
-            f"atom enumeration bound {bound} ({what}) exceeds budget {budget}; "
-            f"raise the budget to proceed", bound=bound)
+            f"atom enumeration bound {format_bound(bound)} ({what}) exceeds "
+            f"budget {format_bound(budget)}; raise the budget to proceed",
+            bound=bound)
 
     k = len(support)
-    codec = support.codec
-    gbits = [1 << codec.encode(g) for g in support.elements]
     # subgroup generated by the support suffix starting at each position,
     # built from the shortest suffix up so each step extends the last
     full = (1 << k) - 1
     spans = [0] * k
     for i in range(k - 1, -1, -1):
         spans[i] = support.span_mask(full ^ ((1 << i) - 1))
-    found = _search(support.steps, gbits, spans, support.multiples(k - 1),
+    found = _search(support.steps, support.bits, spans, support.multiples(k - 1),
                     (0,) * k, 1, 0, 0) if k else []
     return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
                                  for v in found))
 
 
-class ExactSupportAtoms:
-    """The index entry of one support mask of a support set, built on demand:
-    the atoms whose support is exactly that mask, as `AtomSet.mask_index`
-    files them, or None where there is none.
+# The state of the empty mask (see `grow`): sigma = 0, PS = Q = {} and no
+# suffix spans.
+EMPTY_STATE = (1, 0, 0, ())
 
-    A state of a mask is (sigma, PS, Q) of its 0/1 vector and the tuple of
-    the spans of its suffixes, item i the span of its positions from the
-    i-th lowest on; or None once a proper nonempty subset of the mask sums
-    to 0, since then no atom has that mask, or any mask above it, as its
-    support.  The empty mask's state is `EMPTY_STATE`.  A caller that adds
-    positions one at a time, each below the last, carries the state along
-    (`grow`), so the entry of its new mask costs one translation and one
+
+def grow(support: SupportSet, state: tuple, pos: int) -> tuple | None:
+    """The state of a support mask plus position `pos`, below all of its
+    positions, from that of the mask.
+
+    A state of a mask is (sigma, PS, Q) of its 0/1 vector and the spans of
+    its suffixes, item i the span of its positions from the i-th lowest on;
+    or None once a proper nonempty subset of the mask sums to 0, as then no
+    atom has that mask, or any mask above it, as its support.  Carried down
+    a chain of masks, it makes each new entry cost one translation and one
     span join before the search."""
-
-    EMPTY_STATE = (1, 0, 0, ())
-
-    __slots__ = ("gbits", "steps", "multiples", "n", "weights")
-
-    def __init__(self, support: SupportSet):
-        codec = support.codec
-        self.gbits = [1 << codec.encode(g) for g in support.elements]
-        self.steps = support.steps
-        self.multiples = [support.multiples(i) for i in range(len(support))]
-        self.n = lcm(*support.orders)
-        self.weights = [self.n // o for o in support.orders]
-
-    def grow(self, state: tuple, pos: int) -> tuple | None:
-        """The state of a mask plus position `pos`, below all of its
-        positions, from that of the mask."""
-        sig, ps, q, spans = state
-        steps = self.steps[pos]
-        if ps:
-            for low, up, down in steps:
-                lo = q & low
-                q = (lo << up) | ((q ^ lo) >> down)
-                lo = sig & low
-                sig = (lo << up) | ((sig ^ lo) >> down)
-            q |= ps | self.gbits[pos]
-            if q & 1:
-                return None
-            span = spans[0]
-        else:
-            # the empty vector: g alone has no proper nonempty subsequence
-            sig, q, span = self.gbits[pos], 0, 1
-        return sig, q | sig, q, (join_cyclic(span, steps),) + spans
-
-    def entry(self, mask: int, state: tuple) -> MaskAtoms | None:
-        """The atoms with support exactly `mask`, given its state."""
-        positions = mask_positions(mask)
-        sig, ps, q, spans = state
-        found = _search([self.steps[p] for p in positions],
-                        [self.gbits[p] for p in positions], spans,
-                        self.multiples[positions[-1]],
-                        (1,) * len(positions), sig, ps, q)
-        if not found:
+    sig, ps, q, spans = state
+    steps = support.steps[pos]
+    if ps:
+        for low, up, down in steps:
+            lo = q & low
+            q = (lo << up) | ((q ^ lo) >> down)
+            lo = sig & low
+            sig = (lo << up) | ((sig ^ lo) >> down)
+        q |= ps | support.bits[pos]
+        if q & 1:
             return None
-        weights = [self.weights[p] for p in positions]
-        scaled = [sum(map(mul, vec, weights)) for vec in found]
-        return MaskAtoms(positions, found, scaled, self.n)
+        span = spans[0]
+    else:
+        # the empty vector: g alone has no proper nonempty subsequence
+        sig, q, span = support.bits[pos], 0, 1
+    return sig, q | sig, q, (join_cyclic(span, steps),) + spans
+
+
+def exact_entry(support: SupportSet, mask: int,
+                state: tuple) -> MaskAtoms | None:
+    """The index entry of one support mask, built on demand from its state:
+    the atoms whose support is exactly `mask`, as `AtomSet.mask_index` files
+    them, or None where there is none."""
+    positions = mask_positions(mask)
+    steps, bits = support.steps, support.bits
+    sig, ps, q, spans = state
+    found = _search([steps[p] for p in positions], [bits[p] for p in positions],
+                    spans, support.multiples(positions[-1]),
+                    (1,) * len(positions), sig, ps, q)
+    return MaskAtoms(support, positions, found) if found else None

@@ -84,18 +84,12 @@ def is_simple(support: SupportSet) -> bool:
     """
     n = len(support)
     full = (1 << n) - 1
-    codec = support.codec
-    for i, g in enumerate(support.elements):
+    for i in range(n):
         rest = full ^ (1 << i)
-        if not support.is_independent(rest):
-            continue
-        bit = codec.encode(g)
-        if not support.span_mask(rest) >> bit & 1:
-            continue
-        if any(support.span_mask(rest ^ (1 << j)) >> bit & 1
-               for j in range(n) if j != i):
-            continue
-        return True
+        if (support.is_independent(rest) and support.in_span(i, rest)
+                and not any(support.in_span(i, rest ^ (1 << j))
+                            for j in range(n) if j != i)):
+            return True
     return False
 
 
@@ -124,10 +118,7 @@ def classify(support: SupportSet,
 def satisfies_span_property(support: SupportSet) -> bool:
     """Every g lies in the span of the other elements."""
     full = (1 << len(support)) - 1
-    codec = support.codec
-    return all(
-        support.span_mask(full ^ (1 << i)) >> codec.encode(g) & 1
-        for i, g in enumerate(support.elements))
+    return all(support.in_span(i, full ^ (1 << i)) for i in range(len(support)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ from __future__ import annotations
 # Bound on the grid size (product of ord(g)+1 over the support) times the
 # 64-bit words of one DFS mask, for atom enumeration.
 DEFAULT_ENUMERATION_BUDGET = 10 ** 12
+# Most cyclic components a group spec may expand to; a larger rank cannot be
+# swept, and a subset spec would write that many coordinates per element.
+MAX_GROUP_COMPONENTS = 10 ** 7
 # Largest |G| the whole-group subset sweep will accept.
 DEFAULT_SWEEP_MAX_GROUP = 16
 # Cap on the nonempty zero-sum sequences the length pass files.

@@ -20,6 +20,14 @@ class BudgetError(BlockMonoidError):
         self.bound = bound
 
 
+def format_bound(n: int) -> str:
+    """`n` in decimal, or `about 2^k` if it is too long for str()."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 2^{n.bit_length() - 1}"
+
+
 class ParseError(BlockMonoidError):
     """A spec string failed to parse; carries position and expectation."""
 

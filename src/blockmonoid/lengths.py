@@ -6,7 +6,7 @@ from math import comb
 from operator import le
 
 from .atoms import AtomSet
-from .errors import BudgetError, ConsistencyError, ContractError
+from .errors import BudgetError, ConsistencyError, ContractError, format_bound
 from .sequences import SequenceVec, SupportSet
 
 
@@ -143,9 +143,9 @@ def distances_oracle(atoms: AtomSet, max_len: int,
     bound = comb(max_len + k + 1, k)
     if vector_limit is not None and bound > vector_limit:
         raise BudgetError(
-            f"distance oracle bound {bound} (sequences up to length "
-            f"{max_len} over {k} elements) exceeds the limit {vector_limit}",
-            bound=bound)
+            f"distance oracle bound {format_bound(bound)} (sequences up to "
+            f"length {format_bound(max_len)} over {k} elements) exceeds the "
+            f"limit {format_bound(vector_limit)}", bound=bound)
     expected = _zero_sum_counts(atoms.support, max_len)
     filed = [0] * (max_len + 1)
     distances: set[int] = set()

@@ -9,15 +9,16 @@ spanned by the elements at a set of positions T (a bitmask over positions) is
 `span_mask(T)`, built from span_mask(T minus its lowest position i) by OR-ing
 the cosets H + t*g_i until a translate contains 0 again; the table is
 memoized per support.  Then |<T>| is `span_mask(T).bit_count()`, g in <T>
-is one bit test, and T is independent iff |<T>| is the product of the orders
-of its elements (`is_independent`).
+is one AND with the bit of g (`in_span`), and T is independent iff |<T>| is
+the product of the orders of its elements (`is_independent`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 from .errors import ContractError
 from .groups import Element, FiniteAbelianGroup
@@ -114,8 +115,9 @@ class _Span:
             code += y // d % m * stride
         return code
 
-    def translation(self, g: Element) -> tuple[tuple[int, int, int], ...]:
-        """Steps (low mask, up shift, down shift), one per nonzero digit of g.
+    def translation(self, code: int) -> tuple[tuple[int, int, int], ...]:
+        """Steps (low mask, up shift, down shift), one per nonzero digit of
+        the element g with `encode(g) == code`.
 
         Applying every step as `lo = mask & low;
         mask = (lo << up) | ((mask ^ lo) >> down)` translates a mask by g:
@@ -124,7 +126,6 @@ class _Span:
         pattern, (m - t)*s set bits out of every m*s, copied across the
         width by doubling.
         """
-        code = self.encode(g)
         steps = []
         for m, s in zip(self.radices, self.strides):
             t = code // s % m
@@ -167,10 +168,20 @@ class SupportSet:
             raise ContractError("support sets must not contain 0")
         if len(set(elems)) != len(elems):
             raise ContractError(f"support set has duplicate elements: {elems}")
+        # the memos of `multiples` and `span_mask`
+        object.__setattr__(self, "_multiples", {})
+        object.__setattr__(self, "_span_masks", {0: 1})
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(self.group.order_of(g) for g in self.elements)
+
+    @cached_property
+    def cross_scale(self) -> tuple[int, tuple[int, ...]]:
+        """(n, W): n the least common multiple of the orders and
+        W_i = n / ord(g_i), so that n k(S) = sum W_i v_i is an integer."""
+        n = lcm(*self.orders)
+        return n, tuple(n // o for o in self.orders)
 
     @cached_property
     def _index(self) -> dict[Element, int]:
@@ -196,10 +207,16 @@ class SupportSet:
         return _Span(self.group, self.elements)
 
     @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Per position, the mask of its element: one set bit over <S>."""
+        encode = self.codec.encode
+        return tuple(1 << encode(g) for g in self.elements)
+
+    @cached_property
     def steps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per position, the `_Span.translation` steps of its element."""
-        codec = self.codec
-        return tuple(codec.translation(g) for g in self.elements)
+        translation = self.codec.translation
+        return tuple(translation(bit.bit_length() - 1) for bit in self.bits)
 
     def multiples(self, i: int) -> dict[int, tuple[int, int]]:
         """The multiples t*g of the element g at position i, 0 <= t < ord(g),
@@ -207,10 +224,14 @@ class SupportSet:
         later multiples j*g, t < j < ord(g)).
 
         So for x in <g>, table[bit of x] = (c, N) with c the least c >= 1
-        such that c*g = -x, and N = {-g, -2g, ..., -(c - 1)g}.
+        such that c*g = -x, and N = {-g, -2g, ..., -(c - 1)g}.  Built once
+        per position.
         """
+        table = self._multiples.get(i)
+        if table is not None:
+            return table
         steps = self.steps[i]
-        bits = [1]
+        chain = [1]
         x = 1
         while True:
             for low, up, down in steps:
@@ -218,18 +239,14 @@ class SupportSet:
                 x = (lo << up) | ((x ^ lo) >> down)
             if x == 1:
                 break
-            bits.append(x)
-        order = len(bits)
-        table = {}
+            chain.append(x)
+        order = len(chain)
+        table = self._multiples[i] = {}
         later = 0
         for t in range(order - 1, -1, -1):
-            table[bits[t]] = (order - t, later)
-            later |= bits[t]
+            table[chain[t]] = (order - t, later)
+            later |= chain[t]
         return table
-
-    @cached_property
-    def _span_masks(self) -> dict[int, int]:
-        return {0: 1}
 
     def span_mask(self, positions: int) -> int:
         """The subgroup spanned by the elements at the set bits of
@@ -249,6 +266,10 @@ class SupportSet:
             hit = masks[positions] = join_cyclic(
                 self.span_mask(positions ^ low), self.steps[low.bit_length() - 1])
         return hit
+
+    def in_span(self, i: int, positions: int) -> bool:
+        """Whether the element at position i lies in the span of `positions`."""
+        return bool(self.span_mask(positions) & self.bits[i])
 
     def is_independent(self, positions: int) -> bool:
         """Whether the elements at `positions` are independent: the sum of
@@ -308,9 +329,9 @@ class SequenceVec:
         return not any(self.sigma())
 
     def cross_number(self) -> Fraction:
-        """k(S) = sum of v_g / ord(g), exact."""
-        return sum((Fraction(v, o) for v, o in zip(self.exponents, self.support.orders)
-                    if v), Fraction(0))
+        """k(S) = sum of v_g / ord(g), exact, on the support's scale."""
+        n, weights = self.support.cross_scale
+        return Fraction(sum(map(mul, self.exponents, weights)), n)
 
     @property
     def length(self) -> int:
@@ -323,11 +344,6 @@ class SequenceVec:
             raise ContractError("sequences live over different support sets")
         return SequenceVec(self.support,
                            tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __pow__(self, n: int) -> "SequenceVec":
-        if n < 0:
-            raise ContractError("negative powers are not defined")
-        return SequenceVec(self.support, tuple(n * v for v in self.exponents))
 
     # -- presentation -------------------------------------------------------------
 

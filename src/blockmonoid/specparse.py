@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 
+from .config import MAX_GROUP_COMPONENTS
 from .errors import ContractError, ParseError
 from .groups import Element, FiniteAbelianGroup
 from .sequences import SequenceVec, SupportSet
@@ -82,6 +83,9 @@ def parse_group(text: str) -> FiniteAbelianGroup:
             count = sc.integer()
             if count < 1:
                 raise ParseError(text, pos, "an exponent >= 1")
+        if len(orders) + count > MAX_GROUP_COMPONENTS:
+            raise ParseError(text, pos, f"at most {MAX_GROUP_COMPONENTS} "
+                                        f"cyclic components in all")
         orders.extend([n] * count)
         if not sc.take("x"):
             break

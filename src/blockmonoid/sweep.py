@@ -8,7 +8,7 @@ cheap:
   support lies inside the subset, so a subset's atoms are the index entries
   of its submasks, and each entry, the atoms with exactly that support, is
   built once, when the descent forms its mask
-  (`atoms.ExactSupportAtoms`);
+  (`atoms.exact_entry`);
 * each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
   a child that adds one element derives its state from its new atoms, read
   as they are, in one `kernel.child_step`, which folds them in one at a
@@ -27,7 +27,7 @@ cheap:
 Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask M of higher bits gains exactly the atoms whose support is b
 plus a submask of M.  It builds its own entry, for b plus all of M, from
-the state that it carries down the chain (`ExactSupportAtoms.grow`), and
+the state that it carries down the chain (`atoms.grow`), and
 looks the others up in the index.  It hands the entries' sparse lists, each
 atom as its exponent at b and its exponents above b, to the child step
 unread.
@@ -48,13 +48,14 @@ parent nor its other new entries do.
 
 The extremal reports read the whole-group support's span table, on position
 masks, and the sparse index entries of an LCN set's submasks, with the cross
-numbers, scaled by exp(G) to integers, that the index keeps beside them.
+numbers, scaled to integers by the support's `cross_scale`, that the index
+keeps beside them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atoms import ExactSupportAtoms, MaskAtoms, mask_positions
+from .atoms import EMPTY_STATE, MaskAtoms, exact_entry, grow, mask_positions
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import child_step
@@ -131,8 +132,6 @@ def delta_star(group: FiniteAbelianGroup, *,
     k = len(elements)
 
     support = SupportSet(group, elements)
-    exact = ExactSupportAtoms(support)
-    build, grow = exact.entry, exact.grow
     # the entry of every computed mask that has atoms, filed when it is formed
     index: dict[int, MaskAtoms] = {}
     get = index.get
@@ -161,9 +160,9 @@ def delta_star(group: FiniteAbelianGroup, *,
             # the first probe is the new mask's own entry, built here
             new_state = entry = None
             if state is not None:
-                new_state = grow(state, b)
+                new_state = grow(support, state, b)
                 if new_state is not None:
-                    entry = build(new_mask, new_state)
+                    entry = exact_entry(support, new_mask, new_state)
                     if entry is not None:
                         index[new_mask] = entry
             sub = mask
@@ -197,7 +196,7 @@ def delta_star(group: FiniteAbelianGroup, *,
             else:
                 descend(new_mask, b - 1, child_d, nu, nl, new_state)
 
-    descend(0, k - 1, 0, False, False, exact.EMPTY_STATE)
+    descend(0, k - 1, 0, False, False, EMPTY_STATE)
 
     total = (1 << k) - 1
     if len(records) + sum(pruned) != total:
@@ -238,6 +237,7 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
     off the support's span table and the sweep's support-mask index."""
     group = support.group
     n = group.exponent
+    scale = support.cross_scale[0]
     r = group.rank
     mask = rec.mask
     positions = mask_positions(mask)
@@ -248,10 +248,8 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
                and support.orders[positions[0]] == n)
 
     # spans of the subset minus one or two of its elements, as masks over G
-    no_gap = not any(
-        support.span_mask(mask ^ (1 << i) ^ (1 << j)) >> code & 1
-        for i, code in zip(positions, map(support.codec.encode, subset_elems))
-        for j in positions if j != i)
+    no_gap = not any(support.in_span(i, mask ^ (1 << i) ^ (1 << j))
+                     for i in positions for j in positions if j != i)
 
     independent_complement = any(
         support.is_independent(mask ^ (1 << i)) for i in positions)
@@ -260,7 +258,7 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
     heavy_bound: bool | None = None
     if rec.lcn:
         # the atoms over the subset are those filed under its submasks, with
-        # their cross numbers scaled by n
+        # their cross numbers scaled by `scale`
         unit_bound = heavy_bound = True
         sub = mask
         while sub:
@@ -268,10 +266,10 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
             if entry is not None:
                 low = (sub & -sub).bit_length() - 1
                 for atom, scaled in zip(entry.sparse, entry.scaled):
-                    if scaled == n:
+                    if scaled == scale:
                         unit_bound = unit_bound and 2 * sub.bit_count() <= n
-                    elif scaled > n and heavy_bound:
-                        heavy_bound = scaled < r * n and _complement_is_atom(
+                    elif scaled > scale and heavy_bound:
+                        heavy_bound = scaled < r * scale and _complement_is_atom(
                             support.orders, positions, index, low, atom)
             sub = (sub - 1) & mask
 

@@ -221,19 +221,14 @@ def verify_named_family(which: int, r: int = 3,
     if which == 1:
         # e_r and g sit at the last two positions
         e_r, g_sum = len(elems) - 2, len(elems) - 1
-
-        def in_complement_span(i):
-            code = support.codec.encode(elems[i])
-            return support.span_mask(full ^ (1 << i)) >> code & 1
-
         result.check("(e_r, g) dependent",
                      not support.is_independent((1 << e_r) | (1 << g_sum)))
         result.check("complements of g and e_r independent",
                      support.is_independent(full ^ (1 << g_sum))
                      and support.is_independent(full ^ (1 << e_r)))
         result.check("g and e_r outside their complement spans",
-                     not in_complement_span(g_sum)
-                     and not in_complement_span(e_r))
+                     not support.in_span(g_sum, full ^ (1 << g_sum))
+                     and not support.in_span(e_r, full ^ (1 << e_r)))
         max_len = oracle_max_len
         if max_len is None:
             max_len = 2 * atoms.davenport_constant()

@@ -51,6 +51,11 @@ def exponent_matrix(atoms: AtomSet) -> tuple[tuple[int, ...], ...]:
                  for i in range(len(atoms.support)))
 
 
+def power(seq: SequenceVec, c: int) -> SequenceVec:
+    """The sequence seq^c, c >= 0, as c times its exponent vector."""
+    return SequenceVec(seq.support, tuple(c * v for v in seq.exponents))
+
+
 def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
     """The atoms of the index entry of `mask` as exponent tuples of length
     k, read off its sparse form (A_b, [(i, A_i) for i above b])."""
@@ -901,7 +906,7 @@ def kernel_basis_witness(atoms: AtomSet) -> MinDeltaWitness | None:
     seq = SequenceVec.empty(atoms.support)
     for c, a in zip(z, atoms.atoms):
         if c > 0:
-            seq = seq * (a ** c)
+            seq = seq * power(a, c)
     return MinDeltaWitness(tuple(z), seq, (minus_len, plus_len))
 
 

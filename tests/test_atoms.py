@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from blockmonoid import (AtomSet, BudgetError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          abelian_groups_of_order, build_named_set,
                          enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import ExactSupportAtoms
+from blockmonoid.atoms import EMPTY_STATE, exact_entry, grow
+from blockmonoid.errors import format_bound
 from blockmonoid.sequences import _Span
 from oracles import (encode_set, entry_vectors, grid_atoms,
                      seed_enumerate_atoms, walk_enumerate_atoms, walk_search)
@@ -86,6 +88,21 @@ class TestExamples:
         with pytest.raises(BudgetError, match=r"\(grid size\) exceeds"):
             enumerate_atoms(support, 10**12)
         assert "codec" not in support.__dict__
+
+    def test_refusal_of_a_bound_too_long_to_print(self):
+        # the grid of 59 elements of C_(10^100) has about 5900 digits, past
+        # the interpreter's limit on printing an int where it has one; the
+        # message shows the bound as a power of 2, the error carries it
+        support = SupportSet(FiniteAbelianGroup((10 ** 100,)),
+                             tuple((i,) for i in range(1, 60)))
+        bound = enumeration_bound(support)
+        with pytest.raises(BudgetError) as info:
+            enumerate_atoms(support, 10 ** 12)
+        assert info.value.bound == bound
+        assert f"bound {format_bound(bound)} (grid size)" in str(info.value)
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert format_bound(bound) == f"about 2^{bound.bit_length() - 1}"
+        assert format_bound(36) == "36"
 
 
 class TestDerivedConstants:
@@ -288,32 +305,31 @@ _WHOLE_GROUP = {}
 
 
 def whole_group(orders):
-    """(exact-support builder, eager index) on the nonzero elements, built
-    once; the index files the seed DFS's atoms, so it shares no search with
-    the builder."""
+    """(support, eager index) on the nonzero elements, built once; the index
+    files the seed DFS's atoms, so it shares no search with `exact_entry`."""
     if orders not in _WHOLE_GROUP:
         group = FiniteAbelianGroup(orders)
         support = SupportSet(group, group.nonzero_elements)
         atoms = AtomSet(support, tuple(SequenceVec(support, v)
                                        for v in seed_enumerate_atoms(support)))
-        _WHOLE_GROUP[orders] = (ExactSupportAtoms(support), atoms.mask_index)
+        _WHOLE_GROUP[orders] = (support, atoms.mask_index)
     return _WHOLE_GROUP[orders]
 
 
-def exact_entry(exact, mask):
+def mask_entry(support, mask):
     """The on-demand entry of `mask`; None without a search when its state
     is dead, as the sweep does."""
-    state = ones_state(exact, mask)
-    return None if state is None else exact.entry(mask, state)
+    state = ones_state(support, mask)
+    return None if state is None else exact_entry(support, mask, state)
 
 
-def ones_state(exact, mask):
+def ones_state(support, mask):
     """The state of the 0/1 vector of `mask`, grown one position at a time
     from the highest down, as the sweep adds them."""
-    state = exact.EMPTY_STATE
+    state = EMPTY_STATE
     for i in reversed(range(mask.bit_length())):
         if mask >> i & 1:
-            state = exact.grow(state, i)
+            state = grow(support, state, i)
             if state is None:
                 break
     return state
@@ -329,34 +345,34 @@ class TestOnDemandIndex:
     @pytest.mark.parametrize("group", ON_DEMAND_GROUPS,
                              ids=lambda g: g.spec_string())
     def test_every_mask(self, group):
-        exact, index = whole_group(group.orders)
+        support, index = whole_group(group.orders)
         k = len(group.nonzero_elements)
         for mask in range(1, 1 << k):
-            got = exact_entry(exact, mask)
+            got = mask_entry(support, mask)
             assert entry_fields(got) == entry_fields(index.get(mask)), mask
 
     def test_zero_sum_sets(self):
         # over C2^2, {a, b, a+b} sums to 0, so its only atom is itself, and
         # a state grown from it is dead; {a, a+b} has no proper zero-sum
         # subset, yet no atom has exactly that support
-        exact, index = whole_group((2, 2))
-        full = exact.grow(exact.grow(exact.grow(exact.EMPTY_STATE, 2), 1), 0)
+        support, index = whole_group((2, 2))
+        full = grow(support, grow(support, grow(support, EMPTY_STATE, 2), 1), 0)
         assert full is not None and full[0] == 1
-        assert exact.entry(0b111, full).sparse == [(1, [(1, 1), (2, 1)])]
-        assert exact.grow(full, 0) is None
-        assert ones_state(exact, 0b101) is not None
-        assert exact_entry(exact, 0b101) is None
+        assert exact_entry(support, 0b111, full).sparse == [(1, [(1, 1), (2, 1)])]
+        assert grow(support, full, 0) is None
+        assert ones_state(support, 0b101) is not None
+        assert mask_entry(support, 0b101) is None
         assert 0b101 not in index
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([(23,), (3, 3, 3), (2, 2, 2, 3)]), st.data())
     def test_sampled_masks(self, orders, data):
-        exact, index = whole_group(orders)
+        support, index = whole_group(orders)
         k = len(FiniteAbelianGroup(orders).nonzero_elements)
         positions = data.draw(st.sets(st.integers(0, k - 1), min_size=1,
                                       max_size=7))
         mask = sum(1 << i for i in positions)
-        got = exact_entry(exact, mask)
+        got = mask_entry(support, mask)
         assert entry_fields(got) == entry_fields(index.get(mask))
 
 
@@ -396,7 +412,8 @@ class TestSpanCodec:
         group, gens, _, subset, g = case
         codec = _Span(group, gens)
         moved = {group.add(a, g) for a in subset}
-        assert translate(encode_set(codec, subset), codec.translation(g)) == \
+        assert translate(encode_set(codec, subset),
+                         codec.translation(codec.encode(g))) == \
             encode_set(codec, moved)
 
     @settings(max_examples=200, deadline=None)
@@ -408,7 +425,7 @@ class TestSpanCodec:
         while True:
             grown = mask
             for g in gens:
-                grown |= translate(mask, codec.translation(g))
+                grown |= translate(mask, codec.translation(codec.encode(g)))
             if grown == mask:
                 break
             mask = grown
@@ -429,13 +446,13 @@ def query_support(draw):
     return SupportSet(group, tuple(picked))
 
 
-def walk_entry(exact, support, mask, state):
+def walk_entry(support, mask, state):
     """The atoms with support exactly `mask` by the walking search, from the
     state of the mask's 0/1 vector, in the sparse form of an index entry."""
     positions = [i for i in range(len(support)) if mask >> i & 1]
     sig, ps, q, spans = state
     found = walk_search([support.steps[p] for p in positions],
-                        [exact.gbits[p] for p in positions], spans,
+                        [support.bits[p] for p in positions], spans,
                         (1,) * len(positions), sig, ps, q)
     return [(v[0], list(zip(positions[1:], v[1:]))) for v in found]
 
@@ -454,12 +471,11 @@ class TestSolvedLastPosition:
     @settings(max_examples=150, deadline=None)
     @given(query_support(), st.data())
     def test_mask_state(self, support, data):
-        exact = ExactSupportAtoms(support)
         mask = data.draw(st.integers(1, (1 << len(support)) - 1))
-        state = ones_state(exact, mask)
+        state = ones_state(support, mask)
         assume(state is not None)
-        sparse = walk_entry(exact, support, mask, state)
-        entry = exact.entry(mask, state)
+        sparse = walk_entry(support, mask, state)
+        entry = exact_entry(support, mask, state)
         if entry is None:
             assert sparse == []
         else:
@@ -470,15 +486,14 @@ class TestSolvedLastPosition:
         for g, order in (((2,), 5), ((5,), 6), ((1,), 2)):
             support = SupportSet(FiniteAbelianGroup((order,)), (g,))
             assert vectors(support) == ((order,),)
-            exact = ExactSupportAtoms(support)
-            entry = exact.entry(1, exact.grow(exact.EMPTY_STATE, 0))
+            entry = exact_entry(support, 1, grow(support, EMPTY_STATE, 0))
             assert entry.sparse == [(order, [])]
 
     def test_last_element_of_order_two(self):
         # the table of an element of order 2 has c = 2 at 0 and c = 1 at g
         group = FiniteAbelianGroup((2, 4))
         support = SupportSet(group, ((0, 1), (1, 1), (1, 2), (1, 0)))
-        bit = 1 << support.codec.encode((1, 0))
+        bit = support.bits[3]
         assert support.multiples(3) == {1: (2, bit), bit: (1, 0)}
         assert list(vectors(support)) == walk_enumerate_atoms(support) \
             == grid_atoms(support)

@@ -13,7 +13,7 @@ from blockmonoid import (AtomSet, ConsistencyError, ContractError,
 from blockmonoid.kernel import (echelon_insert, half_factorial,
                                 lattice_tail_generator)
 from oracles import (echelon_min_delta, exponent_matrix, hnf_integer_kernel,
-                     kernel_basis_contains, kernel_basis_witness,
+                     kernel_basis_contains, kernel_basis_witness, power,
                      seed_echelon_insert, seed_lattice_tail_generator)
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
@@ -209,7 +209,7 @@ def assert_witness_matches_kernel_basis(atoms):
         seq = SequenceVec.empty(atoms.support)
         for c, a in zip(z, atoms.atoms):
             if sign * c > 0:
-                seq = seq * (a ** (sign * c))
+                seq = seq * power(a, sign * c)
         halves.append(seq)
     assert halves[0] == halves[1] == witness.sequence
     assert witness.sequence.is_zero_sum()

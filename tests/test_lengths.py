@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          ContractError, FiniteAbelianGroup, LengthSet,
                          SequenceVec, SupportSet, delta_of_lengths,
                          distances_oracle, enumerate_atoms, length_set)
+from blockmonoid.errors import format_bound
 from oracles import naive_length_set, walk_distances_oracle
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
@@ -185,6 +187,16 @@ class TestDistancesOracle:
         with pytest.raises(BudgetError) as info:
             distances_oracle(atoms, 10, vector_limit=77)
         assert info.value.bound == 78
+
+    def test_vector_budget_on_a_bound_too_long_to_print(self):
+        # C(10^3000 + 3, 2) has 6000 digits; the error carries it exactly
+        atoms = enumerate_atoms(PM5)
+        max_len = 10 ** 3000
+        with pytest.raises(BudgetError) as info:
+            distances_oracle(atoms, max_len, vector_limit=10 ** 6)
+        bound = info.value.bound
+        assert bound == comb(max_len + 3, 2)
+        assert f"distance oracle bound {format_bound(bound)} " in str(info.value)
 
     def test_memo_limit_boundary(self):
         # the pass files each nonempty zero-sum B with |B| <= 10 once

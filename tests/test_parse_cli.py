@@ -15,6 +15,7 @@ from blockmonoid import (ConsistencyError, FiniteAbelianGroup, ParseError,
                          SupportSet, delta_star, parse_group, parse_sequence,
                          parse_subset)
 from blockmonoid.cli import run
+from blockmonoid.config import MAX_GROUP_COMPONENTS
 from blockmonoid.specparse import format_subset
 
 
@@ -39,6 +40,19 @@ class TestParseGroup:
         with pytest.raises(ParseError) as info:
             parse_group("C4x?")
         assert info.value.position == 3
+
+    @pytest.mark.parametrize("text, position", [
+        ("C2^1000000000", 3),
+        # the running count: one component and then the cap's worth
+        (f"C2xC3^{MAX_GROUP_COMPONENTS}", 6),
+    ])
+    def test_component_count_capped(self, text, position):
+        # refused at the exponent, before a tuple of that many orders is built
+        with pytest.raises(ParseError) as info:
+            parse_group(text)
+        assert info.value.position == position
+        assert info.value.expected == \
+            f"at most {MAX_GROUP_COMPONENTS} cyclic components in all"
 
 
 class TestParseSubset:
@@ -382,6 +396,27 @@ class TestCli:
         assert done.returncode == 2, done.stderr
         assert "bound 156250000000000000000 (grid size x 64-bit words per mask)" \
             in done.stderr
+
+    def test_component_cap_exit_code(self):
+        # a billion components would take gigabytes to list; the spec is
+        # refused as it is parsed
+        done = run_cli_process(2 << 30, 10, "delta-star", "--group",
+                               "C2^1000000000")
+        assert done.returncode == 2, done.stderr
+        assert "cyclic components in all" in done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        # C(10^3000 + 3, 2), the oracle's bound, has 6000 digits
+        ("delta-observed", "--group", "C5", "--subset", "(1);(4)",
+         "--max-len", "1" + "0" * 3000),
+        # the grid of 59 elements of C_(10^100) has about 5900 digits
+        ("atoms", "--group", "C1" + "0" * 100,
+         "--subset", ";".join(f"({i})" for i in range(1, 60))),
+    ], ids=["oracle", "atoms"])
+    def test_refusals_of_bounds_too_long_to_print(self, argv):
+        with pytest.raises(SystemExit) as info:
+            run_cli_main(*argv)
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("which, r, bound", [
         # the grid 3^21 x 5^4 of the rank-24 family, over the budget alone

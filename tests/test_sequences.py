@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from blockmonoid import (ContractError, FiniteAbelianGroup, SequenceVec,
                          SupportSet)
+from blockmonoid.groups import prime_factors
 
 C5 = FiniteAbelianGroup((5,))
 C244 = FiniteAbelianGroup((2, 4, 4))
@@ -53,18 +54,32 @@ class TestSigma:
 class TestCrossNumber:
     def test_full_power(self):
         assert SequenceVec(PM5, (5, 0)).cross_number() == 1
+        # no orders: the scale is lcm() = 1
+        empty = SupportSet(C5, ())
+        assert empty.cross_scale == (1, ())
+        assert SequenceVec.empty(empty).cross_number() == 0
 
     def test_inverse_pair(self):
         assert SequenceVec(PM5, (1, 1)).cross_number() == Fraction(2, 5)
 
     def test_listed_atom(self):
         assert A1.cross_number() == 2
+        assert FAMILY.cross_scale == (4, (1, 1, 1, 1))
 
     @settings(max_examples=50, deadline=None)
     @given(support_and_two_sequences())
     def test_additive(self, data):
-        _, s, t = data
+        support, s, t = data
         assert (s * t).cross_number() == s.cross_number() + t.cross_number()
+        # n is the least common multiple of the orders, W_i = n / ord(g_i),
+        # and k(S) on that scale is the sum of the v_g / ord(g)
+        n, weights = support.cross_scale
+        orders = support.orders
+        assert [w * o for w, o in zip(weights, orders)] == [n] * len(orders)
+        assert not any(all(n // p % o == 0 for o in orders)
+                       for p in prime_factors(n))
+        assert s.cross_number() == sum(
+            (Fraction(v, o) for v, o in zip(s.exponents, orders)), Fraction(0))
 
     @settings(max_examples=50, deadline=None)
     @given(support_and_two_sequences())

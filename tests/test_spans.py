@@ -84,6 +84,11 @@ def check_against_oracles(support, atoms):
     for i, g in enumerate(elems):
         m = total // support.span_mask(full ^ (1 << i)).bit_count()
         assert m == min_multiple_in_span(group, g, elems[:i] + elems[i + 1:])
+    # membership of each element in the span of every sub-family
+    for positions in range(1 << len(elems)):
+        closure = group.subgroup_closure(at(support, positions))
+        for i, g in enumerate(elems):
+            assert support.in_span(i, positions) == (g in closure)
     try:
         expected = seed_transfer_reduce(support, atoms)
     except ContractError:

@@ -6,7 +6,7 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          build_named_set, delta_star, enumerate_atoms,
                          expected_max_delta_star)
 from blockmonoid import kernel, sweep
-from blockmonoid.atoms import ExactSupportAtoms
+from blockmonoid.atoms import exact_entry
 from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
                      seed_delta_star, seed_extremal_report)
 
@@ -376,15 +376,13 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
     def test_nonunit_flags_cleared(self, monkeypatch):
-        entry_of = ExactSupportAtoms.entry
-
-        def cleared(self, mask, state):
-            entry = entry_of(self, mask, state)
+        def cleared(support, mask, state):
+            entry = exact_entry(support, mask, state)
             if entry is not None:
                 entry.nonunit = False
             return entry
 
-        monkeypatch.setattr(ExactSupportAtoms, "entry", cleared)
+        monkeypatch.setattr(sweep, "exact_entry", cleared)
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
 
