@@ -1,8 +1,9 @@
 """Enumeration of the minimal zero-sum sequences (atoms) over a support set.
 
-One depth-first search finds them (`_search`).  It walks the support
-positions in fixed order and raises the exponent at a position one copy at a
-time, except at the last position, which it solves (below).  Along the branch it maintains two sets of group elements:
+One depth-first search finds them (`_search`), with one frame per support
+position and exponent prefix: a frame raises the exponent at its position
+one copy at a time and from each exponent goes on to the next position,
+solved in place when it is the last (below).  Each branch keeps two sets:
 
     PS(w) = sums of all nonempty subsequences of the partial vector w,
     Q(w)  = sums of all proper nonempty subsequences of w.
@@ -38,16 +39,16 @@ i = 0 its sum lies in PS(w) and is 0 only if 0 is in Q(w) (w' = w has sum
 sigma(w) != 0).  With i = c it is proper only if w' is not w, and sums to
 0 only if the rest of w does, again 0 in Q(w).  That leaves w' nonempty
 and 0 < i < c, where w' g^i sums to 0 iff sigma(w') = -i*g; some such
-choice does iff PS(w) meets N_c.  So a frame at the last position costs
-one lookup in the table of multiples of g (`SupportSet.multiples`:
-sigma -> (c, the mask of N_c)) and one AND, and the search pushes no frame
-past it.  The empty vector there, from `enumerate_atoms`, takes sigma = 0
+choice does iff PS(w) meets N_c.  So the frame before the last position
+solves it with one lookup in the table of multiples of g
+(`SupportSet.multiples`: sigma -> (c, the mask of N_c)) and one AND, and
+pushes nothing.  The empty vector, from `enumerate_atoms`, takes sigma = 0
 to c = ord(g) and N_c to the nonzero multiples of g, which PS = {} misses:
-the atom g^ord(g).  The walk that raised the last exponent one copy at a
-time is kept in the test suite as an oracle.  The exponent vectors the search visits are a subset of those
-the walk visited, so `enumeration_bound` is still an upper bound on its
-nodes; the budget test reads only that bound, so it refuses the same
-supports.
+the atom g^ord(g).  The walk that pushed a frame per copy and walked the
+last position too is kept in the test suite as an oracle.  The search
+visits a subset of the exponent vectors the walk visited, so
+`enumeration_bound` still bounds its nodes; the budget test reads only that
+bound, so it refuses the same supports.
 
 The branch state is held in bitmasks.  Every subsequence sum lies in the
 subgroup <S> that the support generates; the support's codec (`_Span` in
@@ -61,19 +62,22 @@ of subgroup masks, `SupportSet.span_mask`.
 The search starts from one of two states.  `enumerate_atoms` starts it from
 the empty vector on every support position, so exponents run from 0, and
 files the atoms in an `AtomSet`.  An `AtomSet` files its atoms by support
-mask (`mask_index`), with cross numbers scaled to integers by the support's
-`cross_scale`, and each atom in the one sparse form of `MaskAtoms`, never as
-a k-tuple.  The half-factorial, LCN and minimality flags, min Delta and the
-largest cross number are read off the index.
+mask (`mask_index`), each entry (`MaskAtoms`) holding the search's exponent
+tuples over the mask's positions, never a k-tuple, with cross numbers
+scaled to integers by the support's `cross_scale`.  The half-factorial, LCN
+and minimality flags, min Delta and the largest cross number are read off
+the index.
 
 `exact_entry` builds one entry of that index on its own: the atoms whose
 support is exactly a given mask.  Such an atom contains each element of the
 mask once, so it starts the search on the positions of the mask from their
 0/1 vector, on the same codec, and only raises exponents.  The caller grows
-that vector's state from `EMPTY_STATE` (`grow`).  When a proper nonempty
-subset of the mask sums to 0, that state already has 0 in Q and no atom has
-the mask as its support.  The whole-group sweep builds the entry of each
-subset it forms this way and never enumerates the atoms of the whole group.
+that vector's state from `EMPTY_STATE` (`grow`); beside sigma, PS and Q it
+holds the mask's positions and their steps, element bits and suffix spans,
+in the order the search reads them.  When a proper nonempty subset of the
+mask sums to 0, that state already has 0 in Q and no atom has the mask as
+its support.  The whole-group sweep builds the entry of each subset it
+forms this way and never enumerates the atoms of the whole group.
 """
 from __future__ import annotations
 
@@ -87,28 +91,21 @@ from .errors import BudgetError, ContractError, format_bound
 from .sequences import SequenceVec, SupportSet, join_cyclic
 
 
-def mask_positions(mask: int) -> list[int]:
-    """The positions of the set bits of `mask`, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 class MaskAtoms:
-    """The atoms with one support mask, in the sparse form the min Delta
-    steps read (`sparse`): each atom A as (A_b, the pairs (i, A_i) for the
-    mask's positions i above its lowest one, b); their cross numbers n k(A),
-    on the support's scale n (`scaled`, in the same order); and whether some
-    has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
+    """The atoms with one support mask, from nonempty `vectors`, each atom's
+    exponents at the mask's `positions` of `support`, the first the lowest:
+    kept as they are, beside `above`, the positions after the first; their
+    cross numbers n k(A), on the support's scale n (`scaled`, in the same
+    order); whether some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
 
-    __slots__ = ("sparse", "scaled", "nonunit", "light")
+    __slots__ = ("above", "vectors", "scaled", "nonunit", "light")
 
-    def __init__(self, support: SupportSet, positions: list[int],
-                 vectors: list):
-        """Files nonempty `vectors`, each an atom's exponents at the mask's
-        `positions` of `support`, ascending."""
+    def __init__(self, support: SupportSet, positions: tuple[int, ...],
+                 vectors: list[tuple[int, ...]]):
         n, weights = support.cross_scale
         weights = [weights[p] for p in positions]
-        above = positions[1:]
-        self.sparse = [(vec[0], list(zip(above, vec[1:]))) for vec in vectors]
+        self.above = positions[1:]
+        self.vectors = vectors
         self.scaled = scaled = [sum(map(mul, vec, weights)) for vec in vectors]
         self.light = min(scaled) < n
         self.nonunit = self.light or max(scaled) > n
@@ -134,17 +131,12 @@ class AtomSet:
     @cached_property
     def mask_index(self) -> dict[int, MaskAtoms]:
         """The atoms grouped by support mask, bit i standing for position i."""
-        filed: dict[int, list] = {}
+        filed: dict[tuple, list] = {}
         for a in self.atoms:
-            mask = 0
-            vec = []
-            for i, c in enumerate(a.exponents):
-                if c:
-                    mask |= 1 << i
-                    vec.append(c)
-            filed.setdefault(mask, []).append(vec)
-        return {mask: MaskAtoms(self.support, mask_positions(mask), vectors)
-                for mask, vectors in filed.items()}
+            at = tuple(i for i, c in enumerate(a.exponents) if c)
+            filed.setdefault(at, []).append(tuple(a.exponents[i] for i in at))
+        return {sum(1 << i for i in at): MaskAtoms(self.support, at, vectors)
+                for at, vectors in filed.items()}
 
     def davenport_constant(self) -> int:
         """Maximal atom length."""
@@ -171,43 +163,49 @@ def _search(steps, gbits, spans, last, vec: tuple[int, ...], sig: int,
     position's element (`SupportSet.multiples`), which solves that position
     in one step.
     """
+    if sig == 1 and ps:
+        return [vec]  # any raise would contain this zero-sum properly
     end = len(steps) - 1
+    if not end:
+        hit = last.get(sig)
+        return [(vec[0] + hit[0],)] if hit is not None and not ps & hit[1] else []
     found: list[tuple[int, ...]] = []
-    # frame: (position, exponent vector, sigma, PS, Q); a frame is pushed
-    # only while 0 is not in Q
-    stack = [(0, vec, sig, ps, q)]
+    # frame: (position i, the exponents before i, sigma, PS, Q), with vec[i]
+    # copies at i and 0 not in Q; tuples are built only to push or record
+    stack = [(0, (), sig, ps, q)]
     while stack:
-        i, vec, sig, ps, q = stack.pop()
-        if sig == 1 and ps:
-            found.append(vec)
-            continue  # any extension would contain this zero-sum properly
-        if i == end:
-            # the exponent is forced: c copies of g with c*g = -sigma, and an
-            # atom iff no subsequence of vec sums to one of -g .. -(c-1)g;
-            # no entry means -sigma is not in <g>
-            hit = last.get(sig)
-            if hit is not None and not ps & hit[1]:
-                found.append(vec[:i] + (vec[i] + hit[0],))
-            continue
-        if not spans[i] & sig:
-            continue  # the deficit cannot be repaired from here on
-        stack.append((i + 1, vec, sig, ps, q))
-        if ps:
-            # translations by g, written out: a helper call per translation
-            # costs about a quarter of the search time
-            for low, up, down in steps[i]:
-                lo = q & low
-                q = (lo << up) | ((q ^ lo) >> down)
-                lo = sig & low
-                sig = (lo << up) | ((sig ^ lo) >> down)
-            q |= ps | gbits[i]
-            if q & 1:
-                continue
-        else:
-            # the empty vector: g alone has no proper nonempty subsequence
-            sig = gbits[i]
-        stack.append((i, vec[:i] + (vec[i] + 1,) + vec[i + 1:],
-                      sig, q | sig, q))
+        i, head, sig, ps, q = stack.pop()
+        j, c, steps_i, bit = i + 1, vec[i], steps[i], gbits[i]
+        while True:
+            # go on to position j with c copies at i
+            if j == end:
+                # the exponent is forced: c' copies of g with c'*g = -sigma,
+                # an atom iff no subsequence sums to one of -g .. -(c'-1)g;
+                # no entry means -sigma is not in <g>
+                hit = last.get(sig)
+                if hit is not None and not ps & hit[1]:
+                    found.append(head + (c, vec[j] + hit[0]))
+            elif spans[j] & sig:  # else no later position repairs the deficit
+                stack.append((j, head + (c,), sig, ps, q))
+            if ps:
+                # translations by g, written out: a helper call per
+                # translation costs about a quarter of the search time
+                for low, up, down in steps_i:
+                    lo = q & low
+                    q = (lo << up) | ((q ^ lo) >> down)
+                    lo = sig & low
+                    sig = (lo << up) | ((sig ^ lo) >> down)
+                q |= ps | bit
+                if q & 1:
+                    break
+            else:
+                # the empty vector: g alone has no proper nonempty subsequence
+                sig = bit
+            ps = q | sig
+            c += 1
+            if sig == 1:
+                found.append(head + (c,) + vec[j:])
+                break  # any extension would contain this zero-sum properly
     found.sort()
     return found
 
@@ -240,9 +238,8 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     # subgroup generated by the support suffix starting at each position,
     # built from the shortest suffix up so each step extends the last
     full = (1 << k) - 1
-    spans = [0] * k
-    for i in range(k - 1, -1, -1):
-        spans[i] = support.span_mask(full ^ ((1 << i) - 1))
+    spans = [support.span_mask(full ^ ((1 << i) - 1))
+             for i in reversed(range(k))][::-1]
     found = _search(support.steps, support.bits, spans, support.multiples(k - 1),
                     (0,) * k, 1, 0, 0) if k else []
     return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
@@ -250,47 +247,45 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
 
 
 # The state of the empty mask (see `grow`): sigma = 0, PS = Q = {} and no
-# suffix spans.
-EMPTY_STATE = (1, 0, 0, ())
+# positions.
+EMPTY_STATE = (1, 0, 0, (), (), (), ())
 
 
 def grow(support: SupportSet, state: tuple, pos: int) -> tuple | None:
-    """The state of a support mask plus position `pos`, below all of its
-    positions, from that of the mask.
+    """The state of a support mask plus position `pos`, put first, from that
+    of the mask.
 
-    A state of a mask is (sigma, PS, Q) of its 0/1 vector and the spans of
-    its suffixes, item i the span of its positions from the i-th lowest on;
-    or None once a proper nonempty subset of the mask sums to 0, as then no
-    atom has that mask, or any mask above it, as its support.  Carried down
-    a chain of masks, it makes each new entry cost one translation and one
-    span join before the search."""
-    sig, ps, q, spans = state
-    steps = support.steps[pos]
+    A state of a mask is (sigma, PS, Q) of its 0/1 vector, then, in the
+    order the search walks them, the spans of its suffixes, its positions,
+    their translation steps and their element bits; or None once a proper
+    nonempty subset of the mask sums to 0, as then no atom has that mask,
+    or any mask above it, as its support.  The sweep puts each position
+    below the mask's.  Carried down a chain of masks, it makes each new
+    entry cost one translation and one span join before the search."""
+    sig, ps, q, spans, positions, steps, bits = state
+    step, bit = support.steps[pos], support.bits[pos]
     if ps:
-        for low, up, down in steps:
+        for low, up, down in step:
             lo = q & low
             q = (lo << up) | ((q ^ lo) >> down)
             lo = sig & low
             sig = (lo << up) | ((sig ^ lo) >> down)
-        q |= ps | support.bits[pos]
+        q |= ps | bit
         if q & 1:
             return None
         span = spans[0]
     else:
         # the empty vector: g alone has no proper nonempty subsequence
-        sig, q, span = support.bits[pos], 0, 1
-    return sig, q | sig, q, (join_cyclic(span, steps),) + spans
+        sig, q, span = bit, 0, 1
+    return (sig, q | sig, q, (join_cyclic(span, step),) + spans,
+            (pos,) + positions, (step,) + steps, (bit,) + bits)
 
 
-def exact_entry(support: SupportSet, mask: int,
-                state: tuple) -> MaskAtoms | None:
-    """The index entry of one support mask, built on demand from its state:
-    the atoms whose support is exactly `mask`, as `AtomSet.mask_index` files
-    them, or None where there is none."""
-    positions = mask_positions(mask)
-    steps, bits = support.steps, support.bits
-    sig, ps, q, spans = state
-    found = _search([steps[p] for p in positions], [bits[p] for p in positions],
-                    spans, support.multiples(positions[-1]),
+def exact_entry(support: SupportSet, state: tuple) -> MaskAtoms | None:
+    """The index entry of the nonempty support mask of `state`, built on
+    demand: the atoms whose support is exactly that mask, as
+    `AtomSet.mask_index` files them, or None where there is none."""
+    sig, ps, q, spans, positions, steps, bits = state
+    found = _search(steps, bits, spans, support.multiples(positions[-1]),
                     (1,) * len(positions), sig, ps, q)
     return MaskAtoms(support, positions, found) if found else None

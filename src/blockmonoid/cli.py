@@ -49,6 +49,12 @@ def _add_common(p):
                         f"words per mask; default {DEFAULT_ENUMERATION_BUDGET})")
 
 
+def _add_sweep_cap(p):
+    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
+                   help=f"largest |G| the sweep accepts "
+                        f"(default {DEFAULT_SWEEP_MAX_GROUP})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockmonoid",
@@ -79,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta-star", help="whole-group sweep of minimal distances")
     p.add_argument("--format", choices=rpt.FORMATS, default="text")
-    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
-                   help=f"largest |G| the sweep accepts "
-                        f"(default {DEFAULT_SWEEP_MAX_GROUP})")
+    _add_sweep_cap(p)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--group", help="group spec, e.g. C2^2xC4")
     which.add_argument("--max-order", type=_at_least(3), metavar="N",
@@ -107,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("thm-4.5")
     v.add_argument("--group", required=True)
+    _add_sweep_cap(v)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("remark-4.6")
@@ -204,8 +209,8 @@ def run(argv=None) -> int:
             # the default --max-order of thm-1.1 and all
             result = verify_p_group_m(sweep_groups(16))
         elif args.target == "thm-4.5":
-            report = delta_star(parse_group(args.group))
-            result = verify_extremal_structure(report)
+            result = verify_extremal_structure(
+                delta_star(parse_group(args.group), sweep_max_group=args.budget))
         elif args.target == "remark-4.6":
             result = verify_named_family(args.which, r=args.r,
                                          oracle_max_len=args.max_len)

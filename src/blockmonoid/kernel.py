@@ -24,8 +24,8 @@ only when it reaches it: with g' = gcd(g, c) = x*g + y*c, the pair sets D
 to gcd(D, (c*S - g*B)/g') and (g, S) to (g', x*S + y*B).  D only shrinks,
 and it stays 0 or a positive multiple of e, so once it reaches e the new d
 is 1, the child is pruned whatever its weight, and the step stops reading
-atoms.  It reads them in the sparse form of the support-mask index entries
-(`atoms.MaskAtoms`), which `min_delta` and the sweep both hand it.
+atoms.  It reads the index entries (`atoms.MaskAtoms`) that `min_delta` and
+the sweep hand it as they are: `above` and one exponent tuple per atom.
 
 `min_delta_witness` checks min Delta by a route that shares no code with
 the step: one elimination of the augmented columns into a (k+1)-slot
@@ -148,9 +148,9 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
     """(d', W_b) for the child that adds position b to a mask in state (d, W),
     or (1, None) as soon as d' = 1 is certain.
 
-    The new atoms, those over the child with a_b >= 1, come as a list of
-    sparse entry lists: each atom a as (c, pairs), c = a_b and pairs the
-    (i, a_i) at the mask's positions above b; the fold computes its
+    The new atoms, those over the child with a_b >= 1, come as index
+    entries: each atom a as an exponent tuple, c = a_b first and then the
+    a_i at the entry's positions `above` b; the fold computes its
     B = e - sum W_i a_i when it reaches it.  The child's lattice vectors
     (r, t) with r_b = 0 are spanned by the parent's lattice and the integer
     combinations of the augmented atom columns (a, 1) whose b parts cancel,
@@ -185,9 +185,12 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
     """
     big_d = e * d
     g = big_s = 0
-    for sparse in entries:
-        for c, pairs in sparse:
-            big_b = e - sum([weights[i] * v for i, v in pairs])
+    for entry in entries:
+        above = entry.above
+        for vec in entry.vectors:
+            c, big_b = vec[0], e
+            for i, v in zip(above, vec[1:]):
+                big_b -= weights[i] * v
             if not g:
                 g, big_s = c, big_b
                 continue
@@ -223,17 +226,16 @@ def min_delta(atoms: AtomSet) -> int:
     """min Delta(G0) as the positive generator of the length-difference group.
 
     0 means Delta(G0) is empty, i.e. the support set is half-factorial.  The
-    positions join from last to first, each with the sparse lists of the
-    index entries (`AtomSet.mask_index`) whose lowest support position it
-    is, so B sums over the positions whose weights are set.  min Delta 1
-    ends the fold, inside a position or between two: min Delta of a
-    superset divides it.
+    positions join from last to first, each with the index entries
+    (`AtomSet.mask_index`) whose lowest support position it is, so B sums
+    over the positions whose weights are set.  min Delta 1 ends the fold,
+    inside a position or between two: min Delta of a superset divides it.
     """
     k = len(atoms.support)
     e = atoms.support.group.exponent
     joining = [[] for _ in range(k)]
     for mask, entry in atoms.mask_index.items():
-        joining[(mask & -mask).bit_length() - 1].append(entry.sparse)
+        joining[(mask & -mask).bit_length() - 1].append(entry)
     if [] in joining:
         # every g in the support brings the atom g^ord(g) at its position
         raise ContractError(f"no atom has lowest support position {joining.index([])}")

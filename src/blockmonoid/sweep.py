@@ -7,8 +7,7 @@ cheap:
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
   support lies inside the subset, so a subset's atoms are the index entries
   of its submasks, and each entry, the atoms with exactly that support, is
-  built once, when the descent forms its mask
-  (`atoms.exact_entry`);
+  built once, when the descent forms its mask (`atoms.exact_entry`);
 * each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
   a child that adds one element derives its state from its new atoms, read
   as they are, in one `kernel.child_step`, which folds them in one at a
@@ -27,10 +26,9 @@ cheap:
 Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask M of higher bits gains exactly the atoms whose support is b
 plus a submask of M.  It builds its own entry, for b plus all of M, from
-the state that it carries down the chain (`atoms.grow`), and
-looks the others up in the index.  It hands the entries' sparse lists, each
-atom as its exponent at b and its exponents above b, to the child step
-unread.
+the state that it carries down the chain (`atoms.grow`), and looks the
+others up in the index.  It hands the entries themselves, each atom an
+exponent tuple over the entry's positions, b first, to the child step.
 Siblings go in ascending order of b, so the masks are formed in increasing
 integer order, and each subset's record is written once, already sorted.
 So every mask T it looks up was formed, and its entry built, before: were T
@@ -47,23 +45,23 @@ mask is minimal iff its own entry, its first probe, has one and neither the
 parent nor its other new entries do.
 
 The extremal reports read the whole-group support's span table, on position
-masks, and the sparse index entries of an LCN set's submasks, with the cross
+masks, and the index entries of an LCN set's submasks, with the cross
 numbers, scaled to integers by the support's `cross_scale`, that the index
 keeps beside them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .atoms import EMPTY_STATE, MaskAtoms, exact_entry, grow, mask_positions
+from .atoms import EMPTY_STATE, MaskAtoms, exact_entry, grow
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import child_step
 from .sequences import SupportSet
 
 
-@dataclass(frozen=True, slots=True)
-class SubsetRecord:
+class SubsetRecord(NamedTuple):
     mask: int
     min_delta: int
     half_factorial: bool
@@ -162,7 +160,7 @@ def delta_star(group: FiniteAbelianGroup, *,
             if state is not None:
                 new_state = grow(support, state, b)
                 if new_state is not None:
-                    entry = exact_entry(support, new_mask, new_state)
+                    entry = exact_entry(support, new_state)
                     if entry is not None:
                         index[new_mask] = entry
             sub = mask
@@ -172,7 +170,7 @@ def delta_star(group: FiniteAbelianGroup, *,
                         minimal = sub == mask and not nu
                         nu = True
                     nl = nl or entry.light
-                    entries.append(entry.sparse)
+                    entries.append(entry)
                 if not sub:
                     break
                 sub = (sub - 1) & mask
@@ -240,7 +238,7 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
     scale = support.cross_scale[0]
     r = group.rank
     mask = rec.mask
-    positions = mask_positions(mask)
+    positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
     subset_elems = tuple(support.elements[i] for i in positions)
 
     pm_pair = (len(positions) == 2
@@ -265,12 +263,13 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
             entry = index.get(sub)
             if entry is not None:
                 low = (sub & -sub).bit_length() - 1
-                for atom, scaled in zip(entry.sparse, entry.scaled):
+                for atom, scaled in zip(entry.vectors, entry.scaled):
                     if scaled == scale:
                         unit_bound = unit_bound and 2 * sub.bit_count() <= n
                     elif scaled > scale and heavy_bound:
                         heavy_bound = scaled < r * scale and _complement_is_atom(
-                            support.orders, positions, index, low, atom)
+                            support.orders, positions, index,
+                            (low, *entry.above), atom)
             sub = (sub - 1) & mask
 
     return ExtremalSetReport(
@@ -286,18 +285,17 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
     )
 
 
-def _complement_is_atom(orders, positions, index, low, atom) -> bool:
+def _complement_is_atom(orders, positions, index, at, atom) -> bool:
     """Whether the complement of an atom within the subset at `positions`,
-    ord(g) - v_g at each of them, is itself an atom; the atom in its sparse
-    form about `low`, the complement in that form about its own lowest
-    position, below `low` when the atom misses a lower position."""
-    exps = dict([(low, atom[0]), *atom[1]])
+    ord(g) - v_g at each, is an atom: the atom as its exponents at `at`, the
+    complement as a tuple over its own mask's positions, both ascending."""
+    exps = dict(zip(at, atom))
     complement = []
     cmask = 0
     for i in positions:
         v = orders[i] - exps.get(i, 0)
         if v:
             cmask |= 1 << i
-            complement.append((i, v))
+            complement.append(v)
     entry = index.get(cmask)
-    return entry is not None and (complement[0][1], complement[1:]) in entry.sparse
+    return entry is not None and tuple(complement) in entry.vectors

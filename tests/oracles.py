@@ -27,7 +27,8 @@ neither shares code with the package's forward length pass.
 at a time instead of solving it from a table of multiples.
 `exponent_matrix` and `entry_vectors` lay atoms out as full exponent
 vectors, which the package no longer stores: the atom matrix, and the
-atoms of one support-mask index entry, read off its sparse form.
+atoms of one support-mask index entry, read off its exponent tuples over
+the entry's positions.
 """
 from __future__ import annotations
 
@@ -58,14 +59,16 @@ def power(seq: SequenceVec, c: int) -> SequenceVec:
 
 def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
     """The atoms of the index entry of `mask` as exponent tuples of length
-    k, read off its sparse form (A_b, [(i, A_i) for i above b])."""
-    low = (mask & -mask).bit_length() - 1
+    k, read off its exponent tuples over the positions b, `entry.above`,
+    b the lowest position of `mask`."""
+    positions = ((mask & -mask).bit_length() - 1, *entry.above)
+    assert sorted(positions) == list(positions)
+    assert sum(1 << i for i in positions) == mask
     out = []
-    for c, pairs in entry.sparse:
-        assert sum(1 << i for i, _ in pairs) | 1 << low == mask
+    for atom in entry.vectors:
+        assert len(atom) == len(positions) and all(atom)
         vec = [0] * k
-        vec[low] = c
-        for i, v in pairs:
+        for i, v in zip(positions, atom):
             vec[i] = v
         out.append(tuple(vec))
     return out
@@ -949,9 +952,10 @@ def walk_distances_oracle(atoms: AtomSet, max_len: int) -> tuple[int, ...]:
 def walk_search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
                 q: int) -> list[tuple[int, ...]]:
     """`atoms._search` before it solved the last position, kept verbatim apart
-    from the name: it raises the last exponent one copy at a time, as it
-    does every other, and pushes a frame past the last position that is
-    recorded when its sum is 0 and dies at the empty span otherwise.
+    from the name: it pushes one frame per copy, raises the last exponent
+    one copy at a time, as it does every other, and pushes a frame past the
+    last position that is recorded when its sum is 0 and dies at the empty
+    span otherwise.
 
     The atoms that raise exponents of `vec`, position by position from the
     first, given the state (sigma, PS, Q) of `vec`, with 0 not in Q; sorted.

@@ -11,7 +11,7 @@ from blockmonoid import (AtomSet, BudgetError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          abelian_groups_of_order, build_named_set,
                          enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import EMPTY_STATE, exact_entry, grow
+from blockmonoid.atoms import EMPTY_STATE, _search, exact_entry, grow
 from blockmonoid.errors import format_bound
 from blockmonoid.sequences import _Span
 from oracles import (encode_set, entry_vectors, grid_atoms,
@@ -296,7 +296,7 @@ class TestSeedOracle:
 def entry_fields(entry):
     if entry is None:
         return None
-    return entry.sparse, entry.scaled, entry.nonunit, entry.light
+    return entry.above, entry.vectors, entry.scaled, entry.nonunit, entry.light
 
 
 ON_DEMAND_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
@@ -320,7 +320,7 @@ def mask_entry(support, mask):
     """The on-demand entry of `mask`; None without a search when its state
     is dead, as the sweep does."""
     state = ones_state(support, mask)
-    return None if state is None else exact_entry(support, mask, state)
+    return None if state is None else exact_entry(support, state)
 
 
 def ones_state(support, mask):
@@ -358,7 +358,9 @@ class TestOnDemandIndex:
         support, index = whole_group((2, 2))
         full = grow(support, grow(support, grow(support, EMPTY_STATE, 2), 1), 0)
         assert full is not None and full[0] == 1
-        assert exact_entry(support, 0b111, full).sparse == [(1, [(1, 1), (2, 1)])]
+        entry = exact_entry(support, full)
+        assert entry.vectors == [(1, 1, 1)]
+        assert entry.above == (1, 2)
         assert grow(support, full, 0) is None
         assert ones_state(support, 0b101) is not None
         assert mask_entry(support, 0b101) is None
@@ -438,23 +440,26 @@ QUERY_GROUPS = [(2, 2, 4), (4, 4), (2, 8), (3, 3, 3), (5, 5), (6, 6), (7, 7),
 
 
 @st.composite
-def query_support(draw):
-    """2 to 5 distinct nonzero elements of a queries group, in drawn order."""
+def query_support(draw, min_size=2):
+    """`min_size` to 5 distinct nonzero elements of a queries group, in drawn
+    order."""
     group = FiniteAbelianGroup(draw(st.sampled_from(QUERY_GROUPS)))
     picked = draw(st.lists(st.sampled_from(group.nonzero_elements),
-                           min_size=2, max_size=5, unique=True))
+                           min_size=min_size, max_size=5, unique=True))
     return SupportSet(group, tuple(picked))
 
 
-def walk_entry(support, mask, state):
-    """The atoms with support exactly `mask` by the walking search, from the
-    state of the mask's 0/1 vector, in the sparse form of an index entry."""
-    positions = [i for i in range(len(support)) if mask >> i & 1]
-    sig, ps, q, spans = state
+def walk_entry(support, state):
+    """The atoms whose support is the mask of `state` by the walking search,
+    from the state of the mask's 0/1 vector, as (the positions after the
+    first, the exponent tuples over the positions), the fields `above` and
+    `vectors` of an index entry; the positions in the state's order, each
+    position's steps and bit read off `support`."""
+    sig, ps, q, spans, positions = state[:5]
     found = walk_search([support.steps[p] for p in positions],
                         [support.bits[p] for p in positions], spans,
                         (1,) * len(positions), sig, ps, q)
-    return [(v[0], list(zip(positions[1:], v[1:]))) for v in found]
+    return positions[1:], found
 
 
 class TestSolvedLastPosition:
@@ -474,20 +479,20 @@ class TestSolvedLastPosition:
         mask = data.draw(st.integers(1, (1 << len(support)) - 1))
         state = ones_state(support, mask)
         assume(state is not None)
-        sparse = walk_entry(support, mask, state)
-        entry = exact_entry(support, mask, state)
+        above, found = walk_entry(support, state)
+        entry = exact_entry(support, state)
         if entry is None:
-            assert sparse == []
+            assert found == []
         else:
-            assert entry.sparse == sparse
+            assert (entry.above, entry.vectors) == (above, found)
 
     def test_one_element_support(self):
         # the empty vector at the last position goes straight to g^ord(g)
         for g, order in (((2,), 5), ((5,), 6), ((1,), 2)):
             support = SupportSet(FiniteAbelianGroup((order,)), (g,))
             assert vectors(support) == ((order,),)
-            entry = exact_entry(support, 1, grow(support, EMPTY_STATE, 0))
-            assert entry.sparse == [(order, [])]
+            entry = exact_entry(support, grow(support, EMPTY_STATE, 0))
+            assert (entry.above, entry.vectors) == ((), [(order,)])
 
     def test_last_element_of_order_two(self):
         # the table of an element of order 2 has c = 2 at 0 and c = 1 at g
@@ -509,3 +514,37 @@ class TestSolvedLastPosition:
         assert PM5.multiples(1)[bit[1]] == (1, 0)
         assert PM5.multiples(1)[bit[0]] == (5, bit[1] | bit[2] | bit[3] | bit[4])
         assert vectors(PM5) == ((0, 5), (1, 1), (5, 0))
+
+
+class TestOneFramePerPosition:
+    """The search with one frame per position and exponent prefix against
+    the walk that pushed a frame per copy (`oracles.walk_search`) and the
+    brute-force grid filter, on one-element supports too; and the entry
+    built from a state grown in any chain order against the walk from the
+    same state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(query_support(min_size=1), st.data())
+    def test_empty_vector_and_chain_order(self, support, data):
+        k = len(support)
+        spans = [support.span_mask(((1 << k) - 1) ^ ((1 << i) - 1))
+                 for i in range(k)]
+        found = _search(support.steps, support.bits, spans,
+                        support.multiples(k - 1), (0,) * k, 1, 0, 0)
+        assert found == walk_enumerate_atoms(support) == grid_atoms(support)
+        chain = data.draw(st.permutations(range(k)))[:data.draw(st.integers(1, k))]
+        state = EMPTY_STATE
+        for pos in chain:
+            state = grow(support, state, pos)
+            if state is None:
+                return
+        positions = state[4]
+        assert positions == tuple(reversed(chain))
+        assert state[3] == tuple(support.span_mask(sum(1 << p for p in positions[t:]))
+                                 for t in range(len(positions)))
+        above, found = walk_entry(support, state)
+        entry = exact_entry(support, state)
+        if entry is None:
+            assert found == []
+        else:
+            assert (entry.above, entry.vectors) == (above, found)

@@ -387,6 +387,18 @@ class TestCli:
         count = spec.split("^")[1]
         assert f"|G| >= 2^{count} exceeds the sweep cap 16" in done.stderr
 
+    def test_thm_4_5_sweep_cap(self):
+        # verify thm-4.5 sweeps under the same cap as delta-star --group, so
+        # |G| = 64 is refused before the sweep starts
+        done = run_cli_process(2 << 30, 10, "verify", "thm-4.5", "--group", "C2^6")
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert "sweep over C2^6: |G| >= 2^6 exceeds the sweep cap 16" in done.stderr
+        done = run_cli_process(2 << 30, 60, "verify", "thm-4.5", "--group", "C17",
+                               "--budget", "17")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "verify thm-4.5: OK"
+
     def test_budget_bounds_the_mask_memory(self):
         # the grid bound 10^11 passes the default budget, but one DFS mask
         # would take 10^11 bits; the run must refuse before building any, so

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
@@ -180,9 +182,11 @@ class TestBatchStepOracle:
         def checked(e, d, entries, weights):
             nonlocal calls
             calls += 1
-            atoms = [atom for sparse in entries for atom in sparse]
-            cs = [c for c, _ in atoms]
-            bs = [e - sum(weights[i] * v for i, v in pairs) for _, pairs in atoms]
+            atoms = [(entry.above, vec) for entry in entries
+                     for vec in entry.vectors]
+            cs = [vec[0] for _, vec in atoms]
+            bs = [e - sum(weights[i] * v for i, v in zip(above, vec[1:]))
+                  for above, vec in atoms]
             child_d, w = fold(e, d, entries, weights)
             want_d, want_w = batch_child_step(e, d, cs, bs)
             assert child_d == want_d
@@ -376,8 +380,8 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
     def test_nonunit_flags_cleared(self, monkeypatch):
-        def cleared(support, mask, state):
-            entry = exact_entry(support, mask, state)
+        def cleared(support, state):
+            entry = exact_entry(support, state)
             if entry is not None:
                 entry.nonunit = False
             return entry
@@ -387,35 +391,42 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
 
+def fake_entry(above, *vectors):
+    """A stand-in index entry: the positions `above` b and one exponent
+    tuple per atom, a_b first."""
+    return SimpleNamespace(above=above, vectors=list(vectors))
+
+
 class TestDualStateTraps:
     """The child step's consistency checks, each fed atoms that no set of
-    atoms produces: an atom a comes as (c, pairs), c = a_b and pairs the
-    (i, a_i) above b, and the fold computes B = e - sum W_i a_i from the
-    weights given."""
+    atoms produces: an atom a comes as an exponent tuple, c = a_b first and
+    then a_i at the entry's positions i above b, and the fold computes
+    B = e - sum W_i a_i from the weights given."""
 
     def test_exponent_divides_d(self):
         # B = 0, then 4 + 2 = 6: g = 1, S = 0 and D = gcd(12, 0 - 6) = 6, which
         # stays above e = 4, so the fold ends and 4 does not divide D
         with pytest.raises(ConsistencyError, match="does not divide D = 6"):
-            kernel.child_step(4, 3, [[(1, [(0, 1)])], [(1, [(1, 1)])]], [4, -2])
+            kernel.child_step(4, 3, [fake_entry((0,), (1, 1)),
+                                     fake_entry((1,), (1, 1))], [4, -2])
 
     def test_g_divides_s_when_half_factorial(self):
         # B = 4 - 3 = 1: g = 2, S = 1 and D stays 0, but 2 does not divide 1
         with pytest.raises(ConsistencyError, match="half-factorial child"):
-            kernel.child_step(4, 0, [[(2, [(0, 1)])]], [3])
+            kernel.child_step(4, 0, [fake_entry((0,), (2, 1))], [3])
 
     def test_weight_congruence_solvable(self):
         # B = 2 - 1 = 1: g = 2, S = 1 and D = 2, but gcd(2, 2) does not divide 1
         with pytest.raises(ConsistencyError, match=r"gcd\(2, 2\) does not divide 1"):
-            kernel.child_step(2, 1, [[(2, [(0, 1)])]], [1])
+            kernel.child_step(2, 1, [fake_entry((0,), (2, 1))], [1])
 
     def test_d_below_exponent_partway(self):
         # B = 0, 2, 1: D = gcd(8, 0 - 2) = 2 at the second atom, which is no
         # multiple of e = 4; the fold stops there, where it would have read
         # D = 1 at the end
         with pytest.raises(ConsistencyError, match="does not divide D = 2$"):
-            kernel.child_step(4, 2, [[(1, [(0, 1)]), (1, [(1, 1)])], [(1, [(2, 1)])]],
-                              [4, 2, 3])
+            kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1)),
+                                     fake_entry((2,), (1, 1))], [4, 2, 3])
 
 
 class TestEarlyExit:
@@ -423,13 +434,14 @@ class TestEarlyExit:
 
     def test_at_the_last_atom(self):
         # B = 0, then 4 - 0 = 4: D = gcd(8, 0 - 4) = 4 = e
-        assert kernel.child_step(4, 2, [[(1, [(0, 1)]), (1, [(1, 1)])]], [4, 0]) == \
-            (1, None)
+        assert kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1))],
+                                 [4, 0]) == (1, None)
 
     def test_later_atoms_unread(self):
         # the third atom's weight is None, which it would fail to read
-        assert kernel.child_step(4, 2, [[(1, [(0, 1)]), (1, [(1, 1)])],
-                                        [(1, [(2, 1)])]], [4, 0, None]) == (1, None)
+        assert kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1)),
+                                        fake_entry((2,), (1, 1))],
+                                 [4, 0, None]) == (1, None)
 
     def test_min_delta_stops_inside_a_position(self, monkeypatch):
         # on the whole of C3^2 the first position brings 4 atoms, and D = e
@@ -440,14 +452,16 @@ class TestEarlyExit:
         def counted(e, d, entries, weights):
             read = 0
 
-            def walk(sparse):
+            def walk(vectors):
                 nonlocal read
-                for atom in sparse:
+                for atom in vectors:
                     read += 1
                     yield atom
 
-            out = fold(e, d, [walk(sparse) for sparse in entries], weights)
-            steps.append((out[0], read, sum(map(len, entries))))
+            out = fold(e, d, [SimpleNamespace(above=entry.above,
+                                              vectors=walk(entry.vectors))
+                              for entry in entries], weights)
+            steps.append((out[0], read, sum(len(entry.vectors) for entry in entries)))
             return out
 
         monkeypatch.setattr(kernel, "child_step", counted)
