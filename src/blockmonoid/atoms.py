@@ -40,15 +40,13 @@ sigma(w) != 0).  With i = c it is proper only if w' is not w, and sums to
 0 only if the rest of w does, again 0 in Q(w).  That leaves w' nonempty
 and 0 < i < c, where w' g^i sums to 0 iff sigma(w') = -i*g; some such
 choice does iff PS(w) meets N_c.  So the frame before the last position
-solves it with one lookup in the table of multiples of g
+solves it with one lookup in the table of the nonzero multiples of g
 (`SupportSet.multiples`: sigma -> (c, the mask of N_c)) and one AND, and
-pushes nothing.  The empty vector, from `enumerate_atoms`, takes sigma = 0
-to c = ord(g) and N_c to the nonzero multiples of g, which PS = {} misses:
-the atom g^ord(g).  The walk that pushed a frame per copy and walked the
-last position too is kept in the test suite as an oracle.  The search
-visits a subset of the exponent vectors the walk visited, so
-`enumeration_bound` still bounds its nodes; the budget test reads only that
-bound, so it refuses the same supports.
+pushes nothing.  The walk that started from the empty vector, pushed a
+frame per copy and walked the last position too is kept in the test suite
+as an oracle.  The search visits a subset of the exponent vectors the walk
+visited, so `enumeration_bound` still bounds its nodes; the budget test
+reads only that bound, so it refuses the same supports.
 
 The branch state is held in bitmasks.  Every subsequence sum lies in the
 subgroup <S> that the support generates; the support's codec (`_Span` in
@@ -59,14 +57,13 @@ per nonzero digit of g: the positions whose digit does not wrap move up, the
 others move down.  The suffix spans H come from the support's memoized table
 of subgroup masks, `SupportSet.span_mask`.
 
-The search starts from one of two states.  `enumerate_atoms` starts it from
-the empty vector on every support position, so exponents run from 0, and
-files the atoms in an `AtomSet`.  An `AtomSet` files its atoms by support
-mask (`mask_index`), each entry (`MaskAtoms`) holding the search's exponent
-tuples over the mask's positions, never a k-tuple, with cross numbers
-scaled to integers by the support's `cross_scale`.  The half-factorial, LCN
-and minimality flags, min Delta and the largest cross number are read off
-the index.
+Every search starts from a nonempty vector: `enumerate_atoms` runs one per
+lowest support position b, from one copy at b, and puts b zeros before
+each atom.  An `AtomSet` files its atoms by support mask (`mask_index`),
+each entry (`MaskAtoms`) holding the search's exponent tuples over the
+mask's positions, never a k-tuple, with cross numbers scaled to integers
+by the support's `cross_scale`.  The half-factorial, LCN and minimality
+flags, min Delta and the largest cross number are read off the index.
 
 `exact_entry` builds one entry of that index on its own: the atoms whose
 support is exactly a given mask.  Such an atom contains each element of the
@@ -154,16 +151,16 @@ class AtomSet:
 
 def _search(steps, gbits, spans, last, vec: tuple[int, ...], sig: int,
             ps: int, q: int) -> list[tuple[int, ...]]:
-    """The atoms that raise exponents of `vec`, position by position from the
-    first, given the state (sigma, PS, Q) of `vec`, with 0 not in Q; sorted.
+    """The atoms, sorted, that raise exponents of the nonempty `vec` position
+    by position from the first, given its state (sigma, PS, Q), 0 not in Q.
 
     Position i carries the translation steps `steps[i]` and the bit
     `gbits[i]` of its element, and spans[i], the span of the positions from
-    i on, as a mask.  `last` is the table of multiples of the last
-    position's element (`SupportSet.multiples`), which solves that position
-    in one step.
+    i on, as a mask.  `last` is the table of the nonzero multiples of the
+    last position's element (`SupportSet.multiples`), which solves that
+    position in one step.
     """
-    if sig == 1 and ps:
+    if sig == 1:
         return [vec]  # any raise would contain this zero-sum properly
     end = len(steps) - 1
     if not end:
@@ -187,20 +184,16 @@ def _search(steps, gbits, spans, last, vec: tuple[int, ...], sig: int,
                     found.append(head + (c, vec[j] + hit[0]))
             elif spans[j] & sig:  # else no later position repairs the deficit
                 stack.append((j, head + (c,), sig, ps, q))
-            if ps:
-                # translations by g, written out: a helper call per
-                # translation costs about a quarter of the search time
-                for low, up, down in steps_i:
-                    lo = q & low
-                    q = (lo << up) | ((q ^ lo) >> down)
-                    lo = sig & low
-                    sig = (lo << up) | ((sig ^ lo) >> down)
-                q |= ps | bit
-                if q & 1:
-                    break
-            else:
-                # the empty vector: g alone has no proper nonempty subsequence
-                sig = bit
+            # translations by g, written out: a helper call per translation
+            # costs about a quarter of the search time
+            for low, up, down in steps_i:
+                lo = q & low
+                q = (lo << up) | ((q ^ lo) >> down)
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            q |= ps | bit
+            if q & 1:
+                break
             ps = q | sig
             c += 1
             if sig == 1:
@@ -235,15 +228,18 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
             bound=bound)
 
     k = len(support)
-    # subgroup generated by the support suffix starting at each position,
-    # built from the shortest suffix up so each step extends the last
-    full = (1 << k) - 1
-    spans = [support.span_mask(full ^ ((1 << i) - 1))
-             for i in reversed(range(k))][::-1]
-    found = _search(support.steps, support.bits, spans, support.multiples(k - 1),
-                    (0,) * k, 1, 0, 0) if k else []
-    return AtomSet(support, tuple(SequenceVec._unchecked(support, v)
-                                 for v in found))
+    atoms: list[SequenceVec] = []
+    spans: list[int] = []  # the subgroups the suffixes from b on generate
+    # one search per lowest position b, from one copy at b; atoms with lowest
+    # position b sort before those with a lower one, so taking b from k - 1
+    # down gives sorted atoms, and each suffix span extends the last
+    for b in reversed(range(k)):
+        spans.insert(0, support.span_mask((1 << k) - (1 << b)))
+        zeros, one, bit = (0,) * b, (1,) + (0,) * (k - 1 - b), support.bits[b]
+        found = _search(support.steps[b:], support.bits[b:], spans,
+                        support.multiples(k - 1), one, bit, bit, 0)
+        atoms += [SequenceVec._unchecked(support, zeros + v) for v in found]
+    return AtomSet(support, tuple(atoms))
 
 
 # The state of the empty mask (see `grow`): sigma = 0, PS = Q = {} and no

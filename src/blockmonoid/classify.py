@@ -98,6 +98,8 @@ def classify(support: SupportSet,
     """Full classification of one support set."""
     if atoms is None:
         atoms = enumerate_atoms(support)
+    elif atoms.support != support:
+        raise ContractError("support and atoms live over different support sets")
     d = min_delta(atoms)
     return ClassificationRecord(
         subset=support.elements,
@@ -166,6 +168,8 @@ def transfer_reduce(support: SupportSet,
     """
     if atoms is None:
         atoms = enumerate_atoms(support)
+    elif atoms.support != support:
+        raise ContractError("support and atoms live over different support sets")
     if not is_minimal_non_half_factorial(atoms):
         raise ContractError(
             "transfer reduction is defined for minimal non-half-factorial sets")

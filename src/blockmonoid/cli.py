@@ -44,13 +44,13 @@ def _add_common(p):
     p.add_argument("--subset", required=True,
                    help="subset spec, e.g. \"(1);(4)\"")
     p.add_argument("--format", choices=rpt.FORMATS, default="text")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_ENUMERATION_BUDGET,
                    help="atom enumeration budget (grid size times "
                         f"words per mask; default {DEFAULT_ENUMERATION_BUDGET})")
 
 
 def _add_sweep_cap(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_MAX_GROUP,
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_SWEEP_MAX_GROUP,
                    help=f"largest |G| the sweep accepts "
                         f"(default {DEFAULT_SWEEP_MAX_GROUP})")
 

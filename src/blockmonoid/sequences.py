@@ -219,19 +219,19 @@ class SupportSet:
         return tuple(translation(bit.bit_length() - 1) for bit in self.bits)
 
     def multiples(self, i: int) -> dict[int, tuple[int, int]]:
-        """The multiples t*g of the element g at position i, 0 <= t < ord(g),
+        """The multiples t*g of the element g at position i, 0 < t < ord(g),
         each keyed by its bit and mapped to (ord(g) - t, the mask of the
         later multiples j*g, t < j < ord(g)).
 
-        So for x in <g>, table[bit of x] = (c, N) with c the least c >= 1
-        such that c*g = -x, and N = {-g, -2g, ..., -(c - 1)g}.  Built once
-        per position.
+        So for x != 0 in <g>, table[bit of x] = (c, N) with c the one c in
+        [1, ord(g)) such that c*g = -x, and N = {-g, -2g, ..., -(c - 1)g}.
+        Built once per position.
         """
         table = self._multiples.get(i)
         if table is not None:
             return table
         steps = self.steps[i]
-        chain = [1]
+        chain = []  # the bits of g, 2g, ..., (ord(g) - 1)g
         x = 1
         while True:
             for low, up, down in steps:
@@ -240,12 +240,11 @@ class SupportSet:
             if x == 1:
                 break
             chain.append(x)
-        order = len(chain)
         table = self._multiples[i] = {}
         later = 0
-        for t in range(order - 1, -1, -1):
-            table[chain[t]] = (order - t, later)
-            later |= chain[t]
+        for c, x in enumerate(reversed(chain), 1):  # x = (ord(g) - c)g
+            table[x] = (c, later)
+            later |= x
         return table
 
     def span_mask(self, positions: int) -> int:

@@ -465,8 +465,9 @@ def walk_entry(support, state):
 class TestSolvedLastPosition:
     """The search solves its last position from the table of multiples of
     that position's element; the walk it replaced, kept as
-    `oracles.walk_search`, must give the same atoms in the same order from
-    both starting states."""
+    `oracles.walk_search`, must give the same atoms in the same order:
+    `enumerate_atoms` as the walk from the empty vector, and the entry of a
+    mask as the walk from the mask's 0/1 vector."""
 
     @settings(max_examples=150, deadline=None)
     @given(query_support())
@@ -487,7 +488,7 @@ class TestSolvedLastPosition:
             assert (entry.above, entry.vectors) == (above, found)
 
     def test_one_element_support(self):
-        # the empty vector at the last position goes straight to g^ord(g)
+        # one copy of g at the only position, solved to g^ord(g) at once
         for g, order in (((2,), 5), ((5,), 6), ((1,), 2)):
             support = SupportSet(FiniteAbelianGroup((order,)), (g,))
             assert vectors(support) == ((order,),)
@@ -495,11 +496,11 @@ class TestSolvedLastPosition:
             assert (entry.above, entry.vectors) == ((), [(order,)])
 
     def test_last_element_of_order_two(self):
-        # the table of an element of order 2 has c = 2 at 0 and c = 1 at g
+        # the table of an element of order 2 holds only g, with c = 1
         group = FiniteAbelianGroup((2, 4))
         support = SupportSet(group, ((0, 1), (1, 1), (1, 2), (1, 0)))
         bit = support.bits[3]
-        assert support.multiples(3) == {1: (2, bit), bit: (1, 0)}
+        assert support.multiples(3) == {bit: (1, 0)}
         assert list(vectors(support)) == walk_enumerate_atoms(support) \
             == grid_atoms(support)
 
@@ -512,26 +513,33 @@ class TestSolvedLastPosition:
         bit = {x: 1 << codec.encode((x,)) for x in range(5)}
         assert PM5.multiples(1)[bit[2]] == (2, bit[1])
         assert PM5.multiples(1)[bit[1]] == (1, 0)
-        assert PM5.multiples(1)[bit[0]] == (5, bit[1] | bit[2] | bit[3] | bit[4])
+        assert PM5.multiples(1)[bit[3]] == (3, bit[1] | bit[2])
+        # no search reads sigma = 0 there: it starts from a nonempty vector
+        assert bit[0] not in PM5.multiples(1)
         assert vectors(PM5) == ((0, 5), (1, 1), (5, 0))
 
 
 class TestOneFramePerPosition:
     """The search with one frame per position and exponent prefix against
-    the walk that pushed a frame per copy (`oracles.walk_search`) and the
-    brute-force grid filter, on one-element supports too; and the entry
-    built from a state grown in any chain order against the walk from the
-    same state."""
+    the walk that pushed a frame per copy (`oracles.walk_search`), on
+    one-element supports too: from one copy at each lowest position, as
+    `enumerate_atoms` starts it, against the walk from the same start;
+    `enumerate_atoms` against the walk from the empty vector and the
+    brute-force grid filter; and the entry built from a state grown in any
+    chain order against the walk from the same state."""
 
     @settings(max_examples=60, deadline=None)
     @given(query_support(min_size=1), st.data())
     def test_empty_vector_and_chain_order(self, support, data):
         k = len(support)
-        spans = [support.span_mask(((1 << k) - 1) ^ ((1 << i) - 1))
-                 for i in range(k)]
-        found = _search(support.steps, support.bits, spans,
-                        support.multiples(k - 1), (0,) * k, 1, 0, 0)
-        assert found == walk_enumerate_atoms(support) == grid_atoms(support)
+        spans = [support.span_mask((1 << k) - (1 << i)) for i in range(k)]
+        for b in range(k):
+            bit, one = support.bits[b], (1,) + (0,) * (k - 1 - b)
+            rest = (support.steps[b:], support.bits[b:], spans[b:])
+            assert _search(*rest, support.multiples(k - 1), one, bit, bit, 0) \
+                == walk_search(*rest, one, bit, bit, 0)
+        assert list(vectors(support)) == walk_enumerate_atoms(support) \
+            == grid_atoms(support)
         chain = data.draw(st.permutations(range(k)))[:data.draw(st.integers(1, k))]
         state = EMPTY_STATE
         for pos in chain:

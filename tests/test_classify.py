@@ -14,7 +14,7 @@ from blockmonoid import (ConsistencyError, ContractError, FiniteAbelianGroup,
                          is_minimal_non_half_factorial, is_simple, min_delta,
                          satisfies_span_property, transfer_reduce)
 from oracles import seed_is_minimal_non_half_factorial
-from test_atoms import FAMILY, PM5
+from test_atoms import C5, FAMILY, PM5
 
 C22 = FiniteAbelianGroup((2, 2))
 TRIPLE22 = SupportSet(C22, ((1, 0), (0, 1), (1, 1)))
@@ -52,6 +52,14 @@ class TestClassify:
         rec = classify(SupportSet(group, ((1,), (2,))))
         assert rec.half_factorial and rec.min_delta == 0
         assert not rec.minimal_non_hf
+
+    def test_refuses_atoms_of_another_support(self):
+        # the atoms of {1, 2} would give {1, 4} min Delta 1 and 4 atoms
+        with pytest.raises(ContractError):
+            classify(PM5, atoms=enumerate_atoms(SupportSet(C5, ((1,), (2,)))))
+        same = SupportSet(C5, PM5.elements)
+        rec = classify(PM5, atoms=enumerate_atoms(same))
+        assert (rec.min_delta, rec.atom_count) == (3, 3)
 
     def test_half_factoriality_routes_are_checked(self, monkeypatch):
         # the package re-exports the function under the module's name
@@ -209,6 +217,17 @@ class TestTransferReduce:
             image = reduction.apply(b)
             assert image.cross_number() == b.cross_number()
             assert image.is_zero_sum()
+
+    def test_refuses_atoms_of_another_support(self):
+        group = FiniteAbelianGroup((2, 3))
+        support = SupportSet(group, ((0, 1), (1, 1)))
+        # PM5 is minimal non-half-factorial too, so only the support check
+        # stops the reduction
+        with pytest.raises(ContractError):
+            transfer_reduce(support, atoms=enumerate_atoms(PM5))
+        same = SupportSet(group, support.elements)
+        reduction = transfer_reduce(support, atoms=enumerate_atoms(same))
+        assert reduction.reduced.elements == ((0, 1), (0, 2))
 
     def test_refuses_non_minimal(self):
         group = FiniteAbelianGroup((4,))

@@ -399,6 +399,18 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "verify thm-4.5: OK"
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ("atoms", "--group", "C5", "--subset", "(1);(4)"),
+        ("delta-star", "--group", "C2"),
+    ])
+    def test_budget_that_admits_nothing(self, command, budget):
+        # a usage error from the parser, not a refusal by the budget itself
+        done = run_cli_process(2 << 30, 10, *command, "--budget", budget)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert f"argument --budget: must be >= 1, got {budget}" in done.stderr
+
     def test_budget_bounds_the_mask_memory(self):
         # the grid bound 10^11 passes the default budget, but one DFS mask
         # would take 10^11 bits; the run must refuse before building any, so
