@@ -65,16 +65,18 @@ mask's positions, never a k-tuple, with cross numbers scaled to integers
 by the support's `cross_scale`.  The half-factorial, LCN and minimality
 flags, min Delta and the largest cross number are read off the index.
 
-`exact_entry` builds one entry of that index on its own: the atoms whose
-support is exactly a given mask.  Such an atom contains each element of the
-mask once, so it starts the search on the positions of the mask from their
-0/1 vector, on the same codec, and only raises exponents.  The caller grows
-that vector's state from `EMPTY_STATE` (`grow`); beside sigma, PS and Q it
-holds the mask's positions and their steps, element bits and suffix spans,
-in the order the search reads them.  When a proper nonempty subset of the
-mask sums to 0, that state already has 0 in Q and no atom has the mask as
-its support.  The whole-group sweep builds the entry of each subset it
-forms this way and never enumerates the atoms of the whole group.
+The whole-group sweep builds the entries of that index itself, one mask at
+a time, and never enumerates the atoms of the whole group.  It carries, for
+each mask M it descends into, M's zero-sum-free vectors ZF(M): the exponent
+vectors v over M's positions, each exponent at least 1, with 0 neither in
+Q(v) nor sigma(v), each with its sigma, PS and Q.  An atom whose support is
+exactly b plus M, for b outside M, is g_b^c v with v in ZF(M), and the
+lemma of the solved last position, with b in its place, decides c and
+whether g_b^c v is an atom, from sigma(v) and PS(v) alone (`child_entry`).
+ZF(b plus M) comes from ZF(M) by raising b's exponent of each v one copy at
+a time, the search's own translation step (`zero_sum_free`).  The sweep
+puts b below M and keeps a vector only where sigma lies in the span of the
+positions below b, the only sums that a later position below can cancel.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ from math import prod
 from operator import mul
 
 from .errors import BudgetError, ContractError, format_bound
-from .sequences import SequenceVec, SupportSet, join_cyclic
+from .sequences import SequenceVec, SupportSet
 
 
 class MaskAtoms:
@@ -242,46 +244,78 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
     return AtomSet(support, tuple(atoms))
 
 
-# The state of the empty mask (see `grow`): sigma = 0, PS = Q = {} and no
-# positions.
-EMPTY_STATE = (1, 0, 0, (), (), (), ())
+def child_entry(support: SupportSet, zf: list | None, b: int,
+                positions: tuple[int, ...]) -> MaskAtoms | None:
+    """The index entry of a mask plus a position b outside it: the atoms
+    whose support is exactly b and the mask's `positions`, read off the
+    mask's zero-sum-free vectors `zf` (see `zero_sum_free`; None for the
+    empty mask), or None where there is none.
+
+    Each such atom is g_b^c v with v in zf, and v decides c and whether
+    g_b^c v is an atom: the lemma of the solved last position, with b in
+    place of that position, one lookup and one AND per v."""
+    if zf is None:
+        return MaskAtoms(support, (b,), [(support.orders[b],)])
+    table = support.multiples(b)
+    found = []
+    for sig, ps, _, vec in zf:
+        hit = table.get(sig)
+        if hit is not None and not ps & hit[1]:
+            found.append((hit[0],) + vec)
+    if not found:
+        return None
+    found.sort()
+    return MaskAtoms(support, (b,) + positions, found)
 
 
-def grow(support: SupportSet, state: tuple, pos: int) -> tuple | None:
-    """The state of a support mask plus position `pos`, put first, from that
-    of the mask.
+def zero_sum_free(support: SupportSet, zf: list | None, b: int,
+                  span: int) -> list:
+    """The zero-sum-free vectors of a mask plus a position b outside it, from
+    those of the mask, `zf` (None for the empty mask), kept only where sigma
+    lies in the subgroup `span`.
 
-    A state of a mask is (sigma, PS, Q) of its 0/1 vector, then, in the
-    order the search walks them, the spans of its suffixes, its positions,
-    their translation steps and their element bits; or None once a proper
-    nonempty subset of the mask sums to 0, as then no atom has that mask,
-    or any mask above it, as its support.  The sweep puts each position
-    below the mask's.  Carried down a chain of masks, it makes each new
-    entry cost one translation and one span join before the search."""
-    sig, ps, q, spans, positions, steps, bits = state
-    step, bit = support.steps[pos], support.bits[pos]
-    if ps:
-        for low, up, down in step:
-            lo = q & low
-            q = (lo << up) | ((q ^ lo) >> down)
-            lo = sig & low
-            sig = (lo << up) | ((sig ^ lo) >> down)
-        q |= ps | bit
-        if q & 1:
-            return None
-        span = spans[0]
-    else:
-        # the empty vector: g alone has no proper nonempty subsequence
-        sig, q, span = bit, 0, 1
-    return (sig, q | sig, q, (join_cyclic(span, step),) + spans,
-            (pos,) + positions, (step,) + steps, (bit,) + bits)
-
-
-def exact_entry(support: SupportSet, state: tuple) -> MaskAtoms | None:
-    """The index entry of the nonempty support mask of `state`, built on
-    demand: the atoms whose support is exactly that mask, as
-    `AtomSet.mask_index` files them, or None where there is none."""
-    sig, ps, q, spans, positions, steps, bits = state
-    found = _search(steps, bits, spans, support.multiples(positions[-1]),
-                    (1,) * len(positions), sig, ps, q)
-    return MaskAtoms(support, positions, found) if found else None
+    The zero-sum-free vectors of a mask are its exponent vectors v, each
+    exponent at least 1, with 0 not in Q(v) and sigma(v) != 0, so 0 is not
+    in PS(v); each is (sigma, PS, Q, the exponents at the mask's positions,
+    the last one added first), and the list is sorted by exponents.  Each
+    vector of the new mask is g_b^c v with c >= 1 and v zero-sum free over
+    the mask, so it is reached by raising b's exponent of some v in `zf`
+    one copy at a time, the translation step of the search, until 0 lands
+    in Q or sigma is 0.  The sweep puts b below the mask and passes the
+    span of the positions below b: only a sigma there can a later position
+    cancel.  The filter drops nothing a later step needs: if g_b^c v has
+    sigma in the span below b, sigma(v) lies in the span of the positions
+    up to b, all below the mask, so v passed the mask's own filter."""
+    steps, bit = support.steps[b], support.bits[b]
+    out = []
+    if zf is None:
+        # the powers g^c, c < ord(g), where Q(g^c) = PS(g^(c - 1))
+        sig, ps, q, c = bit, bit, 0, 1
+        while sig != 1:
+            if sig & span:
+                out.append((sig, ps, q, (c,)))
+            q = ps
+            for low, up, down in steps:
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            ps = q | sig
+            c += 1
+        return out
+    # one copy more per round, so the vectors come out sorted
+    level, c = zf, 0
+    while level:
+        c += 1
+        raised = []
+        for sig, ps, q, vec in level:
+            for low, up, down in steps:
+                lo = q & low
+                q = (lo << up) | ((q ^ lo) >> down)
+                lo = sig & low
+                sig = (lo << up) | ((sig ^ lo) >> down)
+            q |= ps | bit
+            if not q & 1 and sig != 1:
+                raised.append((sig, q | sig, q, vec))
+        level = raised
+        out += [(sig, ps, q, (c,) + vec) for sig, ps, q, vec in raised
+                if sig & span]
+    return out

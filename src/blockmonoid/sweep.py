@@ -7,7 +7,8 @@ cheap:
 * the atoms of a subset are exactly the atoms over all nonzero elements whose
   support lies inside the subset, so a subset's atoms are the index entries
   of its submasks, and each entry, the atoms with exactly that support, is
-  built once, when the descent forms its mask (`atoms.exact_entry`);
+  built once, when the descent forms its mask, from the zero-sum-free
+  vectors of its tree parent;
 * each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
   a child that adds one element derives its state from its new atoms, read
   as they are, in one `kernel.child_step`, which folds them in one at a
@@ -25,24 +26,31 @@ cheap:
 
 Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask M of higher bits gains exactly the atoms whose support is b
-plus a submask of M.  It builds its own entry, for b plus all of M, from
-the state that it carries down the chain (`atoms.grow`), and looks the
-others up in the index.  It hands the entries themselves, each atom an
-exponent tuple over the entry's positions, b first, to the child step.
+plus a submask S of M.  Its own entry, for S = M, it reads off the
+zero-sum-free vectors that M carries (`atoms.child_entry`), which M built
+from its parent's when the descent entered it (`atoms.zero_sum_free`).  The
+other entries are those of the children of the nodes S: each node files
+(b, entry) for every child that has atoms, in ascending b, and M, before it
+forms its children, reads the lists of its proper submasks once, in
+descending S, and buckets each entry of b plus S by b.  So each child gets
+its own entry first and then the others in descending S, and a node makes
+one lookup per proper submask, where probing the index for every child
+made one per child and submask.  It hands the entries themselves, each atom
+an exponent tuple over the entry's positions, b first, to the child step.
 Siblings go in ascending order of b, so the masks are formed in increasing
 integer order, and each subset's record is written once, already sorted.
-So every mask T it looks up was formed, and its entry built, before: were T
-pruned, it would lie in the pruned subtree of a node N inside M, and the
-ancestor of M with the bits of M from N's lowest bit up is N, or a superset
-of N formed after it and so pruned too, so M would never have been formed.
-The index files only masks that have atoms, and a lookup of any other
-gives None.
+So every proper submask S of M was descended into, and formed each child
+b plus S, b below M, before M (that mask is the smaller): were S pruned, or
+inside the pruned subtree of a node N inside M, the ancestor of M with the
+bits of M from the lowest bit of N (or S) up would be that node, or a
+superset of it formed after it and so pruned too, so M would never have
+been formed.
 
-The same probes decide minimality: the atoms of a set minus g are its atoms
-that avoid g, so a set is minimal non-half-factorial iff some atom has
-k(A) != 1 and each such atom has the whole set as its support.  So the new
-mask is minimal iff its own entry, its first probe, has one and neither the
-parent nor its other new entries do.
+The same entries decide minimality: the atoms of a set minus g are its
+atoms that avoid g, so a set is minimal non-half-factorial iff some atom
+has k(A) != 1 and each such atom has the whole set as its support.  So the
+new mask is minimal iff its own entry has one and neither the parent nor
+its other new entries do.
 
 The extremal reports read the whole-group support's span table, on position
 masks, and the index entries of an LCN set's submasks, with the cross
@@ -54,11 +62,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .atoms import EMPTY_STATE, MaskAtoms, exact_entry, grow
+from .atoms import MaskAtoms, child_entry, zero_sum_free
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import child_step
-from .sequences import SupportSet
+from .sequences import SupportSet, join_cyclic
 
 
 class SubsetRecord(NamedTuple):
@@ -132,7 +140,13 @@ def delta_star(group: FiniteAbelianGroup, *,
     support = SupportSet(group, elements)
     # the entry of every computed mask that has atoms, filed when it is formed
     index: dict[int, MaskAtoms] = {}
-    get = index.get
+    # for every node descended into, (b, the entry of b plus its mask) for
+    # each child that has atoms, in ascending b
+    kids: dict[int, list[tuple[int, MaskAtoms]]] = {}
+    # prefix[b], the span of the positions below b
+    prefix = [1]
+    for steps in support.steps[:-1]:
+        prefix.append(join_cyclic(prefix[-1], steps))
 
     records: list[SubsetRecord] = []
     # subsets in pruned subtrees: pruned[0] under a node with min Delta 1,
@@ -147,34 +161,41 @@ def delta_star(group: FiniteAbelianGroup, *,
     # child writes slot b, and its subtree writes only below b
     weights = [0] * k
 
-    def descend(mask: int, top_bit: int, d: int, has_nonunit: bool,
-                has_light: bool, state):
-        for b in range(top_bit + 1):
-            bit = 1 << b
-            new_mask = mask | bit
-            nu, nl = has_nonunit, has_light
-            minimal = False
-            entries = []
-            # the first probe is the new mask's own entry, built here
-            new_state = entry = None
-            if state is not None:
-                new_state = grow(support, state, b)
-                if new_state is not None:
-                    entry = exact_entry(support, new_state)
-                    if entry is not None:
-                        index[new_mask] = entry
-            sub = mask
-            while True:
-                if entry is not None:
-                    if entry.nonunit:
-                        minimal = sub == mask and not nu
-                        nu = True
-                    nl = nl or entry.light
-                    entries.append(entry)
-                if not sub:
+    def descend(mask: int, low: int, positions: tuple[int, ...], d: int,
+                has_nonunit: bool, has_light: bool, zf):
+        # the node `mask`, its lowest position `low` (k at the root), its
+        # positions ascending and its zero-sum-free vectors (None at the
+        # root); first the entries b|S of the children b < low, S a proper
+        # submask, each child's in descending S, from the lists S filed
+        buckets = [[] for _ in range(low)]
+        sub = mask
+        while sub:
+            sub = (sub - 1) & mask
+            for b, entry in kids.get(sub, ()):
+                if b >= low:
                     break
-                sub = (sub - 1) & mask
-                entry = get(bit | sub)
+                buckets[b].append(entry)
+        filed = kids[mask] = []
+        # once no vector over the mask is zero-sum free, no mask below it
+        # in the tree has an entry of its own
+        live = zf is None or zf
+        for b, entries in enumerate(buckets):
+            new_mask = mask | 1 << b
+            nu, nl = has_nonunit, has_light
+            for entry in entries:
+                nu = nu or entry.nonunit
+                nl = nl or entry.light
+            minimal = False
+            # the new mask's own entry goes first
+            own = child_entry(support, zf, b, positions) if live else None
+            if own is not None:
+                index[new_mask] = own
+                filed.append((b, own))
+                if own.nonunit:
+                    minimal = not nu
+                    nu = True
+                nl = nl or own.light
+                entries.insert(0, own)
             # W_b is None when child_d = 1, which always prunes: slot b is
             # read only in this child's subtree
             child_d, weights[b] = child_step(e, d, entries, weights)
@@ -190,11 +211,14 @@ def delta_star(group: FiniteAbelianGroup, *,
             if child_d in closed:
                 # every superset X has 0 < min Delta(X) | child_d, a value
                 # already recorded; count the subtree and skip it
-                pruned[child_d > 1] += bit - 1
-            else:
-                descend(new_mask, b - 1, child_d, nu, nl, new_state)
+                pruned[child_d > 1] += (1 << b) - 1
+            elif b:  # a mask with position 0 has no children
+                descend(new_mask, b, (b,) + positions, child_d, nu, nl,
+                        zero_sum_free(support, zf, b, prefix[b]) if live else zf)
+        if not filed:
+            del kids[mask]  # a missing list reads as empty
 
-    descend(0, k - 1, 0, False, False, EMPTY_STATE)
+    descend(0, k, (), 0, False, False, None)
 
     total = (1 << k) - 1
     if len(records) + sum(pruned) != total:

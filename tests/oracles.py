@@ -25,6 +25,9 @@ every exponent vector and takes its set of lengths from `naive_length_set`;
 neither shares code with the package's forward length pass.
 `walk_search` is the atom DFS that walked the last support position one copy
 at a time instead of solving it from a table of multiples.
+`vector_state` sums every subsequence of one exponent vector, and
+`grid_zero_sum_free` filters the exponent grid for the zero-sum-free vectors
+that the sweep grows one position at a time.
 `exponent_matrix` and `entry_vectors` lay atoms out as full exponent
 vectors, which the package no longer stores: the atom matrix, and the
 atoms of one support-mask index entry, read off its exponent tuples over
@@ -74,6 +77,14 @@ def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def entry_fields(entry):
+    """Every field of an index entry, for comparing entries built by two
+    routes; None for no entry."""
+    if entry is None:
+        return None
+    return entry.above, entry.vectors, entry.scaled, entry.nonunit, entry.light
+
+
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
     """Atoms by full-grid filtering: generate every vector with
     0 <= v_g <= ord(g), keep the nonzero zero-sums, take the poset-minimal
@@ -94,6 +105,41 @@ def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:
                    for w in zero_sums):
             minimal.append(v)
     return sorted(minimal)
+
+
+def vector_state(support: SupportSet, positions, vec) -> tuple[int, int, int]:
+    """(sigma, PS, Q) of the exponent vector `vec` at `positions`, as masks
+    on the support's codec, by summing every nonempty subsequence: PS over
+    all of them, Q over the proper ones."""
+    group, codec = support.group, support.codec
+    sig = ps = q = 0
+    for sub in itertools.product(*(range(v + 1) for v in vec)):
+        if not any(sub):
+            continue
+        total = group.zero
+        for i, u in zip(positions, sub):
+            total = group.add(total, group.mul(u, support.elements[i]))
+        bit = 1 << codec.encode(total)
+        ps |= bit
+        if sub == tuple(vec):
+            sig = bit
+        else:
+            q |= bit
+    return sig, ps, q
+
+
+def grid_zero_sum_free(support: SupportSet, positions, span: int) -> list:
+    """The zero-sum-free vectors at `positions`, ascending, by filtering the
+    grid of exponent vectors with 1 <= v_i <= ord(g_i): those with 0 neither
+    in Q nor sigma, and sigma in the subgroup mask `span`, each as
+    (sigma, PS, Q, exponents), sorted by exponents."""
+    out = []
+    for vec in itertools.product(*(range(1, support.orders[i] + 1)
+                                   for i in positions)):
+        sig, ps, q = vector_state(support, positions, vec)
+        if not q & 1 and sig != 1 and sig & span:
+            out.append((sig, ps, q, vec))
+    return out
 
 
 def seed_enumerate_atoms(support: SupportSet) -> tuple[tuple[int, ...], ...]:

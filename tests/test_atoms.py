@@ -4,18 +4,19 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmonoid import (AtomSet, BudgetError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          abelian_groups_of_order, build_named_set,
                          enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import EMPTY_STATE, _search, exact_entry, grow
+from blockmonoid.atoms import _search, child_entry, zero_sum_free
 from blockmonoid.errors import format_bound
 from blockmonoid.sequences import _Span
-from oracles import (encode_set, entry_vectors, grid_atoms,
-                     seed_enumerate_atoms, walk_enumerate_atoms, walk_search)
+from oracles import (encode_set, entry_fields, entry_vectors, grid_atoms,
+                     grid_zero_sum_free, seed_enumerate_atoms, vector_state,
+                     walk_enumerate_atoms, walk_search)
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -293,12 +294,6 @@ class TestSeedOracle:
         assert vectors(support) == seed_enumerate_atoms(support)
 
 
-def entry_fields(entry):
-    if entry is None:
-        return None
-    return entry.above, entry.vectors, entry.scaled, entry.nonunit, entry.light
-
-
 ON_DEMAND_GROUPS = [g for n in range(1, 13) for g in abelian_groups_of_order(n)]
 ON_DEMAND_GROUPS += [FiniteAbelianGroup((2, 2, 2, 2)), FiniteAbelianGroup((2, 2, 4))]
 _WHOLE_GROUP = {}
@@ -306,7 +301,7 @@ _WHOLE_GROUP = {}
 
 def whole_group(orders):
     """(support, eager index) on the nonzero elements, built once; the index
-    files the seed DFS's atoms, so it shares no search with `exact_entry`."""
+    files the seed DFS's atoms, so it shares no search with `child_entry`."""
     if orders not in _WHOLE_GROUP:
         group = FiniteAbelianGroup(orders)
         support = SupportSet(group, group.nonzero_elements)
@@ -316,53 +311,77 @@ def whole_group(orders):
     return _WHOLE_GROUP[orders]
 
 
+def prefix_span(support, b):
+    """The span of the positions below b, as a mask."""
+    return support.span_mask((1 << b) - 1)
+
+
+def chain_zf(support, positions):
+    """The zero-sum-free vectors of the mask of `positions`, ascending,
+    grown from the empty mask one position at a time from the highest down,
+    each kept where its sigma lies in the span below the position added, as
+    the sweep grows them."""
+    zf = None
+    for p in reversed(positions):
+        zf = zero_sum_free(support, zf, p, prefix_span(support, p))
+    return zf
+
+
 def mask_entry(support, mask):
-    """The on-demand entry of `mask`; None without a search when its state
-    is dead, as the sweep does."""
-    state = ones_state(support, mask)
-    return None if state is None else exact_entry(support, state)
+    """The entry of `mask` built from the zero-sum-free vectors of the mask
+    without its lowest position."""
+    positions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return child_entry(support, chain_zf(support, positions[1:]), positions[0],
+                       positions[1:])
 
 
-def ones_state(support, mask):
-    """The state of the 0/1 vector of `mask`, grown one position at a time
-    from the highest down, as the sweep adds them."""
-    state = EMPTY_STATE
-    for i in reversed(range(mask.bit_length())):
-        if mask >> i & 1:
-            state = grow(support, state, i)
-            if state is None:
-                break
-    return state
+def every_entry(support):
+    """The entry of every nonempty mask, built down the tree of masks that
+    the sweep walks, without pruning: mask -> entry or None."""
+    k = len(support)
+    built = {}
+
+    def walk(positions, zf):
+        for b in range(positions[0] if positions else k):
+            built[sum(1 << p for p in (b, *positions))] = child_entry(
+                support, zf, b, positions)
+            walk((b, *positions), zero_sum_free(support, zf, b,
+                                                prefix_span(support, b)))
+
+    walk((), None)
+    return built
 
 
 class TestOnDemandIndex:
-    """Each support mask's entry built on its own, from the state of its
-    0/1 vector, against the seed enumeration of the whole support filed by
-    `AtomSet.mask_index`: the same atoms in the same order, the same scaled
-    cross numbers and flags, and None exactly where the eager index has no
-    key."""
+    """Each support mask's entry built from the zero-sum-free vectors of the
+    mask without its lowest position, against the seed enumeration of the
+    whole support filed by `AtomSet.mask_index`: the same atoms in the same
+    order, the same scaled cross numbers and flags, and None exactly where
+    the eager index has no key."""
 
     @pytest.mark.parametrize("group", ON_DEMAND_GROUPS,
                              ids=lambda g: g.spec_string())
     def test_every_mask(self, group):
         support, index = whole_group(group.orders)
-        k = len(group.nonzero_elements)
-        for mask in range(1, 1 << k):
-            got = mask_entry(support, mask)
+        built = every_entry(support)
+        assert len(built) == (1 << len(group.nonzero_elements)) - 1
+        for mask, got in built.items():
             assert entry_fields(got) == entry_fields(index.get(mask)), mask
 
     def test_zero_sum_sets(self):
         # over C2^2, {a, b, a+b} sums to 0, so its only atom is itself, and
-        # a state grown from it is dead; {a, a+b} has no proper zero-sum
-        # subset, yet no atom has exactly that support
+        # no vector over it is zero-sum free; {a, a+b} has no proper
+        # zero-sum subset, yet no atom has exactly that support
         support, index = whole_group((2, 2))
-        full = grow(support, grow(support, grow(support, EMPTY_STATE, 2), 1), 0)
-        assert full is not None and full[0] == 1
-        entry = exact_entry(support, full)
+        whole = support.span_mask(0b111)
+        pair = zero_sum_free(support, zero_sum_free(support, None, 2, whole), 1,
+                             whole)
+        assert [vec for *_, vec in pair] == [(1, 1)]
+        entry = child_entry(support, pair, 0, (1, 2))
         assert entry.vectors == [(1, 1, 1)]
         assert entry.above == (1, 2)
-        assert grow(support, full, 0) is None
-        assert ones_state(support, 0b101) is not None
+        assert zero_sum_free(support, pair, 0, whole) == []
+        assert chain_zf(support, (2,)) != []
         assert mask_entry(support, 0b101) is None
         assert 0b101 not in index
 
@@ -376,6 +395,29 @@ class TestOnDemandIndex:
         mask = sum(1 << i for i in positions)
         got = mask_entry(support, mask)
         assert entry_fields(got) == entry_fields(index.get(mask))
+
+
+class TestZeroSumFree:
+    """The zero-sum-free vectors grown one position at a time against the
+    brute-force filter of the exponent grid, and the entries read off them
+    against the brute-force grid atoms with exactly that support."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_support(), st.data())
+    def test_matches_grid_filter(self, support, data):
+        k = len(support)
+        mask = data.draw(st.integers(1, (1 << k) - 1))
+        positions = tuple(i for i in range(k) if mask >> i & 1)
+        zf = chain_zf(support, positions)
+        assert zf == grid_zero_sum_free(support, positions,
+                                        prefix_span(support, positions[0]))
+        atoms = grid_atoms(support)
+        for b in range(positions[0]):
+            exact = [tuple(a[i] for i in (b, *positions)) for a in atoms
+                     if all(bool(a[i]) == (i == b or i in positions)
+                            for i in range(k))]
+            got = child_entry(support, zf, b, positions)
+            assert (got.vectors if got else []) == exact
 
 
 def translate(mask, steps):
@@ -449,16 +491,19 @@ def query_support(draw, min_size=2):
     return SupportSet(group, tuple(picked))
 
 
-def walk_entry(support, state):
-    """The atoms whose support is the mask of `state` by the walking search,
-    from the state of the mask's 0/1 vector, as (the positions after the
-    first, the exponent tuples over the positions), the fields `above` and
-    `vectors` of an index entry; the positions in the state's order, each
-    position's steps and bit read off `support`."""
-    sig, ps, q, spans, positions = state[:5]
+def walk_entry(support, positions):
+    """The atoms whose support is exactly `positions`, by the walking search
+    from the state of their 0/1 vector, summed subsequence by subsequence,
+    as (the positions after the first, the exponent tuples over the
+    positions), the fields `above` and `vectors` of an index entry; the
+    positions in the order given, each position's steps and bit read off
+    `support`."""
+    n = len(positions)
+    spans = [support.span_mask(sum(1 << p for p in positions[t:]))
+             for t in range(n)]
     found = walk_search([support.steps[p] for p in positions],
-                        [support.bits[p] for p in positions], spans,
-                        (1,) * len(positions), sig, ps, q)
+                        [support.bits[p] for p in positions], spans, (1,) * n,
+                        *vector_state(support, positions, (1,) * n))
     return positions[1:], found
 
 
@@ -478,10 +523,13 @@ class TestSolvedLastPosition:
     @given(query_support(), st.data())
     def test_mask_state(self, support, data):
         mask = data.draw(st.integers(1, (1 << len(support)) - 1))
-        state = ones_state(support, mask)
-        assume(state is not None)
-        above, found = walk_entry(support, state)
-        entry = exact_entry(support, state)
+        positions = tuple(i for i in range(len(support)) if mask >> i & 1)
+        entry = mask_entry(support, mask)
+        if vector_state(support, positions, (1,) * len(positions))[2] & 1:
+            # a proper subset sums to 0, and the walk starts only without one
+            assert entry is None
+            return
+        above, found = walk_entry(support, positions)
         if entry is None:
             assert found == []
         else:
@@ -492,7 +540,7 @@ class TestSolvedLastPosition:
         for g, order in (((2,), 5), ((5,), 6), ((1,), 2)):
             support = SupportSet(FiniteAbelianGroup((order,)), (g,))
             assert vectors(support) == ((order,),)
-            entry = exact_entry(support, grow(support, EMPTY_STATE, 0))
+            entry = child_entry(support, None, 0, ())
             assert (entry.above, entry.vectors) == ((), [(order,)])
 
     def test_last_element_of_order_two(self):
@@ -525,8 +573,9 @@ class TestOneFramePerPosition:
     one-element supports too: from one copy at each lowest position, as
     `enumerate_atoms` starts it, against the walk from the same start;
     `enumerate_atoms` against the walk from the empty vector and the
-    brute-force grid filter; and the entry built from a state grown in any
-    chain order against the walk from the same state."""
+    brute-force grid filter; and the entry read off zero-sum-free vectors
+    grown in any chain order, with no span filter, against the walk from
+    the 0/1 vector of the same positions."""
 
     @settings(max_examples=60, deadline=None)
     @given(query_support(min_size=1), st.data())
@@ -541,17 +590,16 @@ class TestOneFramePerPosition:
         assert list(vectors(support)) == walk_enumerate_atoms(support) \
             == grid_atoms(support)
         chain = data.draw(st.permutations(range(k)))[:data.draw(st.integers(1, k))]
-        state = EMPTY_STATE
-        for pos in chain:
-            state = grow(support, state, pos)
-            if state is None:
-                return
-        positions = state[4]
-        assert positions == tuple(reversed(chain))
-        assert state[3] == tuple(support.span_mask(sum(1 << p for p in positions[t:]))
-                                 for t in range(len(positions)))
-        above, found = walk_entry(support, state)
-        entry = exact_entry(support, state)
+        whole = spans[0]
+        zf = None
+        for pos in chain[:-1]:
+            zf = zero_sum_free(support, zf, pos, whole)
+        positions = tuple(reversed(chain))
+        entry = child_entry(support, zf, chain[-1], positions[1:])
+        if vector_state(support, positions, (1,) * len(positions))[2] & 1:
+            assert entry is None
+            return
+        above, found = walk_entry(support, positions)
         if entry is None:
             assert found == []
         else:

@@ -8,9 +8,9 @@ from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
                          build_named_set, delta_star, enumerate_atoms,
                          expected_max_delta_star)
 from blockmonoid import kernel, sweep
-from blockmonoid.atoms import exact_entry
+from blockmonoid.atoms import child_entry
 from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
-                     seed_delta_star, seed_extremal_report)
+                     entry_fields, seed_delta_star, seed_extremal_report)
 
 
 class TestDeltaStarExamples:
@@ -210,6 +210,47 @@ class TestBatchStepOracle:
                 assert after.mask & -low != rec.mask
 
 
+def assert_entries_match_index(group: FiniteAbelianGroup) -> SweepReport:
+    """Every entry the sweep builds equals the entry of the whole-group
+    `AtomSet.mask_index` at its mask, field by field, and every computed
+    mask it builds none for (its mask minus the lowest position has no
+    zero-sum-free vector) has no entry there; the sweep's report."""
+    built = {}
+
+    def recording(support, zf, b, positions):
+        entry = child_entry(support, zf, b, positions)
+        built[sum(1 << p for p in (b, *positions))] = entry
+        return entry
+
+    saved = sweep.child_entry
+    sweep.child_entry = recording
+    try:
+        report = delta_star(group, sweep_max_group=None)
+    finally:
+        sweep.child_entry = saved
+    index = enumerate_atoms(SupportSet(group, group.nonzero_elements)).mask_index
+    for mask, entry in built.items():
+        assert entry_fields(entry) == entry_fields(index.get(mask)), mask
+    for rec in report.records:
+        if rec.mask not in built:
+            assert rec.mask not in index, rec.mask
+    return report
+
+
+FILED_ENTRY_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
+FILED_ENTRY_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
+
+
+class TestFiledEntries:
+    """The entries the sweep reads off each node's zero-sum-free vectors
+    against the whole-group atom search filed by support mask."""
+
+    @pytest.mark.parametrize("group", FILED_ENTRY_GROUPS,
+                             ids=lambda g: g.spec_string())
+    def test_every_filed_entry(self, sweep_cache, group):
+        assert assert_entries_match_index(group) == sweep_cache(group)
+
+
 class TestMembershipAndBounds:
     @pytest.mark.parametrize("orders", [(5,), (8,), (2, 4), (3, 3), (2, 2, 2)])
     def test_known_memberships(self, sweep_cache, orders):
@@ -380,13 +421,13 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
     def test_nonunit_flags_cleared(self, monkeypatch):
-        def cleared(support, state):
-            entry = exact_entry(support, state)
+        def cleared(support, zf, b, positions):
+            entry = child_entry(support, zf, b, positions)
             if entry is not None:
                 entry.nonunit = False
             return entry
 
-        monkeypatch.setattr(sweep, "exact_entry", cleared)
+        monkeypatch.setattr(sweep, "child_entry", cleared)
         with pytest.raises(ConsistencyError, match="routes disagree"):
             delta_star(FiniteAbelianGroup((3,)))
 
