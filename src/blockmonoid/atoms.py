@@ -1,82 +1,63 @@
 """Enumeration of the minimal zero-sum sequences (atoms) over a support set.
 
-One depth-first search finds them (`_search`), with one frame per support
-position and exponent prefix: a frame raises the exponent at its position
-one copy at a time and from each exponent goes on to the next position,
-solved in place when it is the last (below).  Each branch keeps two sets:
+An exponent vector w over some support positions carries three sets:
 
-    PS(w) = sums of all nonempty subsequences of the partial vector w,
+    sigma(w), its sum,
+    PS(w) = sums of all nonempty subsequences of w,
     Q(w)  = sums of all proper nonempty subsequences of w.
 
-Adding one copy of g to a nonempty w updates them as
+w is an atom iff sigma(w) = 0 and 0 is not in Q(w), and zero-sum free iff 0
+is not in PS(w).  The translation step adds one copy of g to a nonempty w:
 
     Q(wg)  = PS(w) | (Q(w) + g) | {g},
     PS(wg) = Q(wg) | {sigma(w) + g},
 
-with | for union and X + g = {x + g : x in X}.
+with | for union and X + g = {x + g : x in X}.  Raising an exponent one copy
+at a time ends once 0 lands in Q (no extension is minimal) or sigma is 0 (an
+atom, contained in every extension), so it never passes ord(g) copies.
 
-A branch is abandoned as soon as 0 lands in Q(w): the partial selection then
-contains a proper nonempty zero-sum subsequence, so no extension can be
-minimal.  A vector w with sigma(w) = 0 and 0 not in Q(w) is exactly an atom,
-so minimality is certified by the search state itself; the brute-force grid
-filter in the test suite anchors this equivalence on small supports.  The
-same rule bounds each exponent by ord(g) with no test of its own: ord(g)
-copies of g beside another element put 0 in Q, and alone they are an atom,
-which ends its branch.  A branch also dies when the current deficit
--sigma(w) is not reachable from the remaining support positions (it lies
-outside the subgroup H they generate).  Since H is a subgroup, -sigma(w)
-lies in H exactly when sigma(w) does, so the test needs no negation.
+The solved-position lemma.  Let v be zero-sum free over the positions of a
+mask M, and b a position outside M with element g.  Some g^c v, c >= 1, sums
+to 0 only for c = c(v), the one c in [1, ord(g)) with c*g = -sigma(v) (none
+when sigma(v) is not in <g>), and g^c v is an atom iff PS(v) misses
+N_c = {-g, -2g, ..., -(c-1)g}.  Proof: a proper nonempty subsequence is
+g^i v', v' a subsequence of v, 0 <= i <= c.  With v' empty it sums to
+i*g != 0, as 0 < i <= c < ord(g); with i = 0 its sum lies in PS(v); with
+i = c, v' is proper and the sum is minus that of the rest of v.  That
+leaves v' nonempty and 0 < i < c, where the sum is 0 iff sigma(v') = -i*g,
+and some such choice is iff PS(v) meets N_c.  Conversely every atom whose
+support is exactly b plus M is such a g^c v, v its part over M, a proper
+subsequence of an atom and so zero-sum free.  So `child_entry` reads those
+atoms off M's zero-sum-free vectors with one lookup in the table of the
+nonzero multiples of g (`SupportSet.multiples`: sigma -> (c, the mask of
+N_c)) and one AND per vector.
 
-The last position is solved, not walked.  Let g be its element and w a
-nonempty partial vector with sigma(w) != 0 and 0 not in Q(w).  Only copies
-of g can follow, and w g^c is zero-sum for c = c(w), the unique
-c in [1, ord(g)) with c*g = -sigma(w) (no such c when sigma(w) is not in
-<g>), so w g^c is the one candidate.  It is an atom iff PS(w) misses
-N_c = {-g, -2g, ..., -(c-1)g}.  Proof: a proper nonempty subsequence of
-w g^c is w' g^i, with w' a subsequence of w and 0 <= i <= c.  With w'
-empty it sums to i*g != 0, as 0 < i <= c < ord(g).  With w' nonempty and
-i = 0 its sum lies in PS(w) and is 0 only if 0 is in Q(w) (w' = w has sum
-sigma(w) != 0).  With i = c it is proper only if w' is not w, and sums to
-0 only if the rest of w does, again 0 in Q(w).  That leaves w' nonempty
-and 0 < i < c, where w' g^i sums to 0 iff sigma(w') = -i*g; some such
-choice does iff PS(w) meets N_c.  So the frame before the last position
-solves it with one lookup in the table of the nonzero multiples of g
-(`SupportSet.multiples`: sigma -> (c, the mask of N_c)) and one AND, and
-pushes nothing.  The walk that started from the empty vector, pushed a
-frame per copy and walked the last position too is kept in the test suite
-as an oracle.  The search visits a subset of the exponent vectors the walk
-visited, so `enumeration_bound` still bounds its nodes; the budget test
-reads only that bound, so it refuses the same supports.
+`enumerate_atoms` walks the tree of position masks in which a mask's
+parent drops its lowest position.  Each mask M it enters carries ZF(M): its
+zero-sum-free vectors, each exponent at least 1, each with its sigma, PS
+and Q, built from its parent's by raising the new position's exponent one
+copy at a time (`zero_sum_free`), and kept only where sigma lies in the span
+of the positions below M's lowest, the only sums a position added below can
+cancel.  Each child b plus M, b below M, gets the entry `child_entry` reads
+off ZF(M), and is entered when its own list is nonempty: a mask with no
+zero-sum-free vector has no mask below it in the tree with an atom of its
+own.  The root is the empty mask, whose child b has the one atom
+g_b^ord(g_b).  Every mask is formed once, so the entries it gets are the
+index `AtomSet.mask_index`, each (`MaskAtoms`) holding exponent tuples over
+the mask's positions, never a k-tuple, with cross numbers scaled to
+integers by the support's `cross_scale`.  The half-factorial, LCN and
+minimality flags, min Delta and the largest cross number are read off the
+index.  The whole-group sweep walks the same tree with the same two steps
+and prunes it.  The brute-force grid filter and the walk that raised one
+exponent at a time from the empty vector, in the test suite, anchor both.
 
-The branch state is held in bitmasks.  Every subsequence sum lies in the
-subgroup <S> that the support generates; the support's codec (`_Span` in
-`sequences`) numbers the elements of <S> 0 .. |<S>| - 1, and PS, Q and sigma
-are Python ints with one bit per element of <S>.  sigma is a single set bit,
-and sigma = 0 is bit 0.  Translating a set by g takes one masked shift pair
-per nonzero digit of g: the positions whose digit does not wrap move up, the
-others move down.  The suffix spans H come from the support's memoized table
-of subgroup masks, `SupportSet.span_mask`.
-
-Every search starts from a nonempty vector: `enumerate_atoms` runs one per
-lowest support position b, from one copy at b, and puts b zeros before
-each atom.  An `AtomSet` files its atoms by support mask (`mask_index`),
-each entry (`MaskAtoms`) holding the search's exponent tuples over the
-mask's positions, never a k-tuple, with cross numbers scaled to integers
-by the support's `cross_scale`.  The half-factorial, LCN and minimality
-flags, min Delta and the largest cross number are read off the index.
-
-The whole-group sweep builds the entries of that index itself, one mask at
-a time, and never enumerates the atoms of the whole group.  It carries, for
-each mask M it descends into, M's zero-sum-free vectors ZF(M): the exponent
-vectors v over M's positions, each exponent at least 1, with 0 neither in
-Q(v) nor sigma(v), each with its sigma, PS and Q.  An atom whose support is
-exactly b plus M, for b outside M, is g_b^c v with v in ZF(M), and the
-lemma of the solved last position, with b in its place, decides c and
-whether g_b^c v is an atom, from sigma(v) and PS(v) alone (`child_entry`).
-ZF(b plus M) comes from ZF(M) by raising b's exponent of each v one copy at
-a time, the search's own translation step (`zero_sum_free`).  The sweep
-puts b below M and keeps a vector only where sigma lies in the span of the
-positions below b, the only sums that a later position below can cancel.
+The sets are bitmasks.  Every subsequence sum lies in the subgroup <S> that
+the support generates; the support's codec (`_Span` in `sequences`) numbers
+the elements of <S> 0 .. |<S>| - 1, and PS, Q and sigma are Python ints with
+one bit per element of <S>.  sigma is a single set bit, and sigma = 0 is
+bit 0.  Translating a set by g takes one masked shift pair per nonzero
+digit of g: the positions whose digit does not wrap move up, the others
+move down.
 """
 from __future__ import annotations
 
@@ -110,32 +91,40 @@ class MaskAtoms:
         self.nonunit = self.light or max(scaled) > n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomSet:
-    """All atoms over a support set, in lexicographic exponent-vector order."""
+    """All atoms over a support set, filed by support mask, bit i standing
+    for position i: each mask that is the support of some atom maps to the
+    entry of the atoms with exactly that support."""
 
     support: SupportSet
-    atoms: tuple[SequenceVec, ...]
+    mask_index: dict[int, MaskAtoms]
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return sum(len(entry.vectors) for entry in self.mask_index.values())
 
     def __iter__(self):
         return iter(self.atoms)
 
     @cached_property
-    def cross_numbers(self) -> tuple[Fraction, ...]:
-        return tuple(a.cross_number() for a in self.atoms)
+    def atoms(self) -> tuple[SequenceVec, ...]:
+        """The atoms as exponent vectors over the whole support, in
+        lexicographic order."""
+        k = len(self.support)
+        found = []
+        for mask, entry in self.mask_index.items():
+            positions = ((mask & -mask).bit_length() - 1, *entry.above)
+            for vec in entry.vectors:
+                exps = [0] * k
+                for i, v in zip(positions, vec):
+                    exps[i] = v
+                found.append(tuple(exps))
+        found.sort()
+        return tuple(SequenceVec._unchecked(self.support, v) for v in found)
 
     @cached_property
-    def mask_index(self) -> dict[int, MaskAtoms]:
-        """The atoms grouped by support mask, bit i standing for position i."""
-        filed: dict[tuple, list] = {}
-        for a in self.atoms:
-            at = tuple(i for i, c in enumerate(a.exponents) if c)
-            filed.setdefault(at, []).append(tuple(a.exponents[i] for i in at))
-        return {sum(1 << i for i in at): MaskAtoms(self.support, at, vectors)
-                for at, vectors in filed.items()}
+    def cross_numbers(self) -> tuple[Fraction, ...]:
+        return tuple(a.cross_number() for a in self.atoms)
 
     def davenport_constant(self) -> int:
         """Maximal atom length."""
@@ -151,74 +140,22 @@ class AtomSet:
                         self.support.cross_scale[0])
 
 
-def _search(steps, gbits, spans, last, vec: tuple[int, ...], sig: int,
-            ps: int, q: int) -> list[tuple[int, ...]]:
-    """The atoms, sorted, that raise exponents of the nonempty `vec` position
-    by position from the first, given its state (sigma, PS, Q), 0 not in Q.
-
-    Position i carries the translation steps `steps[i]` and the bit
-    `gbits[i]` of its element, and spans[i], the span of the positions from
-    i on, as a mask.  `last` is the table of the nonzero multiples of the
-    last position's element (`SupportSet.multiples`), which solves that
-    position in one step.
-    """
-    if sig == 1:
-        return [vec]  # any raise would contain this zero-sum properly
-    end = len(steps) - 1
-    if not end:
-        hit = last.get(sig)
-        return [(vec[0] + hit[0],)] if hit is not None and not ps & hit[1] else []
-    found: list[tuple[int, ...]] = []
-    # frame: (position i, the exponents before i, sigma, PS, Q), with vec[i]
-    # copies at i and 0 not in Q; tuples are built only to push or record
-    stack = [(0, (), sig, ps, q)]
-    while stack:
-        i, head, sig, ps, q = stack.pop()
-        j, c, steps_i, bit = i + 1, vec[i], steps[i], gbits[i]
-        while True:
-            # go on to position j with c copies at i
-            if j == end:
-                # the exponent is forced: c' copies of g with c'*g = -sigma,
-                # an atom iff no subsequence sums to one of -g .. -(c'-1)g;
-                # no entry means -sigma is not in <g>
-                hit = last.get(sig)
-                if hit is not None and not ps & hit[1]:
-                    found.append(head + (c, vec[j] + hit[0]))
-            elif spans[j] & sig:  # else no later position repairs the deficit
-                stack.append((j, head + (c,), sig, ps, q))
-            # translations by g, written out: a helper call per translation
-            # costs about a quarter of the search time
-            for low, up, down in steps_i:
-                lo = q & low
-                q = (lo << up) | ((q ^ lo) >> down)
-                lo = sig & low
-                sig = (lo << up) | ((sig ^ lo) >> down)
-            q |= ps | bit
-            if q & 1:
-                break
-            ps = q | sig
-            c += 1
-            if sig == 1:
-                found.append(head + (c,) + vec[j:])
-                break  # any extension would contain this zero-sum properly
-    found.sort()
-    return found
-
-
 def enumeration_bound(support: SupportSet) -> int:
-    """Grid size prod(ord(g)+1), which bounds the nodes of enumerate_atoms."""
+    """Grid size prod(ord(g)+1): every vector `enumerate_atoms` builds,
+    zero-sum free or an atom, is a distinct point of that grid, built once."""
     return prod(o + 1 for o in support.orders)
 
 
 def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
-    """All minimal nonempty zero-sum exponent vectors over the support.
+    """All minimal nonempty zero-sum exponent vectors over the support, filed
+    by support mask.
 
     Exactly the minimal elements of {v != 0 : 0 <= v_g <= ord(g), sigma(v) = 0}
-    under the componentwise order, sorted lexicographically.
+    under the componentwise order.
     """
-    # at most one node per grid point, each on masks |<S>| bits wide, a width
-    # the codec measures before any mask is built; a grid over the budget is
-    # refused before the codec is built, as grid x words >= grid
+    # at most one vector per grid point, each on masks |<S>| bits wide, a
+    # width the codec measures before any mask is built; a grid over the
+    # budget is refused before the codec is built, as grid x words >= grid
     bound, what = enumeration_bound(support), "grid size"
     if budget is not None and bound <= budget:
         bound *= -(-support.codec.width // 64)
@@ -229,19 +166,24 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
             f"budget {format_bound(budget)}; raise the budget to proceed",
             bound=bound)
 
-    k = len(support)
-    atoms: list[SequenceVec] = []
-    spans: list[int] = []  # the subgroups the suffixes from b on generate
-    # one search per lowest position b, from one copy at b; atoms with lowest
-    # position b sort before those with a lower one, so taking b from k - 1
-    # down gives sorted atoms, and each suffix span extends the last
-    for b in reversed(range(k)):
-        spans.insert(0, support.span_mask((1 << k) - (1 << b)))
-        zeros, one, bit = (0,) * b, (1,) + (0,) * (k - 1 - b), support.bits[b]
-        found = _search(support.steps[b:], support.bits[b:], spans,
-                        support.multiples(k - 1), one, bit, bit, 0)
-        atoms += [SequenceVec._unchecked(support, zeros + v) for v in found]
-    return AtomSet(support, tuple(atoms))
+    prefix = support.prefix_spans
+    index: dict[int, MaskAtoms] = {}
+
+    def walk(mask: int, low: int, positions: tuple[int, ...], zf):
+        # the children b plus `mask`, b below its lowest position `low` (k
+        # at the root), from its zero-sum-free vectors (None at the root)
+        for b in range(low):
+            child = mask | 1 << b
+            entry = child_entry(support, zf, b, positions)
+            if entry is not None:
+                index[child] = entry
+            if b:  # a mask with position 0 has no children
+                below = zero_sum_free(support, zf, b, prefix[b])
+                if below:
+                    walk(child, b, (b, *positions), below)
+
+    walk(0, len(support), (), None)
+    return AtomSet(support, index)
 
 
 def child_entry(support: SupportSet, zf: list | None, b: int,
@@ -252,8 +194,8 @@ def child_entry(support: SupportSet, zf: list | None, b: int,
     empty mask), or None where there is none.
 
     Each such atom is g_b^c v with v in zf, and v decides c and whether
-    g_b^c v is an atom: the lemma of the solved last position, with b in
-    place of that position, one lookup and one AND per v."""
+    g_b^c v is an atom: the solved-position lemma, one lookup and one AND
+    per v."""
     if zf is None:
         return MaskAtoms(support, (b,), [(support.orders[b],)])
     table = support.multiples(b)
@@ -280,12 +222,13 @@ def zero_sum_free(support: SupportSet, zf: list | None, b: int,
     the last one added first), and the list is sorted by exponents.  Each
     vector of the new mask is g_b^c v with c >= 1 and v zero-sum free over
     the mask, so it is reached by raising b's exponent of some v in `zf`
-    one copy at a time, the translation step of the search, until 0 lands
-    in Q or sigma is 0.  The sweep puts b below the mask and passes the
-    span of the positions below b: only a sigma there can a later position
-    cancel.  The filter drops nothing a later step needs: if g_b^c v has
-    sigma in the span below b, sigma(v) lies in the span of the positions
-    up to b, all below the mask, so v passed the mask's own filter."""
+    one copy at a time, the translation step, until 0 lands in Q or sigma
+    is 0.  The walk and the sweep put b below the mask and pass the span of
+    the positions below b (`SupportSet.prefix_spans`): only a sigma there
+    can a later position cancel.  The filter drops nothing a later step
+    needs: if g_b^c v has sigma in the span below b, sigma(v) lies in the
+    span of the positions up to b, all below the mask, so v passed the
+    mask's own filter."""
     steps, bit = support.steps[b], support.bits[b]
     out = []
     if zf is None:
@@ -314,8 +257,9 @@ def zero_sum_free(support: SupportSet, zf: list | None, b: int,
                 sig = (lo << up) | ((sig ^ lo) >> down)
             q |= ps | bit
             if not q & 1 and sig != 1:
-                raised.append((sig, q | sig, q, vec))
+                ps = q | sig
+                raised.append((sig, ps, q, vec))
+                if sig & span:
+                    out.append((sig, ps, q, (c,) + vec))
         level = raised
-        out += [(sig, ps, q, (c,) + vec) for sig, ps, q, vec in raised
-                if sig & span]
     return out

@@ -247,6 +247,15 @@ class SupportSet:
             later |= x
         return table
 
+    @cached_property
+    def prefix_spans(self) -> tuple[int, ...]:
+        """Per position b, the subgroup spanned by the positions below b,
+        as a mask over <S>; the first is 1, the mask of {0}."""
+        spans = [1]
+        for steps in self.steps[:-1]:
+            spans.append(join_cyclic(spans[-1], steps))
+        return tuple(spans)
+
     def span_mask(self, positions: int) -> int:
         """The subgroup spanned by the elements at the set bits of
         `positions`, as a mask over <S>; span_mask(0) == 1, the mask of {0}.

@@ -66,7 +66,7 @@ from .atoms import MaskAtoms, child_entry, zero_sum_free
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import child_step
-from .sequences import SupportSet, join_cyclic
+from .sequences import SupportSet
 
 
 class SubsetRecord(NamedTuple):
@@ -143,10 +143,7 @@ def delta_star(group: FiniteAbelianGroup, *,
     # for every node descended into, (b, the entry of b plus its mask) for
     # each child that has atoms, in ascending b
     kids: dict[int, list[tuple[int, MaskAtoms]]] = {}
-    # prefix[b], the span of the positions below b
-    prefix = [1]
-    for steps in support.steps[:-1]:
-        prefix.append(join_cyclic(prefix[-1], steps))
+    prefix = support.prefix_spans
 
     records: list[SubsetRecord] = []
     # subsets in pruned subtrees: pruned[0] under a node with min Delta 1,

@@ -23,8 +23,11 @@ whole kernel basis and combined its vectors.  `naive_length_set` takes a
 set of lengths by exhaustive recursion, and `walk_distances_oracle` walks
 every exponent vector and takes its set of lengths from `naive_length_set`;
 neither shares code with the package's forward length pass.
-`walk_search` is the atom DFS that walked the last support position one copy
-at a time instead of solving it from a table of multiples.
+`walk_search` is an atom DFS that raises one exponent at a time from the
+empty vector and walks every support position, the last one too; it shares
+no step with the zero-sum-free walk of `enumerate_atoms`.  `regroup` files
+a list of atoms by support mask as `AtomSet` did before that walk built its
+index itself.
 `vector_state` sums every subsequence of one exponent vector, and
 `grid_zero_sum_free` filters the exponent grid for the zero-sum-free vectors
 that the sweep grows one position at a time.
@@ -43,6 +46,7 @@ from blockmonoid import (AtomSet, ConsistencyError, ContractError,
                          SequenceVec, SupportSet,
                          TransferReduction, enumerate_atoms, integer_kernel,
                          is_minimal_non_half_factorial, min_delta)
+from blockmonoid.atoms import MaskAtoms
 from blockmonoid.classify import ReductionStep
 from blockmonoid.kernel import (MinDeltaWitness, echelon_insert,
                                 lattice_tail_generator)
@@ -58,6 +62,19 @@ def exponent_matrix(atoms: AtomSet) -> tuple[tuple[int, ...], ...]:
 def power(seq: SequenceVec, c: int) -> SequenceVec:
     """The sequence seq^c, c >= 0, as c times its exponent vector."""
     return SequenceVec(seq.support, tuple(c * v for v in seq.exponents))
+
+
+def regroup(support: SupportSet, vectors) -> AtomSet:
+    """The atoms at the exponent tuples `vectors` of length k, filed by
+    support mask: the body of `AtomSet.mask_index` before `enumerate_atoms`
+    filed the index itself, kept apart from taking tuples; each entry keeps
+    its atoms in the order given."""
+    filed: dict[tuple, list] = {}
+    for exps in vectors:
+        at = tuple(i for i, c in enumerate(exps) if c)
+        filed.setdefault(at, []).append(tuple(exps[i] for i in at))
+    return AtomSet(support, {sum(1 << i for i in at): MaskAtoms(support, at, vecs)
+                             for at, vecs in filed.items()})
 
 
 def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
@@ -835,8 +852,7 @@ def seed_restrict(full_atoms: AtomSet, subset: SupportSet) -> AtomSet:
     picked = sorted(tuple(a.exponents[i] for i in positions)
                     for a, mask in zip(full_atoms.atoms, support_masks)
                     if not mask & ~inside)
-    return AtomSet(subset, tuple(SequenceVec._unchecked(subset, v)
-                                 for v in picked))
+    return regroup(subset, picked)
 
 
 def seed_extremal_report(group: FiniteAbelianGroup, elements, full_atoms: AtomSet,
@@ -997,7 +1013,7 @@ def walk_distances_oracle(atoms: AtomSet, max_len: int) -> tuple[int, ...]:
 
 def walk_search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
                 q: int) -> list[tuple[int, ...]]:
-    """`atoms._search` before it solved the last position, kept verbatim apart
+    """The atom DFS before it solved the last position, kept verbatim apart
     from the name: it pushes one frame per copy, raises the last exponent
     one copy at a time, as it does every other, and pushes a frame past the
     last position that is recorded when its sum is 0 and dies at the empty
@@ -1047,8 +1063,8 @@ def walk_search(steps, gbits, spans, vec: tuple[int, ...], sig: int, ps: int,
 
 
 def walk_enumerate_atoms(support: SupportSet) -> list[tuple[int, ...]]:
-    """The atom vectors of `support`, by `walk_search` from the empty vector
-    on every position, with the suffix spans `enumerate_atoms` gives it."""
+    """The atom vectors of `support`, sorted, by `walk_search` from the empty
+    vector on every position, with the span of each suffix of positions."""
     k = len(support)
     gbits = [1 << support.codec.encode(g) for g in support.elements]
     full = (1 << k) - 1

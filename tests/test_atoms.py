@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (AtomSet, BudgetError, ContractError,
+from blockmonoid import (BudgetError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          abelian_groups_of_order, build_named_set,
                          enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import _search, child_entry, zero_sum_free
+from blockmonoid.atoms import child_entry, zero_sum_free
 from blockmonoid.errors import format_bound
 from blockmonoid.sequences import _Span
 from oracles import (encode_set, entry_fields, entry_vectors, grid_atoms,
-                     grid_zero_sum_free, seed_enumerate_atoms, vector_state,
-                     walk_enumerate_atoms, walk_search)
+                     grid_zero_sum_free, regroup, seed_enumerate_atoms,
+                     vector_state, walk_enumerate_atoms, walk_search)
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -305,9 +305,8 @@ def whole_group(orders):
     if orders not in _WHOLE_GROUP:
         group = FiniteAbelianGroup(orders)
         support = SupportSet(group, group.nonzero_elements)
-        atoms = AtomSet(support, tuple(SequenceVec(support, v)
-                                       for v in seed_enumerate_atoms(support)))
-        _WHOLE_GROUP[orders] = (support, atoms.mask_index)
+        _WHOLE_GROUP[orders] = (
+            support, regroup(support, seed_enumerate_atoms(support)).mask_index)
     return _WHOLE_GROUP[orders]
 
 
@@ -508,11 +507,12 @@ def walk_entry(support, positions):
 
 
 class TestSolvedLastPosition:
-    """The search solves its last position from the table of multiples of
-    that position's element; the walk it replaced, kept as
-    `oracles.walk_search`, must give the same atoms in the same order:
-    `enumerate_atoms` as the walk from the empty vector, and the entry of a
-    mask as the walk from the mask's 0/1 vector."""
+    """Each entry is solved at its lowest position from the table of
+    multiples of that position's element; the DFS that raises every
+    exponent one copy at a time, `oracles.walk_search`, must give the same
+    atoms in the same order: `enumerate_atoms` as the walk from the empty
+    vector, and the entry of a mask as the walk from the mask's 0/1
+    vector."""
 
     @settings(max_examples=150, deadline=None)
     @given(query_support())
@@ -562,18 +562,15 @@ class TestSolvedLastPosition:
         assert PM5.multiples(1)[bit[2]] == (2, bit[1])
         assert PM5.multiples(1)[bit[1]] == (1, 0)
         assert PM5.multiples(1)[bit[3]] == (3, bit[1] | bit[2])
-        # no search reads sigma = 0 there: it starts from a nonempty vector
+        # no entry reads sigma = 0 there: no zero-sum-free vector sums to 0
         assert bit[0] not in PM5.multiples(1)
         assert vectors(PM5) == ((0, 5), (1, 1), (5, 0))
 
 
 class TestOneFramePerPosition:
-    """The search with one frame per position and exponent prefix against
-    the walk that pushed a frame per copy (`oracles.walk_search`), on
-    one-element supports too: from one copy at each lowest position, as
-    `enumerate_atoms` starts it, against the walk from the same start;
-    `enumerate_atoms` against the walk from the empty vector and the
-    brute-force grid filter; and the entry read off zero-sum-free vectors
+    """`enumerate_atoms` against the DFS that raises every exponent one copy
+    at a time (`oracles.walk_search`) and the brute-force grid filter, on
+    one-element supports too; and the entry read off zero-sum-free vectors
     grown in any chain order, with no span filter, against the walk from
     the 0/1 vector of the same positions."""
 
@@ -581,16 +578,10 @@ class TestOneFramePerPosition:
     @given(query_support(min_size=1), st.data())
     def test_empty_vector_and_chain_order(self, support, data):
         k = len(support)
-        spans = [support.span_mask((1 << k) - (1 << i)) for i in range(k)]
-        for b in range(k):
-            bit, one = support.bits[b], (1,) + (0,) * (k - 1 - b)
-            rest = (support.steps[b:], support.bits[b:], spans[b:])
-            assert _search(*rest, support.multiples(k - 1), one, bit, bit, 0) \
-                == walk_search(*rest, one, bit, bit, 0)
         assert list(vectors(support)) == walk_enumerate_atoms(support) \
             == grid_atoms(support)
         chain = data.draw(st.permutations(range(k)))[:data.draw(st.integers(1, k))]
-        whole = spans[0]
+        whole = support.span_mask((1 << k) - 1)
         zf = None
         for pos in chain[:-1]:
             zf = zero_sum_free(support, zf, pos, whole)
@@ -604,3 +595,32 @@ class TestOneFramePerPosition:
             assert found == []
         else:
             assert (entry.above, entry.vectors) == (above, found)
+
+
+def assert_matches_walk(support) -> int:
+    """`enumerate_atoms` gives the atoms of `oracles.walk_search` in the same
+    order, and the index it files as it walks the zero-sum-free vectors
+    equals those atoms filed by support mask (`oracles.regroup`): the same
+    masks, and at each the same positions, exponent tuples, scaled cross
+    numbers and flags; the number of atoms."""
+    atoms = enumerate_atoms(support)
+    walked = walk_enumerate_atoms(support)
+    assert [a.exponents for a in atoms] == walked
+    expected = regroup(support, walked).mask_index
+    assert atoms.mask_index.keys() == expected.keys()
+    for mask, entry in atoms.mask_index.items():
+        assert entry_fields(entry) == entry_fields(expected[mask]), mask
+    return len(walked)
+
+
+class TestIndexAgainstWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(query_support(min_size=1))
+    def test_index_matches_walk(self, support):
+        assert_matches_walk(support)
+
+    @pytest.mark.parametrize(
+        "group", [g for n in range(1, 17) for g in abelian_groups_of_order(n)],
+        ids=lambda g: g.spec_string())
+    def test_whole_group_index_matches_walk(self, group):
+        assert_matches_walk(SupportSet(group, group.nonzero_elements))

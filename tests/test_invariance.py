@@ -127,6 +127,33 @@ def unit_determinant_matrices(draw):
         sum(aij * xj for aij, xj in zip(row, x)) % n for row in a)
 
 
+# (m, n) components with m | n and m < n, each group with the positions of
+# one such pair
+SHEAR_GROUPS = [((2, 4), (0, 1)), ((2, 8), (0, 1)), ((3, 9), (0, 1)),
+                ((2, 2, 4), (0, 2)), ((2, 2, 4), (1, 2))]
+
+
+@st.composite
+def admissible_shears(draw, into_smaller: bool):
+    """(group, a shear between components i and j of orders m | n): with
+    x = x_i and y = x_j, (x, y) -> (x + a*y mod m, y) when `into_smaller`,
+    else (x, y) -> (x, y + (n/m)*b*x mod n), for a or b in [1, m)."""
+    orders, (i, j) = draw(st.sampled_from(SHEAR_GROUPS))
+    group = FiniteAbelianGroup(orders)
+    m, n = orders[i], orders[j]
+    t = draw(st.integers(1, m - 1))
+
+    def image(x):
+        x = list(x)
+        if into_smaller:
+            x[i] = (x[i] + t * x[j]) % m
+        else:
+            x[j] = (x[j] + n // m * t * x[i]) % n
+        return tuple(x)
+
+    return group, image
+
+
 def _length_difference(witness) -> int:
     return 0 if witness is None else witness.lengths[1] - witness.lengths[0]
 
@@ -169,4 +196,14 @@ class TestAutomorphisms:
     @settings(max_examples=60, deadline=None)
     @given(unit_determinant_matrices(), st.data())
     def test_unit_determinant_matrix(self, case, data):
+        assert_automorphism_invariant(*case, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(admissible_shears(into_smaller=True), st.data())
+    def test_shear_into_smaller_component(self, case, data):
+        assert_automorphism_invariant(*case, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(admissible_shears(into_smaller=False), st.data())
+    def test_shear_into_larger_component(self, case, data):
         assert_automorphism_invariant(*case, data)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (AtomSet, ConsistencyError, ContractError,
+from blockmonoid import (ConsistencyError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          build_named_set, enumerate_atoms, integer_kernel,
                          length_set, min_delta, min_delta_witness)
@@ -14,7 +14,7 @@ from blockmonoid.kernel import (echelon_insert, half_factorial,
                                 lattice_tail_generator)
 from oracles import (echelon_min_delta, exponent_matrix, hnf_integer_kernel,
                      kernel_basis_contains, kernel_basis_witness, power,
-                     seed_echelon_insert, seed_lattice_tail_generator)
+                     regroup, seed_echelon_insert, seed_lattice_tail_generator)
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
 
@@ -373,9 +373,8 @@ class TestMinDelta:
         # state has no new atom to read at that position
         support = SupportSet(FiniteAbelianGroup((5,)), ((1,), (4,)))
         with pytest.raises(ContractError, match="position 0"):
-            min_delta(AtomSet(support, ()))
-        only_pair = AtomSet(support, (SequenceVec(support, (1, 1)),
-                                      SequenceVec(support, (5, 0))))
+            min_delta(regroup(support, []))
+        only_pair = regroup(support, [(1, 1), (5, 0)])
         with pytest.raises(ContractError, match="position 1"):
             min_delta(only_pair)
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
+from blockmonoid import (BudgetError, ConsistencyError,
                          ContractError, FiniteAbelianGroup, LengthSet,
                          SequenceVec, SupportSet, delta_of_lengths,
                          distances_oracle, enumerate_atoms, length_set)
 from blockmonoid.errors import format_bound
-from oracles import naive_length_set, walk_distances_oracle
+from oracles import naive_length_set, regroup, walk_distances_oracle
 from test_atoms import EPS33, FAMILY, PM5, small_support
 
 
@@ -214,8 +214,8 @@ class TestIncompleteAtoms:
     """A zero-sum sequence that the given atoms cannot factor is a bug trap,
     not an empty set of lengths."""
 
-    ATOMS = AtomSet(PM5, tuple(a for a in enumerate_atoms(PM5).atoms
-                               if a.exponents != (1, 1)))
+    ATOMS = regroup(PM5, [a.exponents for a in enumerate_atoms(PM5)
+                          if a.exponents != (1, 1)])
 
     def test_oracle(self):
         # the pass builds only products of the atoms it has, so it is the

@@ -2,15 +2,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from blockmonoid import (AtomSet, BudgetError, ConsistencyError,
-                         FiniteAbelianGroup, SequenceVec, SubsetRecord,
+from blockmonoid import (BudgetError, ConsistencyError,
+                         FiniteAbelianGroup, SubsetRecord,
                          SupportSet, SweepReport, abelian_groups_of_order,
                          build_named_set, delta_star, enumerate_atoms,
                          expected_max_delta_star)
 from blockmonoid import kernel, sweep
 from blockmonoid.atoms import child_entry
 from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
-                     entry_fields, seed_delta_star, seed_extremal_report)
+                     entry_fields, regroup, seed_delta_star,
+                     seed_extremal_report)
 
 
 class TestDeltaStarExamples:
@@ -371,8 +372,7 @@ class TestExtremalReports:
         # complement (1,1) is listed
         group = FiniteAbelianGroup((3,))
         support = SupportSet(group, group.nonzero_elements)
-        atoms = AtomSet(support, tuple(SequenceVec(support, v)
-                                       for v in ((1, 1), (2, 2))))
+        atoms = regroup(support, [(1, 1), (2, 2)])
         rec = SubsetRecord(0b11, 1, False, True, True)
         got = sweep._extremal_report(support, atoms.mask_index, rec)
         assert got == seed_extremal_report(group, support.elements, atoms, rec)
@@ -399,8 +399,7 @@ class TestExtremalReports:
         # other way round
         group = FiniteAbelianGroup((4, 4))
         support = SupportSet(group, ((1, 0), (0, 1), (3, 3)))
-        atoms = AtomSet(support, tuple(SequenceVec(support, v)
-                                       for v in ((0, 2, 3), (4, 2, 1))))
+        atoms = regroup(support, [(0, 2, 3), (4, 2, 1)])
         rec = SubsetRecord(0b111, 1, False, True, True)
         got = sweep._extremal_report(support, atoms.mask_index, rec)
         assert got == seed_extremal_report(group, support.elements, atoms, rec)
