@@ -1,20 +1,20 @@
 """Enumeration of the minimal zero-sum sequences (atoms) over a support set.
 
-An exponent vector w over some support positions carries three sets:
+An exponent vector w over some support positions carries two sets:
 
     sigma(w), its sum,
-    PS(w) = sums of all nonempty subsequences of w,
-    Q(w)  = sums of all proper nonempty subsequences of w.
+    PS(w) = sums of all nonempty subsequences of w.
 
-w is an atom iff sigma(w) = 0 and 0 is not in Q(w), and zero-sum free iff 0
-is not in PS(w).  The translation step adds one copy of g to a nonempty w:
+w is zero-sum free iff 0 is not in PS(w), and an atom iff sigma(w) = 0 and
+no proper nonempty subsequence of w sums to 0.  The translation step adds
+one copy of g to w:
 
-    Q(wg)  = PS(w) | (Q(w) + g) | {g},
-    PS(wg) = Q(wg) | {sigma(w) + g},
+    PS(wg) = PS(w) | (PS(w) + g) | {g},    sigma(wg) = sigma(w) + g,
 
-with | for union and X + g = {x + g : x in X}.  Raising an exponent one copy
-at a time ends once 0 lands in Q (no extension is minimal) or sigma is 0 (an
-atom, contained in every extension), so it never passes ord(g) copies.
+with | for union and X + g = {x + g : x in X}; the empty vector has
+sigma = 0 and PS empty.  Raising an exponent of a zero-sum-free vector one
+copy at a time ends once 0 lands in PS (no extension is zero-sum free), so
+it never passes ord(g) copies.
 
 The solved-position lemma.  Let v be zero-sum free over the positions of a
 mask M, and b a position outside M with element g.  Some g^c v, c >= 1, sums
@@ -34,26 +34,29 @@ N_c)) and one AND per vector.
 
 `enumerate_atoms` walks the tree of position masks in which a mask's
 parent drops its lowest position.  Each mask M it enters carries ZF(M): its
-zero-sum-free vectors, each exponent at least 1, each with its sigma, PS
-and Q, built from its parent's by raising the new position's exponent one
+zero-sum-free vectors, each exponent at least 1, each with its sigma and
+PS, built from its parent's by raising the new position's exponent one
 copy at a time (`zero_sum_free`), and kept only where sigma lies in the span
 of the positions below M's lowest, the only sums a position added below can
 cancel.  Each child b plus M, b below M, gets the entry `child_entry` reads
 off ZF(M), and is entered when its own list is nonempty: a mask with no
 zero-sum-free vector has no mask below it in the tree with an atom of its
-own.  The root is the empty mask, whose child b has the one atom
-g_b^ord(g_b).  Every mask is formed once, so the entries it gets are the
-index `AtomSet.mask_index`, each (`MaskAtoms`) holding exponent tuples over
-the mask's positions, never a k-tuple, with cross numbers scaled to
-integers by the support's `cross_scale`.  The half-factorial, LCN and
-minimality flags, min Delta and the largest cross number are read off the
-index.  The whole-group sweep walks the same tree with the same two steps
-and prunes it.  The brute-force grid filter and the walk that raised one
-exponent at a time from the empty vector, in the test suite, anchor both.
+own.  The root is the empty mask, whose one zero-sum-free vector is the
+empty vector (`EMPTY_ZF`): raising position b from it gives the powers
+g_b^c, c < ord(g_b), and its child b has the one atom g_b^ord(g_b).  Every
+mask is formed once, so the entries it gets are the index
+`AtomSet.mask_index`, each (`MaskAtoms`) holding exponent tuples over the
+mask's positions, never a k-tuple, with cross numbers scaled to integers by
+the support's `cross_scale`.  The half-factorial, LCN and minimality flags,
+min Delta, the Davenport constant and the largest cross number are read off
+the index.  The whole-group sweep walks the same tree with the same two
+steps and prunes it.  The brute-force grid filter and the walk that raised
+one exponent at a time from the empty vector, in the test suite, anchor
+both.
 
 The sets are bitmasks.  Every subsequence sum lies in the subgroup <S> that
 the support generates; the support's codec (`_Span` in `sequences`) numbers
-the elements of <S> 0 .. |<S>| - 1, and PS, Q and sigma are Python ints with
+the elements of <S> 0 .. |<S>| - 1, and PS and sigma are Python ints with
 one bit per element of <S>.  sigma is a single set bit, and sigma = 0 is
 bit 0.  Translating a set by g takes one masked shift pair per nonzero
 digit of g: the positions whose digit does not wrap move up, the others
@@ -61,6 +64,7 @@ move down.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -69,6 +73,10 @@ from operator import mul
 
 from .errors import BudgetError, ContractError, format_bound
 from .sequences import SequenceVec, SupportSet
+
+# the zero-sum-free vectors of the empty mask: the empty vector alone, with
+# sigma = 0 (bit 0) and PS empty
+EMPTY_ZF = ((1, 0, ()),)
 
 
 class MaskAtoms:
@@ -128,13 +136,14 @@ class AtomSet:
 
     def davenport_constant(self) -> int:
         """Maximal atom length."""
-        if not self.atoms:
+        if not self.mask_index:
             raise ContractError("Davenport constant of an empty atom set")
-        return max(a.length for a in self.atoms)
+        return max(sum(vec) for entry in self.mask_index.values()
+                   for vec in entry.vectors)
 
     def cross_number(self) -> Fraction:
         """Maximal cross number over the atoms."""
-        if not self.atoms:
+        if not self.mask_index:
             raise ContractError("cross number of an empty atom set")
         return Fraction(max(max(entry.scaled) for entry in self.mask_index.values()),
                         self.support.cross_scale[0])
@@ -171,7 +180,7 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
 
     def walk(mask: int, low: int, positions: tuple[int, ...], zf):
         # the children b plus `mask`, b below its lowest position `low` (k
-        # at the root), from its zero-sum-free vectors (None at the root)
+        # at the root), from its zero-sum-free vectors
         for b in range(low):
             child = mask | 1 << b
             entry = child_entry(support, zf, b, positions)
@@ -182,25 +191,25 @@ def enumerate_atoms(support: SupportSet, budget: int | None = None) -> AtomSet:
                 if below:
                     walk(child, b, (b, *positions), below)
 
-    walk(0, len(support), (), None)
+    walk(0, len(support), (), EMPTY_ZF)
     return AtomSet(support, index)
 
 
-def child_entry(support: SupportSet, zf: list | None, b: int,
+def child_entry(support: SupportSet, zf: Sequence, b: int,
                 positions: tuple[int, ...]) -> MaskAtoms | None:
     """The index entry of a mask plus a position b outside it: the atoms
     whose support is exactly b and the mask's `positions`, read off the
-    mask's zero-sum-free vectors `zf` (see `zero_sum_free`; None for the
-    empty mask), or None where there is none.
+    mask's zero-sum-free vectors `zf` (see `zero_sum_free`), or None where
+    there is none.
 
     Each such atom is g_b^c v with v in zf, and v decides c and whether
     g_b^c v is an atom: the solved-position lemma, one lookup and one AND
-    per v."""
-    if zf is None:
+    per v.  Over the empty mask the one atom is g_b^ord(g_b)."""
+    if not positions:
         return MaskAtoms(support, (b,), [(support.orders[b],)])
     table = support.multiples(b)
     found = []
-    for sig, ps, _, vec in zf:
+    for sig, ps, vec in zf:
         hit = table.get(sig)
         if hit is not None and not ps & hit[1]:
             found.append((hit[0],) + vec)
@@ -210,56 +219,43 @@ def child_entry(support: SupportSet, zf: list | None, b: int,
     return MaskAtoms(support, (b,) + positions, found)
 
 
-def zero_sum_free(support: SupportSet, zf: list | None, b: int,
+def zero_sum_free(support: SupportSet, zf: Sequence, b: int,
                   span: int) -> list:
     """The zero-sum-free vectors of a mask plus a position b outside it, from
-    those of the mask, `zf` (None for the empty mask), kept only where sigma
-    lies in the subgroup `span`.
+    those of the mask, `zf`, kept only where sigma lies in the subgroup
+    `span`.
 
     The zero-sum-free vectors of a mask are its exponent vectors v, each
-    exponent at least 1, with 0 not in Q(v) and sigma(v) != 0, so 0 is not
-    in PS(v); each is (sigma, PS, Q, the exponents at the mask's positions,
-    the last one added first), and the list is sorted by exponents.  Each
-    vector of the new mask is g_b^c v with c >= 1 and v zero-sum free over
-    the mask, so it is reached by raising b's exponent of some v in `zf`
-    one copy at a time, the translation step, until 0 lands in Q or sigma
-    is 0.  The walk and the sweep put b below the mask and pass the span of
-    the positions below b (`SupportSet.prefix_spans`): only a sigma there
-    can a later position cancel.  The filter drops nothing a later step
-    needs: if g_b^c v has sigma in the span below b, sigma(v) lies in the
-    span of the positions up to b, all below the mask, so v passed the
+    exponent at least 1, with 0 not in PS(v); each is (sigma, PS, the
+    exponents at the mask's positions, the last one added first), and the
+    list is sorted by exponents.  The empty mask has one, the empty vector
+    (`EMPTY_ZF`).  Each vector of the new mask is g_b^c v with c >= 1 and v
+    zero-sum free over the mask, so it is reached by raising b's exponent
+    of some v in `zf` one copy at a time, the translation step, until 0
+    lands in PS.  The walk and the sweep put b below the mask and pass the
+    span of the positions below b (`SupportSet.prefix_spans`): only a sigma
+    there can a later position cancel.  The filter drops nothing a later
+    step needs: if g_b^c v has sigma in the span below b, sigma(v) lies in
+    the span of the positions up to b, all below the mask, so v passed the
     mask's own filter."""
     steps, bit = support.steps[b], support.bits[b]
     out = []
-    if zf is None:
-        # the powers g^c, c < ord(g), where Q(g^c) = PS(g^(c - 1))
-        sig, ps, q, c = bit, bit, 0, 1
-        while sig != 1:
-            if sig & span:
-                out.append((sig, ps, q, (c,)))
-            q = ps
-            for low, up, down in steps:
-                lo = sig & low
-                sig = (lo << up) | ((sig ^ lo) >> down)
-            ps = q | sig
-            c += 1
-        return out
     # one copy more per round, so the vectors come out sorted
     level, c = zf, 0
     while level:
         c += 1
         raised = []
-        for sig, ps, q, vec in level:
+        for sig, ps, vec in level:
+            moved = ps
             for low, up, down in steps:
-                lo = q & low
-                q = (lo << up) | ((q ^ lo) >> down)
+                lo = moved & low
+                moved = (lo << up) | ((moved ^ lo) >> down)
                 lo = sig & low
                 sig = (lo << up) | ((sig ^ lo) >> down)
-            q |= ps | bit
-            if not q & 1 and sig != 1:
-                ps = q | sig
-                raised.append((sig, ps, q, vec))
+            ps |= moved | bit
+            if not ps & 1:
+                raised.append((sig, ps, vec))
                 if sig & span:
-                    out.append((sig, ps, q, (c,) + vec))
+                    out.append((sig, ps, (c,) + vec))
         level = raised
     return out

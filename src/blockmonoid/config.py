@@ -3,7 +3,7 @@ for no limit."""
 from __future__ import annotations
 
 # Bound on the grid size (product of ord(g)+1 over the support) times the
-# 64-bit words of one DFS mask, for atom enumeration.
+# 64-bit words of one mask, for atom enumeration.
 DEFAULT_ENUMERATION_BUDGET = 10 ** 12
 # Most cyclic components a group spec may expand to; a larger rank cannot be
 # swept, and a subset spec would write that many coordinates per element.

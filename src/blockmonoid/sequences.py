@@ -6,11 +6,12 @@ generates mixed-radix coordinates, read off a diagonal form of the support's
 coordinate matrix, so its elements are numbered 0 .. |<S>| - 1 and a set of
 elements of <S> is a Python int with one bit per element.  The subgroup
 spanned by the elements at a set of positions T (a bitmask over positions) is
-`span_mask(T)`, built from span_mask(T minus its lowest position i) by OR-ing
-the cosets H + t*g_i until a translate contains 0 again; the table is
-memoized per support.  Then |<T>| is `span_mask(T).bit_count()`, g in <T>
-is one AND with the bit of g (`in_span`), and T is independent iff |<T>| is
-the product of the orders of its elements (`is_independent`).
+`span_mask(T)`, built from H = span_mask(T minus its highest position i) by
+OR-ing the cosets H + t*g_i until a translate contains 0 again; the table is
+memoized per support, and the spans of the prefixes (`prefix_spans`) are
+its entries for the masks 2^b - 1.  Then |<T>| is `span_mask(T).bit_count()`,
+g in <T> is one AND with the bit of g (`in_span`), and T is independent iff
+|<T>| is the product of the orders of its elements (`is_independent`).
 """
 from __future__ import annotations
 
@@ -140,20 +141,6 @@ class _Span:
         return tuple(steps)
 
 
-def join_cyclic(span: int, steps) -> int:
-    """The subgroup H + <g> as a mask, from the mask of a subgroup H and the
-    `_Span.translation` steps of g: the union of the cosets H + t*g for
-    t = 0, 1, ...; the first translate that contains 0 is H again."""
-    coset = span
-    while True:
-        for low, up, down in steps:
-            lo = coset & low
-            coset = (lo << up) | ((coset ^ lo) >> down)
-        if coset & 1:
-            return span
-        span |= coset
-
-
 @dataclass(frozen=True)
 class SupportSet:
     """An ordered set of distinct nonzero elements; the order fixes exponent indexing."""
@@ -251,29 +238,35 @@ class SupportSet:
     def prefix_spans(self) -> tuple[int, ...]:
         """Per position b, the subgroup spanned by the positions below b,
         as a mask over <S>; the first is 1, the mask of {0}."""
-        spans = [1]
-        for steps in self.steps[:-1]:
-            spans.append(join_cyclic(spans[-1], steps))
-        return tuple(spans)
+        return tuple(self.span_mask((1 << b) - 1)
+                     for b in range(len(self.elements)))
 
     def span_mask(self, positions: int) -> int:
         """The subgroup spanned by the elements at the set bits of
         `positions`, as a mask over <S>; span_mask(0) == 1, the mask of {0}.
 
-        With i the lowest position and H the span of the others, the result
+        With i the highest position and H the span of the others, the result
         is the union of the cosets H + t*g_i for t = 0, 1, ...; the first
-        translate that contains 0 is H again.
+        translate that contains 0 is H again.  So each prefix span adds one
+        such join to the one before it.
         """
         masks = self._span_masks
-        hit = masks.get(positions)
-        if hit is None:
+        span = masks.get(positions)
+        if span is None:
             if positions < 0 or positions >> len(self.elements):
                 raise ContractError(
                     f"position mask {positions} is outside the support")
-            low = positions & -positions
-            hit = masks[positions] = join_cyclic(
-                self.span_mask(positions ^ low), self.steps[low.bit_length() - 1])
-        return hit
+            high = positions.bit_length() - 1
+            span = coset = self.span_mask(positions ^ 1 << high)
+            while True:
+                for low, up, down in self.steps[high]:
+                    lo = coset & low
+                    coset = (lo << up) | ((coset ^ lo) >> down)
+                if coset & 1:
+                    break
+                span |= coset
+            masks[positions] = span
+        return span
 
     def in_span(self, i: int, positions: int) -> bool:
         """Whether the element at position i lies in the span of `positions`."""

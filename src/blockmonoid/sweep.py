@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .atoms import MaskAtoms, child_entry, zero_sum_free
+from .atoms import EMPTY_ZF, MaskAtoms, child_entry, zero_sum_free
 from .errors import BudgetError, ConsistencyError
 from .groups import Element, FiniteAbelianGroup
 from .kernel import child_step
@@ -161,9 +161,9 @@ def delta_star(group: FiniteAbelianGroup, *,
     def descend(mask: int, low: int, positions: tuple[int, ...], d: int,
                 has_nonunit: bool, has_light: bool, zf):
         # the node `mask`, its lowest position `low` (k at the root), its
-        # positions ascending and its zero-sum-free vectors (None at the
-        # root); first the entries b|S of the children b < low, S a proper
-        # submask, each child's in descending S, from the lists S filed
+        # positions ascending and its zero-sum-free vectors; first the
+        # entries b|S of the children b < low, S a proper submask, each
+        # child's in descending S, from the lists S filed
         buckets = [[] for _ in range(low)]
         sub = mask
         while sub:
@@ -173,9 +173,6 @@ def delta_star(group: FiniteAbelianGroup, *,
                     break
                 buckets[b].append(entry)
         filed = kids[mask] = []
-        # once no vector over the mask is zero-sum free, no mask below it
-        # in the tree has an entry of its own
-        live = zf is None or zf
         for b, entries in enumerate(buckets):
             new_mask = mask | 1 << b
             nu, nl = has_nonunit, has_light
@@ -183,8 +180,9 @@ def delta_star(group: FiniteAbelianGroup, *,
                 nu = nu or entry.nonunit
                 nl = nl or entry.light
             minimal = False
-            # the new mask's own entry goes first
-            own = child_entry(support, zf, b, positions) if live else None
+            # the new mask's own entry goes first; once no vector over the
+            # mask is zero-sum free, no mask below it in the tree has one
+            own = child_entry(support, zf, b, positions) if zf else None
             if own is not None:
                 index[new_mask] = own
                 filed.append((b, own))
@@ -211,11 +209,11 @@ def delta_star(group: FiniteAbelianGroup, *,
                 pruned[child_d > 1] += (1 << b) - 1
             elif b:  # a mask with position 0 has no children
                 descend(new_mask, b, (b,) + positions, child_d, nu, nl,
-                        zero_sum_free(support, zf, b, prefix[b]) if live else zf)
+                        zero_sum_free(support, zf, b, prefix[b]) if zf else zf)
         if not filed:
             del kids[mask]  # a missing list reads as empty
 
-    descend(0, k, (), 0, False, False, None)
+    descend(0, k, (), 0, False, False, EMPTY_ZF)
 
     total = (1 << k) - 1
     if len(records) + sum(pruned) != total:
@@ -223,8 +221,8 @@ def delta_star(group: FiniteAbelianGroup, *,
             f"sweep accounting is off: {len(records)} visited + {sum(pruned)} "
             f"pruned != {total}")
 
-    # min Delta is 0 exactly on the half-factorial subsets
-    dstar = sorted({rec.min_delta for rec in records} - {0})
+    # Delta*: `seen` holds every nonzero min Delta recorded
+    dstar = sorted(seen)
     maximum = dstar[-1] if dstar else 0
     m_of_g = max((rec.min_delta for rec in records if rec.lcn), default=0)
     extremal = tuple(

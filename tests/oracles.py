@@ -147,15 +147,15 @@ def vector_state(support: SupportSet, positions, vec) -> tuple[int, int, int]:
 
 def grid_zero_sum_free(support: SupportSet, positions, span: int) -> list:
     """The zero-sum-free vectors at `positions`, ascending, by filtering the
-    grid of exponent vectors with 1 <= v_i <= ord(g_i): those with 0 neither
-    in Q nor sigma, and sigma in the subgroup mask `span`, each as
-    (sigma, PS, Q, exponents), sorted by exponents."""
+    grid of exponent vectors with 1 <= v_i <= ord(g_i): those with 0 not in
+    PS, and sigma in the subgroup mask `span`, each as (sigma, PS,
+    exponents), sorted by exponents."""
     out = []
     for vec in itertools.product(*(range(1, support.orders[i] + 1)
                                    for i in positions)):
-        sig, ps, q = vector_state(support, positions, vec)
-        if not q & 1 and sig != 1 and sig & span:
-            out.append((sig, ps, q, vec))
+        sig, ps, _ = vector_state(support, positions, vec)
+        if not ps & 1 and sig & span:
+            out.append((sig, ps, vec))
     return out
 
 

@@ -11,7 +11,7 @@ from blockmonoid import (BudgetError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          abelian_groups_of_order, build_named_set,
                          enumerate_atoms, enumeration_bound)
-from blockmonoid.atoms import child_entry, zero_sum_free
+from blockmonoid.atoms import EMPTY_ZF, child_entry, zero_sum_free
 from blockmonoid.errors import format_bound
 from blockmonoid.sequences import _Span
 from oracles import (encode_set, entry_fields, entry_vectors, grid_atoms,
@@ -124,6 +124,16 @@ class TestDerivedConstants:
 
     def test_cross_number_family(self):
         assert enumerate_atoms(FAMILY).cross_number() == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_support(max_size=4))
+    def test_read_off_the_index(self, support):
+        # the index's exponent tuples and scaled cross numbers give the
+        # values of the expanded atoms
+        atoms = enumerate_atoms(support)
+        assert atoms.davenport_constant() == max(a.length for a in atoms.atoms)
+        assert atoms.cross_number() == max(a.cross_number()
+                                           for a in atoms.atoms)
 
     def test_empty_atom_set_rejected(self):
         empty = SupportSet(C5, ())
@@ -320,7 +330,7 @@ def chain_zf(support, positions):
     grown from the empty mask one position at a time from the highest down,
     each kept where its sigma lies in the span below the position added, as
     the sweep grows them."""
-    zf = None
+    zf = EMPTY_ZF
     for p in reversed(positions):
         zf = zero_sum_free(support, zf, p, prefix_span(support, p))
     return zf
@@ -347,7 +357,7 @@ def every_entry(support):
             walk((b, *positions), zero_sum_free(support, zf, b,
                                                 prefix_span(support, b)))
 
-    walk((), None)
+    walk((), EMPTY_ZF)
     return built
 
 
@@ -373,9 +383,9 @@ class TestOnDemandIndex:
         # zero-sum subset, yet no atom has exactly that support
         support, index = whole_group((2, 2))
         whole = support.span_mask(0b111)
-        pair = zero_sum_free(support, zero_sum_free(support, None, 2, whole), 1,
-                             whole)
-        assert [vec for *_, vec in pair] == [(1, 1)]
+        single = zero_sum_free(support, EMPTY_ZF, 2, whole)
+        pair = zero_sum_free(support, single, 1, whole)
+        assert [vec for _, _, vec in pair] == [(1, 1)]
         entry = child_entry(support, pair, 0, (1, 2))
         assert entry.vectors == [(1, 1, 1)]
         assert entry.above == (1, 2)
@@ -417,6 +427,23 @@ class TestZeroSumFree:
                             for i in range(k))]
             got = child_entry(support, zf, b, positions)
             assert (got.vectors if got else []) == exact
+
+
+class TestEmptyVector:
+    """Every walk starts from the empty mask, whose one zero-sum-free vector
+    is the empty vector: raising one position from it gives the grid filter
+    of that one-position mask, and its child entry is g^ord(g)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_support(max_size=4))
+    def test_one_position(self, support):
+        whole = support.span_mask((1 << len(support)) - 1)
+        for b in range(len(support)):
+            for span in (prefix_span(support, b), whole):
+                assert zero_sum_free(support, EMPTY_ZF, b, span) == \
+                    grid_zero_sum_free(support, (b,), span)
+            entry = child_entry(support, EMPTY_ZF, b, ())
+            assert (entry.above, entry.vectors) == ((), [(support.orders[b],)])
 
 
 def translate(mask, steps):
@@ -540,7 +567,7 @@ class TestSolvedLastPosition:
         for g, order in (((2,), 5), ((5,), 6), ((1,), 2)):
             support = SupportSet(FiniteAbelianGroup((order,)), (g,))
             assert vectors(support) == ((order,),)
-            entry = child_entry(support, None, 0, ())
+            entry = child_entry(support, EMPTY_ZF, 0, ())
             assert (entry.above, entry.vectors) == ((), [(order,)])
 
     def test_last_element_of_order_two(self):
@@ -582,7 +609,7 @@ class TestOneFramePerPosition:
             == grid_atoms(support)
         chain = data.draw(st.permutations(range(k)))[:data.draw(st.integers(1, k))]
         whole = support.span_mask((1 << k) - 1)
-        zf = None
+        zf = EMPTY_ZF
         for pos in chain[:-1]:
             zf = zero_sum_free(support, zf, pos, whole)
         positions = tuple(reversed(chain))
