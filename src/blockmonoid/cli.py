@@ -107,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("prop-3.2")
+    v.add_argument("--max-order", type=_at_least(1), default=16)
     v.add_argument("--format", choices=rpt.FORMATS, default="text")
 
     v = vsub.add_parser("thm-4.5")
@@ -206,8 +207,7 @@ def run(argv=None) -> int:
         if args.target == "thm-1.1":
             result = verify_main_theorem(sweep_groups(args.max_order))
         elif args.target == "prop-3.2":
-            # the default --max-order of thm-1.1 and all
-            result = verify_p_group_m(sweep_groups(16))
+            result = verify_p_group_m(sweep_groups(args.max_order))
         elif args.target == "thm-4.5":
             result = verify_extremal_structure(
                 delta_star(parse_group(args.group), sweep_max_group=args.budget))

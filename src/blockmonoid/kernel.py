@@ -26,6 +26,11 @@ and it stays 0 or a positive multiple of e, so once it reaches e the new d
 is 1, the child is pruned whatever its weight, and the step stops reading
 atoms.  It reads the index entries (`atoms.MaskAtoms`) that `min_delta` and
 the sweep hand it as they are: `above` and one exponent tuple per atom.
+The fold starts from a form (g, S, D) that spans part of the lattice
+already, (0, 0, 0) in `min_delta`, and returns the form it ends at: the
+sweep starts the child b|M from the final form of b|P, P the mask M minus
+its lowest position, whose atoms are among those of b|M, and folds only
+the rest.
 
 `min_delta_witness` checks min Delta by a route that shares no code with
 the step: one elimination of the augmented columns into a (k+1)-slot
@@ -144,9 +149,10 @@ def integer_kernel(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
-def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]:
-    """(d', W_b) for the child that adds position b to a mask in state (d, W),
-    or (1, None) as soon as d' = 1 is certain.
+def child_step(e: int, d: int, entries, weights: list,
+               start: tuple[int, int, int]) -> tuple[int, int | None, tuple]:
+    """(d', W_b, (g, S, D)) for the child that adds position b to a mask in
+    state (d, W), with W_b None as soon as d' = 1 is certain.
 
     The new atoms, those over the child with a_b >= 1, come as index
     entries: each atom a as an exponent tuple, c = a_b first and then the
@@ -157,11 +163,21 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
     and on all of them B = e*(t - lambda(r)) (mod e*d).  So e*d' is the D
     of the Hermite form [[g, S], [0, D]] of the lattice in Z^2 spanned by
     (0, e*d) and every (c, B), and W_b solves g*W_b = S, exactly when D = 0
-    and mod D otherwise.  The fold starts from g = S = 0 and D = e*d; the
-    first atom sets (g, S) = (c, B), and each later one, with
-    g' = gcd(g, c) = x*g + y*c, replaces the rows by
-    (c/g')*(g, S) - (g/g')*(c, B) = (0, (c*S - g*B)/g'), which joins D by a
-    gcd, and x*(g, S) + y*(c, B) = (g', x*S + y*B).
+    and mod D otherwise.
+
+    `start` is a Hermite form (g, S, D) of part of that lattice: the pairs
+    of the atoms the entries leave out, at these weights, and (0, D) for a
+    multiple D of e*d' ((0, 0, 0) when nothing is left out).  The fold
+    starts from it with D joined by a gcd with e*d; an atom with g = 0 sets
+    (g, S) = (c, B), and otherwise, with g' = gcd(g, c) = x*g + y*c,
+    replaces the rows by (c/g')*(g, S) - (g/g')*(c, B) = (0, (c*S - g*B)/g'),
+    which joins D by a gcd, and x*(g, S) + y*(c, B) = (g', x*S + y*B).  The
+    form it ends at is returned for a later fold to start from.  The
+    lattice, and with it g, D and d', does not depend on how the pairs are
+    split between `start` and the entries, nor on their order.  S does, up
+    to a multiple of D, so W_b may be another solution of g*W_b = S (mod D);
+    any solution is a weight, since c*W_b = B (mod D) on every pair (c, B)
+    of the lattice, and a weight has to hold only mod D = e*d'.
 
     D = e is final.  Each D along the fold is the gcd of the D before it and
     one more number, so it divides the D before it, is nonzero once one
@@ -173,7 +189,8 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
     0 < D <= e, D = e, every later D is e too, and d' = 1, the first
     divisor-closed value: the sweep prunes the child, so no descendant
     reads W_b, and min Delta 1 ends `min_delta`.  The fold returns
-    (1, None) there and reads no further atom.  A D in (0, e) is a bug.
+    (1, None, (g, S, e)) there and reads no further atom, and none at all
+    when D = e at the start.  A D in (0, e) is a bug.
 
     The parent's weights are kept unreduced: they hold mod e*d, hence mod
     e*d'.  W_b then exists, since the child's weights differ from the
@@ -183,8 +200,10 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
     relation, and ord(g_b) divides e).  So each check below fails only on
     a bug.
     """
-    big_d = e * d
-    g = big_s = 0
+    g, big_s, big_d = start
+    big_d = gcd(big_d, e * d)
+    if big_d == e:
+        return 1, None, (g, big_s, big_d)
     for entry in entries:
         above = entry.above
         for vec in entry.vectors:
@@ -205,13 +224,14 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
                 if big_d != e:
                     raise ConsistencyError(
                         f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
-                return 1, None
+                return 1, None, (g, big_s, big_d)
+    form = g, big_s, big_d
     if big_d == 0:
         if big_s % g:
             raise ConsistencyError(
                 f"half-factorial child: gcd {g} of the new coefficients does "
                 f"not divide {big_s}")
-        return 0, big_s // g
+        return 0, big_s // g, form
     if big_d % e:
         raise ConsistencyError(
             f"dual-state step: exp(G) = {e} does not divide D = {big_d}")
@@ -219,7 +239,7 @@ def child_step(e: int, d: int, entries, weights: list) -> tuple[int, int | None]
     if big_s % h:
         raise ConsistencyError(
             f"dual-state step: gcd({g}, {big_d}) does not divide {big_s}")
-    return big_d // e, x * (big_s // h) % big_d
+    return big_d // e, x * (big_s // h) % big_d, form
 
 
 def min_delta(atoms: AtomSet) -> int:
@@ -242,7 +262,7 @@ def min_delta(atoms: AtomSet) -> int:
     weights = [0] * k
     d = 0
     for b in range(k - 1, -1, -1):
-        d, weights[b] = child_step(e, d, joining[b], weights)
+        d, weights[b], _ = child_step(e, d, joining[b], weights, (0, 0, 0))
         if d == 1:
             break
     return d

@@ -10,10 +10,12 @@ cheap:
   built once, when the descent forms its mask, from the zero-sum-free
   vectors of its tree parent;
 * each subset carries the dual state (d, W) of `kernel`, d its min Delta, and
-  a child that adds one element derives its state from its new atoms, read
-  as they are, in one `kernel.child_step`, which folds them in one at a
-  time and reads no further atom once the child's min Delta is certain to
-  be 1 (then the child is pruned, and its weight is never read);
+  a child that adds one element derives its state in one
+  `kernel.child_step`, which starts from the Hermite form of an earlier
+  sibling's child, folds the atoms that form leaves out in one at a time,
+  read as they are, and reads no further atom once the child's min Delta
+  is certain to be 1 (then the child is pruned, and its weight is never
+  read);
 * every superset X of a non-half-factorial subset with min Delta d has
   0 < min Delta(X) | d, so once every divisor of d is among the min Delta
   values recorded, the subtree adds nothing to Delta* and is counted
@@ -26,31 +28,37 @@ cheap:
 
 Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask M of higher bits gains exactly the atoms whose support is b
-plus a submask S of M.  Its own entry, for S = M, it reads off the
-zero-sum-free vectors that M carries (`atoms.child_entry`), which M built
-from its parent's when the descent entered it (`atoms.zero_sum_free`).  The
-other entries are those of the children of the nodes S: each node files
-(b, entry) for every child that has atoms, in ascending b, and M, before it
-forms its children, reads the lists of its proper submasks once, in
-descending S, and buckets each entry of b plus S by b.  So each child gets
-its own entry first and then the others in descending S, and a node makes
-one lookup per proper submask, where probing the index for every child
-made one per child and submask.  It hands the entries themselves, each atom
-an exponent tuple over the entry's positions, b first, to the child step.
+plus a submask S of M.  Those with S inside P, M minus its lowest position
+`low`, are the atoms of b|P, an earlier sibling of M: their B values read
+only the weights of P, which M's chain leaves as they are, and min Delta(M)
+divides min Delta(P).  So the final Hermite form of b|P,
+(0, e*d(M)) and the pairs of the atoms with `low` in S span the lattice of
+b|M.  Each node keeps the final (form, nonunit, light) of its children on
+its frame and hands that list to each child it descends into, whose child b
+starts its step from the form of b|P and takes its flags too; the root's
+children start from the empty form.  The entries with `low` in S are read
+as they are: the own entry, S = M, off the zero-sum-free vectors that M
+carries (`atoms.child_entry`), which M built from its parent's when the
+descent entered it (`atoms.zero_sum_free`); the others from the lists that
+each node files, (b, entry) for every child that has atoms, in ascending b.
+M reads the lists of `low` plus each proper submask of P once, in
+descending order, before it forms its children, and buckets the entries by
+b; each child hands the child step its own entry first, then the others.
 Siblings go in ascending order of b, so the masks are formed in increasing
 integer order, and each subset's record is written once, already sorted.
-So every proper submask S of M was descended into, and formed each child
-b plus S, b below M, before M (that mask is the smaller): were S pruned, or
-inside the pruned subtree of a node N inside M, the ancestor of M with the
-bits of M from the lowest bit of N (or S) up would be that node, or a
-superset of it formed after it and so pruned too, so M would never have
-been formed.
+Every form and list read is there: b|P is a direct child of P, formed
+before M = low|P because b < low; and a proper submask S of M with lowest
+bit `low` comes before M in integer order, its subtree too, so it was
+descended into, and filed its list, before M was formed, unless it or an
+ancestor A of it was pruned.  Then the ancestor of M with the bits of M
+from A's lowest bit up contains A and is formed no earlier, so, its min
+Delta dividing A's, it would have been pruned too, and M never formed.
 
 The same entries decide minimality: the atoms of a set minus g are its
 atoms that avoid g, so a set is minimal non-half-factorial iff some atom
 has k(A) != 1 and each such atom has the whole set as its support.  So the
-new mask is minimal iff its own entry has one and neither the parent nor
-its other new entries do.
+new mask is minimal iff its own entry has one and none of the parent M, the
+sibling b|P and the other new entries has one.
 
 The extremal reports read the whole-group support's span table, on position
 masks, and the index entries of an LCN set's submasks, with the cross
@@ -159,23 +167,28 @@ def delta_star(group: FiniteAbelianGroup, *,
     weights = [0] * k
 
     def descend(mask: int, low: int, positions: tuple[int, ...], d: int,
-                has_nonunit: bool, has_light: bool, zf):
+                has_nonunit: bool, has_light: bool, zf, sib: list):
         # the node `mask`, its lowest position `low` (k at the root), its
-        # positions ascending and its zero-sum-free vectors; first the
-        # entries b|S of the children b < low, S a proper submask, each
-        # child's in descending S, from the lists S filed
+        # positions ascending, its zero-sum-free vectors, and sib[b], for
+        # b < low, the final (form, nonunit, light) of the child b|P of its
+        # parent P = mask minus `low`; first the entries b|S of the
+        # children b < low, `low` in S and S a proper submask, each child's
+        # in descending S, from the lists S filed
+        lowbit = mask & -mask
+        parent = mask ^ lowbit
         buckets = [[] for _ in range(low)]
-        sub = mask
+        sub = parent
         while sub:
-            sub = (sub - 1) & mask
-            for b, entry in kids.get(sub, ()):
-                if b >= low:
-                    break
+            sub = (sub - 1) & parent
+            for b, entry in kids.get(sub | lowbit, ()):
                 buckets[b].append(entry)
         filed = kids[mask] = []
+        forms = []
         for b, entries in enumerate(buckets):
             new_mask = mask | 1 << b
-            nu, nl = has_nonunit, has_light
+            start, nu, nl = sib[b]
+            nu = nu or has_nonunit
+            nl = nl or has_light
             for entry in entries:
                 nu = nu or entry.nonunit
                 nl = nl or entry.light
@@ -193,7 +206,8 @@ def delta_star(group: FiniteAbelianGroup, *,
                 entries.insert(0, own)
             # W_b is None when child_d = 1, which always prunes: slot b is
             # read only in this child's subtree
-            child_d, weights[b] = child_step(e, d, entries, weights)
+            child_d, weights[b], form = child_step(e, d, entries, weights, start)
+            forms.append((form, nu, nl))
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")
@@ -209,11 +223,13 @@ def delta_star(group: FiniteAbelianGroup, *,
                 pruned[child_d > 1] += (1 << b) - 1
             elif b:  # a mask with position 0 has no children
                 descend(new_mask, b, (b,) + positions, child_d, nu, nl,
-                        zero_sum_free(support, zf, b, prefix[b]) if zf else zf)
+                        zero_sum_free(support, zf, b, prefix[b]) if zf else zf,
+                        forms)
         if not filed:
             del kids[mask]  # a missing list reads as empty
 
-    descend(0, k, (), 0, False, False, EMPTY_ZF)
+    # the root's children fold from the empty form
+    descend(0, k, (), 0, False, False, EMPTY_ZF, [((0, 0, 0), False, False)] * k)
 
     total = (1 << k) - 1
     if len(records) + sum(pruned) != total:

@@ -1,6 +1,7 @@
 import importlib
 import random
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from blockmonoid import (ConsistencyError, ContractError,
                          FiniteAbelianGroup, SequenceVec, SupportSet,
                          build_named_set, enumerate_atoms, integer_kernel,
                          length_set, min_delta, min_delta_witness)
-from blockmonoid.kernel import (echelon_insert, half_factorial,
+from blockmonoid.kernel import (child_step, echelon_insert, half_factorial,
                                 lattice_tail_generator)
 from oracles import (echelon_min_delta, exponent_matrix, hnf_integer_kernel,
                      kernel_basis_contains, kernel_basis_witness, power,
@@ -360,6 +361,52 @@ class TestMinDelta:
     def test_matches_echelon_readout(self, support):
         atoms = enumerate_atoms(support)
         assert min_delta(atoms) == echelon_min_delta(atoms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_support(max_size=5), st.randoms(use_true_random=False))
+    def test_split_folds_match_echelon_readout(self, support, rng):
+        # min_delta's loop, with each position b's atoms folded in two
+        # steps, as the sweep folds them: first those whose support lies in
+        # b plus a random set T of later positions, then the rest,
+        # shuffled, from the form the first step ends at.  The same d' as
+        # one step over the entries, a final D of e*d', and a W_b with
+        # c*W_b = B (mod e*d') on every new atom; so the same min Delta as
+        # the echelon readout
+        atoms = enumerate_atoms(support)
+        k = len(support)
+        e = support.group.exponent
+        joining = [[] for _ in range(k)]
+        for mask, entry in atoms.mask_index.items():
+            joining[(mask & -mask).bit_length() - 1].append(entry)
+        weights = [0] * k
+        d = 0
+        for b in range(k - 1, -1, -1):
+            pairs = [(vec[0], e - sum(weights[i] * v
+                                      for i, v in zip(entry.above, vec[1:])))
+                     for entry in joining[b] for vec in entry.vectors]
+            inside = {i for i in range(b + 1, k) if rng.random() < 0.5}
+            first = [entry for entry in joining[b] if inside.issuperset(entry.above)]
+            rest = [SimpleNamespace(above=entry.above, vectors=[vec])
+                    for entry in joining[b] if not inside.issuperset(entry.above)
+                    for vec in entry.vectors]
+            rng.shuffle(rest)
+            whole_d, whole_w, whole_form = child_step(e, d, joining[b], weights,
+                                                      (0, 0, 0))
+            _, _, form = child_step(e, d, first, weights, (0, 0, 0))
+            child_d, w, form = child_step(e, d, rest, weights, form)
+            assert child_d == whole_d
+            assert form[2] == whole_form[2] == e * child_d
+            if child_d == 1:
+                assert w is None
+                d = 1
+                break
+            for c, big_b in pairs:
+                if child_d:
+                    assert (c * w - big_b) % (e * child_d) == 0
+                else:
+                    assert c * w == big_b
+            d, weights[b] = child_d, w
+        assert d == min_delta(atoms) == echelon_min_delta(atoms)
 
     @pytest.mark.parametrize("orders", [(19,), (2, 2, 2, 3), (2, 2, 2, 2, 2)],
                              ids=lambda o: FiniteAbelianGroup(o).spec_string())

@@ -340,6 +340,7 @@ class TestCli:
         ("verify", "thm-1.1", "--max-order", "-3"),
         ("verify", "thm-1.1", "--max-order", "0"),
         ("verify", "all", "--max-order", "0"),
+        ("verify", "prop-3.2", "--max-order", "0"),
         ("delta-star", "--max-order", "2"),
         ("verify", "lemma-3.1", "--max-n", "2"),
         ("verify", "remark-4.6", "--which", "1", "--max-len", "0"),
@@ -532,6 +533,18 @@ class TestCli:
         lines = out.splitlines()
         assert len(lines) == 19 and lines[-1] == "verify prop-3.2: OK"
         assert "C2^2xC4: m(G) = 2 = r-1 = 2 OK" in lines
+
+    def test_verify_p_groups_up_to_max_order(self, monkeypatch):
+        # the 9 p-groups among the 11 abelian groups of order <= 8
+        swept = record_sweeps(monkeypatch)
+        code, out = run_cli("verify", "prop-3.2", "--max-order", "8")
+        assert code == 0
+        assert len(swept) == len(set(swept)) == 11
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "C2", "C3", "C2^2", "C4", "C5", "C7", "C2^3", "C2xC4", "C8"]
+        assert "C2^3: m(G) = 2 = r-1 = 2 OK" in lines
+        assert lines[-1] == "verify prop-3.2: OK"
 
     def test_verify_all_sweeps_each_group_once(self, monkeypatch):
         swept = record_sweeps(monkeypatch)

@@ -1,3 +1,4 @@
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -168,10 +169,11 @@ BATCH_STEP_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
 
 class TestBatchStepOracle:
     """Every child step of the sweep, which folds the atoms one at a time
-    and stops at D = e, against the batch step it replaced, fed the (c, B)
-    of all the new atoms: the same d', the same W_b when d' = 0 and mod
-    e*d' when d' > 1; and every child with d' = 1, whose W_b is None, is
-    pruned."""
+    from its sibling's form and stops at D = e, against the batch step it
+    replaced, fed the start pair (g, S), the (c, B) of all the new atoms and
+    e*d joined with the start D: the same lattice, so the same d', the same
+    W_b when d' = 0 and mod e*d' when d' > 1, and a final D of e*d'; and
+    every child with d' = 1, whose W_b is None, is pruned."""
 
     @pytest.mark.parametrize("group", BATCH_STEP_GROUPS,
                              ids=lambda g: g.spec_string())
@@ -180,24 +182,28 @@ class TestBatchStepOracle:
         fold = kernel.child_step
         calls = 0
 
-        def checked(e, d, entries, weights):
+        def checked(e, d, entries, weights, start):
             nonlocal calls
             calls += 1
             atoms = [(entry.above, vec) for entry in entries
                      for vec in entry.vectors]
-            cs = [vec[0] for _, vec in atoms]
-            bs = [e - sum(weights[i] * v for i, v in zip(above, vec[1:]))
-                  for above, vec in atoms]
-            child_d, w = fold(e, d, entries, weights)
-            want_d, want_w = batch_child_step(e, d, cs, bs)
+            g, big_s, big_d = start
+            cs = [g] if g else []
+            bs = [big_s] if g else []
+            cs += [vec[0] for _, vec in atoms]
+            bs += [e - sum(weights[i] * v for i, v in zip(above, vec[1:]))
+                   for above, vec in atoms]
+            child_d, w, form = fold(e, d, entries, weights, start)
+            want_d, want_w = batch_child_step(e, gcd(e * d, big_d) // e, cs, bs)
             assert child_d == want_d
+            assert form[2] == e * child_d
             if child_d == 0:
                 assert w == want_w
             elif child_d > 1:
                 assert (w - want_w) % (e * child_d) == 0
             else:
                 assert w is None
-            return child_d, w
+            return child_d, w, form
 
         monkeypatch.setattr(sweep, "child_step", checked)
         report = delta_star(group, sweep_max_group=None)
@@ -412,8 +418,9 @@ class TestHalfFactorialityTrap:
     def test_generator_forced_to_zero(self, monkeypatch):
         child_step = kernel.child_step
 
-        def forced(e, d, entries, weights):
-            return 0, child_step(e, d, entries, weights)[1]
+        def forced(e, d, entries, weights, start):
+            _, w, form = child_step(e, d, entries, weights, start)
+            return 0, w, form
 
         monkeypatch.setattr(sweep, "child_step", forced)
         with pytest.raises(ConsistencyError, match="routes disagree"):
@@ -448,17 +455,19 @@ class TestDualStateTraps:
         # stays above e = 4, so the fold ends and 4 does not divide D
         with pytest.raises(ConsistencyError, match="does not divide D = 6"):
             kernel.child_step(4, 3, [fake_entry((0,), (1, 1)),
-                                     fake_entry((1,), (1, 1))], [4, -2])
+                                     fake_entry((1,), (1, 1))], [4, -2],
+                              (0, 0, 0))
 
     def test_g_divides_s_when_half_factorial(self):
         # B = 4 - 3 = 1: g = 2, S = 1 and D stays 0, but 2 does not divide 1
         with pytest.raises(ConsistencyError, match="half-factorial child"):
-            kernel.child_step(4, 0, [fake_entry((0,), (2, 1))], [3])
+            kernel.child_step(4, 0, [fake_entry((0,), (2, 1))], [3], (0, 0, 0))
 
     def test_weight_congruence_solvable(self):
-        # B = 2 - 1 = 1: g = 2, S = 1 and D = 2, but gcd(2, 2) does not divide 1
-        with pytest.raises(ConsistencyError, match=r"gcd\(2, 2\) does not divide 1"):
-            kernel.child_step(2, 1, [fake_entry((0,), (2, 1))], [1])
+        # B = 2 - 1 = 1: g = 2, S = 1 and D = 4, but gcd(2, 4) does not
+        # divide 1 (d = 1 would end the fold before it read the atom)
+        with pytest.raises(ConsistencyError, match=r"gcd\(2, 4\) does not divide 1"):
+            kernel.child_step(2, 2, [fake_entry((0,), (2, 1))], [1], (0, 0, 0))
 
     def test_d_below_exponent_partway(self):
         # B = 0, 2, 1: D = gcd(8, 0 - 2) = 2 at the second atom, which is no
@@ -466,22 +475,36 @@ class TestDualStateTraps:
         # D = 1 at the end
         with pytest.raises(ConsistencyError, match="does not divide D = 2$"):
             kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1)),
-                                     fake_entry((2,), (1, 1))], [4, 2, 3])
+                                     fake_entry((2,), (1, 1))], [4, 2, 3],
+                              (0, 0, 0))
 
 
 class TestEarlyExit:
-    """D = e ends the fold with (1, None) at the atom that brings it there."""
+    """D = e ends the fold with (1, None, form) at the atom that brings it
+    there, or before any atom when the start form has it."""
 
     def test_at_the_last_atom(self):
-        # B = 0, then 4 - 0 = 4: D = gcd(8, 0 - 4) = 4 = e
+        # B = 0, then 4 - 0 = 4: g = 1, S = 0 and D = gcd(8, 0 - 4) = 4 = e
         assert kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1))],
-                                 [4, 0]) == (1, None)
+                                 [4, 0], (0, 0, 0)) == (1, None, (1, 0, 4))
 
     def test_later_atoms_unread(self):
         # the third atom's weight is None, which it would fail to read
         assert kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1)),
                                         fake_entry((2,), (1, 1))],
-                                 [4, 0, None]) == (1, None)
+                                 [4, 0, None], (0, 0, 0)) == (1, None, (1, 0, 4))
+
+    @pytest.mark.parametrize("d,start,form", [
+        (2, (1, 0, 4), (1, 0, 4)),    # the sibling ended at D = e
+        (3, (2, 1, 8), (2, 1, 4)),    # gcd(8, e*d = 12) = 4 = e
+        (1, (0, 0, 0), (0, 0, 4)),    # e*d = e on its own
+    ])
+    def test_start_at_exponent_reads_no_atom(self, d, start, form):
+        def unread():
+            raise AssertionError("the fold read an entry")
+            yield
+
+        assert kernel.child_step(4, d, unread(), None, start) == (1, None, form)
 
     def test_min_delta_stops_inside_a_position(self, monkeypatch):
         # on the whole of C3^2 the first position brings 4 atoms, and D = e
@@ -489,7 +512,7 @@ class TestEarlyExit:
         fold = kernel.child_step
         steps = []
 
-        def counted(e, d, entries, weights):
+        def counted(e, d, entries, weights, start):
             read = 0
 
             def walk(vectors):
@@ -500,7 +523,7 @@ class TestEarlyExit:
 
             out = fold(e, d, [SimpleNamespace(above=entry.above,
                                               vectors=walk(entry.vectors))
-                              for entry in entries], weights)
+                              for entry in entries], weights, start)
             steps.append((out[0], read, sum(len(entry.vectors) for entry in entries)))
             return out
 
