@@ -182,7 +182,9 @@ def run(argv=None) -> int:
                        if report.group.size > 2]
             out.write(rpt.emit_sweep_table(reports, args.format))
             return 0
-        report = delta_star(parse_group(args.group), sweep_max_group=args.budget)
+        # only the CSV prints a row per computed subset
+        report = delta_star(parse_group(args.group), sweep_max_group=args.budget,
+                            records=args.format == "csv")
         out.write(rpt.emit_sweep(report, args.format))
         return 0
 

@@ -10,6 +10,7 @@ import io
 import json
 
 from .classify import ClassificationRecord, TransferReduction
+from .errors import ContractError
 from .specparse import format_element, format_subset
 from .sweep import SweepReport
 from .verify import VerifyResult
@@ -175,6 +176,12 @@ def emit_sweep(report: SweepReport, fmt: str) -> str:
             "counters": dict(report.counters),
         })
     if fmt == "csv":
+        # without its records a sweep would print a bare header, which reads
+        # as a table of no subsets
+        if len(report.records) != report.counters["subsets_computed"]:
+            raise ContractError(
+                f"the sweep of {report.group.spec_string()} kept no per-subset "
+                f"records; sweep with records=True to print them as CSV")
         rows = [(format_subset(report.subset_elements(rec.mask)),
                  rec.min_delta, rec.half_factorial, rec.lcn, rec.minimal_non_hf)
                 for rec in report.records]

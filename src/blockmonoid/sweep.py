@@ -22,9 +22,20 @@ cheap:
   arithmetically and skipped ("divisor-closed pruning"; d = 1 is the first
   case).  Half-factorial subsets are never pruned, so every minimal
   non-half-factorial subset is computed, its tree parent being
-  half-factorial.  Those carry max Delta* and the extremal sets, and m(G):
-  min Delta of an LCN set divides that of each of its non-half-factorial
-  subsets, which are LCN too.
+  half-factorial.
+
+Those minimal sets carry max Delta*, the extremal sets and m(G), so the
+sweep keeps a record of them alone unless it is asked for every computed
+subset's.  Every non-half-factorial X contains a minimal non-half-factorial
+Y: drop elements from X while what is left is non-half-factorial.  By the
+fact above, 0 < min Delta(X) | min Delta(Y), so min Delta(X) <= min
+Delta(Y).  So max Delta* is attained at a minimal set, and the extremal
+sets, the minimal ones at the maximum, are all among them.  If X is LCN,
+every atom over X has cross number >= 1, and the atoms over Y are among
+them, so Y is LCN too: the largest min Delta over the LCN sets, m(G), is
+attained at a minimal LCN set as well (a half-factorial set adds min Delta
+0, the value m(G) takes when no LCN set is non-half-factorial).  Delta*
+itself is the set of values seen, not read off the records.
 
 Each chain adds element bits below those of its mask, so a node that adds
 bit b to a mask M of higher bits gains exactly the atoms whose support is b
@@ -114,7 +125,8 @@ class SweepReport:
     m_of_g: int
     extremal: tuple[ExtremalSetReport, ...]
     counters: dict[str, int]
-    # the computed subsets, in mask order; a pruned subset has no record
+    # the computed subsets, in mask order, when the sweep was asked for them
+    # (a pruned subset has no record); () otherwise
     records: tuple[SubsetRecord, ...]
 
     def subset_elements(self, mask: int) -> tuple[Element, ...]:
@@ -124,11 +136,13 @@ class SweepReport:
 # -- the sweep --------------------------------------------------------------------
 
 def delta_star(group: FiniteAbelianGroup, *,
-               sweep_max_group: int | None = None) -> SweepReport:
+               sweep_max_group: int | None = None,
+               records: bool = False) -> SweepReport:
     """Collect the set of minimal distances, its maximum, the LCN maximum and
     the extremal minimal non-half-factorial subsets of the nonzero elements,
     classifying every subset that is not pruned; refused when |G| exceeds
-    `sweep_max_group`, if one is given."""
+    `sweep_max_group`, if one is given.  With `records`, the report keeps
+    the record of every computed subset; without, its `records` are ()."""
     if sweep_max_group is not None:
         # each component n has n >= 2^(bit_length(n) - 1), so |G| >= 2^low;
         # once that alone exceeds the cap, refuse on it before forming |G|,
@@ -153,7 +167,10 @@ def delta_star(group: FiniteAbelianGroup, *,
     kids: dict[int, list[tuple[int, MaskAtoms]]] = {}
     prefix = support.prefix_spans
 
-    records: list[SubsetRecord] = []
+    # the record of every computed subset with `records`, else of every
+    # minimal non-half-factorial one; in mask order either way
+    kept: list[SubsetRecord] = []
+    computed = 0
     # subsets in pruned subtrees: pruned[0] under a node with min Delta 1,
     # pruned[1] under one with a larger min Delta
     pruned = [0, 0]
@@ -174,6 +191,8 @@ def delta_star(group: FiniteAbelianGroup, *,
         # parent P = mask minus `low`; first the entries b|S of the
         # children b < low, `low` in S and S a proper submask, each child's
         # in descending S, from the lists S filed
+        nonlocal computed
+        computed += low  # every child b < low is computed
         lowbit = mask & -mask
         parent = mask ^ lowbit
         buckets = [[] for _ in range(low)]
@@ -211,8 +230,9 @@ def delta_star(group: FiniteAbelianGroup, *,
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")
-            records.append(SubsetRecord(new_mask, child_d, child_d == 0, not nl,
-                                        minimal))
+            if records or minimal:
+                kept.append(SubsetRecord(new_mask, child_d, child_d == 0, not nl,
+                                         minimal))
             if child_d and child_d not in seen:
                 seen.add(child_d)
                 closed.update(v for v in seen if all(
@@ -232,19 +252,20 @@ def delta_star(group: FiniteAbelianGroup, *,
     descend(0, k, (), 0, False, False, EMPTY_ZF, [((0, 0, 0), False, False)] * k)
 
     total = (1 << k) - 1
-    if len(records) + sum(pruned) != total:
+    if computed + sum(pruned) != total:
         raise ConsistencyError(
-            f"sweep accounting is off: {len(records)} visited + {sum(pruned)} "
+            f"sweep accounting is off: {computed} visited + {sum(pruned)} "
             f"pruned != {total}")
 
-    # Delta*: `seen` holds every nonzero min Delta recorded
+    # Delta*: `seen` holds every nonzero min Delta recorded; the maximum,
+    # the extremal sets and m(G) are read off the minimal non-half-factorial
+    # records (see the module docstring)
     dstar = sorted(seen)
     maximum = dstar[-1] if dstar else 0
-    m_of_g = max((rec.min_delta for rec in records if rec.lcn), default=0)
-    extremal = tuple(
-        _extremal_report(support, index, rec)
-        for rec in records
-        if rec.minimal_non_hf and rec.min_delta == maximum and maximum > 0)
+    minimal = [rec for rec in kept if rec.minimal_non_hf] if records else kept
+    m_of_g = max((rec.min_delta for rec in minimal if rec.lcn), default=0)
+    extremal = tuple(_extremal_report(support, index, rec)
+                     for rec in minimal if rec.min_delta == maximum)
 
     return SweepReport(
         group=group,
@@ -255,12 +276,12 @@ def delta_star(group: FiniteAbelianGroup, *,
         extremal=extremal,
         counters={
             "subsets_total": total,
-            "subsets_computed": len(records),
+            "subsets_computed": computed,
             "subsets_pruned": sum(pruned),
             "subsets_pruned_min_delta_1": pruned[0],
             "subsets_pruned_min_delta_above_1": pruned[1],
         },
-        records=tuple(records),
+        records=tuple(kept) if records else (),
     )
 
 

@@ -114,6 +114,7 @@ class TestDecomposable:
         for orders in ((8,), (9,), (2, 4), (3, 3), (2, 2, 3)):
             group = FiniteAbelianGroup(orders)
             report = sweep_cache(group)
+            assert len(report.records) == report.counters["subsets_computed"]
             for rec in report.records:
                 if rec.minimal_non_hf:
                     subset = SupportSet(group, report.subset_elements(rec.mask))
@@ -135,6 +136,7 @@ class TestSimple:
     def test_simple_implies_indecomposable(self, sweep_cache):
         group = FiniteAbelianGroup((2, 4))
         report = sweep_cache(group)
+        assert len(report.records) == report.counters["subsets_computed"]
         for rec in report.records[:64]:
             subset = SupportSet(group, report.subset_elements(rec.mask))
             if is_simple(subset):
@@ -238,6 +240,7 @@ class TestTransferReduce:
     def test_c2xc8_has_a_reducible_minimal_set(self, sweep_cache):
         group = FiniteAbelianGroup((2, 8))
         report = sweep_cache(group)
+        assert len(report.records) == report.counters["subsets_computed"]
         reduced_any = False
         for rec in report.records:
             if not rec.minimal_non_hf:

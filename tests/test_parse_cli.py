@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import itertools
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmonoid import (ConsistencyError, FiniteAbelianGroup, ParseError,
-                         SequenceVec,
+from blockmonoid import (ConsistencyError, ContractError, FiniteAbelianGroup,
+                         ParseError, SequenceVec,
                          SupportSet, delta_star, parse_group, parse_sequence,
                          parse_subset)
+from blockmonoid import report as rpt
 from blockmonoid.cli import run
 from blockmonoid.config import MAX_GROUP_COMPONENTS
 from blockmonoid.specparse import format_subset
@@ -196,6 +198,11 @@ DELTA_STAR_C2XC3_CSV = (
 )
 
 
+# sha256 of `delta-star --group C2^3xC3 --budget 24 --format csv`
+DELTA_STAR_C2_3XC3_CSV_SHA256 = (
+    "7887b8710582003d263642b0df7109e211d4c292c5a8bc9470c9d029c6b0e515")
+
+
 GOLDEN_TABLE = os.path.join(os.path.dirname(__file__), "golden",
                             "delta_star_max_order_48.txt")
 
@@ -296,6 +303,36 @@ class TestCli:
         code, out = run_cli("delta-star", "--group", "C2xC3", "--format", "csv")
         assert code == 0
         assert out == DELTA_STAR_C2XC3_CSV
+
+    def test_delta_star_csv_of_c2_3xc3(self):
+        # the records of the 12840 computed subsets, pinned by digest
+        code, out = run_cli("delta-star", "--group", "C2^3xC3", "--budget",
+                            "24", "--format", "csv")
+        assert code == 0
+        assert out.count("\n") == 12841
+        assert hashlib.sha256(out.encode()).hexdigest() == DELTA_STAR_C2_3XC3_CSV_SHA256
+
+    @pytest.mark.parametrize("fmt", rpt.FORMATS)
+    def test_delta_star_keeps_records_for_csv_only(self, monkeypatch, fmt):
+        asked = []
+
+        def recorded(group, **kwargs):
+            asked.append(kwargs["records"])
+            return delta_star(group, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("blockmonoid.cli"),
+                            "delta_star", recorded)
+        assert run_cli("delta-star", "--group", "C2xC3", "--format", fmt)[0] == 0
+        assert asked == [fmt == "csv"]
+
+    def test_csv_refused_without_records(self):
+        # a bare header would read as a sweep that computed no subset
+        report = delta_star(FiniteAbelianGroup((2, 3)))
+        assert report.records == ()
+        with pytest.raises(ContractError, match="records=True"):
+            rpt.emit_sweep(report, "csv")
+        assert rpt.emit_sweep(report, "text") == rpt.emit_sweep(
+            delta_star(FiniteAbelianGroup((2, 3)), records=True), "text")
 
     @pytest.mark.parametrize("fmt, expected", [
         ("text", "group        exp rank max d* m(G) #extremal delta*\n"

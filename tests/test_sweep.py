@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
@@ -78,6 +79,7 @@ class TestCrossValidation:
     def test_every_subset(self, sweep_cache, orders):
         group = FiniteAbelianGroup(orders)
         report = sweep_cache(group)
+        assert len(report.records) == report.counters["subsets_computed"]
         by_mask = {rec.mask: rec for rec in report.records}
         k = len(report.elements)
         for mask in range(1, 1 << k):
@@ -206,8 +208,9 @@ class TestBatchStepOracle:
             return child_d, w, form
 
         monkeypatch.setattr(sweep, "child_step", checked)
-        report = delta_star(group, sweep_max_group=None)
+        report = delta_star(group, sweep_max_group=None, records=True)
         assert report == expected
+        assert len(report.records) == report.counters["subsets_computed"]
         assert calls == report.counters["subsets_computed"]
         # the records come in preorder, so a computed subset below a record
         # would be the next record
@@ -232,12 +235,13 @@ def assert_entries_match_index(group: FiniteAbelianGroup) -> SweepReport:
     saved = sweep.child_entry
     sweep.child_entry = recording
     try:
-        report = delta_star(group, sweep_max_group=None)
+        report = delta_star(group, sweep_max_group=None, records=True)
     finally:
         sweep.child_entry = saved
     index = enumerate_atoms(SupportSet(group, group.nonzero_elements)).mask_index
     for mask, entry in built.items():
         assert entry_fields(entry) == entry_fields(index.get(mask)), mask
+    assert len(report.records) == report.counters["subsets_computed"]
     for rec in report.records:
         if rec.mask not in built:
             assert rec.mask not in index, rec.mask
@@ -258,6 +262,28 @@ class TestFiledEntries:
         assert assert_entries_match_index(group) == sweep_cache(group)
 
 
+RECORDS_GROUPS = [g for n in range(3, 17) for g in abelian_groups_of_order(n)]
+RECORDS_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
+
+
+class TestRecordsOnRequest:
+    """A sweep without records reads max Delta*, m(G) and the extremal sets
+    off the minimal non-half-factorial records alone: the same report as
+    with every computed subset's record, records aside."""
+
+    @pytest.mark.parametrize("group", RECORDS_GROUPS,
+                             ids=lambda g: g.spec_string())
+    def test_same_report_without_records(self, sweep_cache, group):
+        full = sweep_cache(group)
+        assert len(full.records) == full.counters["subsets_computed"]
+        summary = delta_star(group, sweep_max_group=None)
+        assert summary.records == ()
+        assert summary == replace(full, records=())
+        # m(G) over every LCN record, not just the minimal ones
+        assert full.m_of_g == max(
+            (rec.min_delta for rec in full.records if rec.lcn), default=0)
+
+
 class TestMembershipAndBounds:
     @pytest.mark.parametrize("orders", [(5,), (8,), (2, 4), (3, 3), (2, 2, 2)])
     def test_known_memberships(self, sweep_cache, orders):
@@ -276,6 +302,7 @@ class TestMembershipAndBounds:
         group = FiniteAbelianGroup(orders)
         report = sweep_cache(group)
         bound = expected_max_delta_star(group)
+        assert len(report.records) == report.counters["subsets_computed"]
         for rec in report.records:
             if rec.half_factorial:
                 continue
@@ -291,6 +318,7 @@ class TestDeterminism:
     def test_repeat_runs_identical(self):
         group = FiniteAbelianGroup((2, 4))
         assert delta_star(group) == delta_star(group)
+        assert delta_star(group, records=True) == delta_star(group, records=True)
 
 
 class TestExtremal:
@@ -317,6 +345,7 @@ class TestExtremal:
         report = sweep_cache(group)
         counters = report.counters
         assert counters["subsets_total"] == 2 ** 11 - 1
+        assert len(report.records) == report.counters["subsets_computed"]
         assert len(report.records) + counters["subsets_pruned"] == \
             counters["subsets_total"]
 
@@ -347,6 +376,7 @@ class TestExtremalReports:
             report = sweep_cache(group)
             if not report.extremal:
                 continue
+            assert len(report.records) == report.counters["subsets_computed"]
             atoms = enumerate_atoms(SupportSet(group, report.elements))
             expected = tuple(
                 seed_extremal_report(group, report.elements, atoms, rec)
@@ -367,6 +397,7 @@ class TestExtremalReports:
         support = SupportSet(group, report.elements)
         atoms = enumerate_atoms(support)
         index = atoms.mask_index
+        assert len(report.records) == report.counters["subsets_computed"]
         for rec in report.records:
             assert sweep._extremal_report(support, index, rec) == \
                 seed_extremal_report(group, report.elements, atoms, rec)
