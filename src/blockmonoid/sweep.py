@@ -15,7 +15,8 @@ cheap:
   sibling's child, folds the atoms that form leaves out in one at a time,
   read as they are, and reads no further atom once the child's min Delta
   is certain to be 1 (then the child is pruned, and its weight is never
-  read);
+  read), and, unless every record is asked for, takes no step at all on a
+  child that contains a subset with min Delta 1 (a "settled" child, below);
 * every superset X of a non-half-factorial subset with min Delta d has
   0 < min Delta(X) | d, so once every divisor of d is among the min Delta
   values recorded, the subtree adds nothing to Delta* and is counted
@@ -51,7 +52,8 @@ children start from the empty form.  The entries with `low` in S are read
 as they are: the own entry, S = M, off the zero-sum-free vectors that M
 carries (`atoms.child_entry`), which M built from its parent's when the
 descent entered it (`atoms.zero_sum_free`); the others from the lists that
-each node files, (b, entry) for every child that has atoms, in ascending b.
+each node files, (b, entry) for every child that has atoms, in ascending b
+(or the marker (b, None), below).
 M reads the lists of `low` plus each proper submask of P once, in
 descending order, before it forms its children, and buckets the entries by
 b; each child hands the child step its own entry first, then the others.
@@ -71,6 +73,56 @@ has k(A) != 1 and each such atom has the whole set as its support.  So the
 new mask is minimal iff its own entry has one and none of the parent M, the
 sibling b|P and the other new entries has one.
 
+Without `records`, a child b|M whose min Delta is sure to be 1 is settled:
+it builds no entry, takes no step, files nothing and keeps no record.  It
+counts as computed, its subtree as pruned, and it hands on the form
+(0, 0, e), which is a start form for any set with min Delta 1.  The D of a
+child's final form is e times its min Delta, so two cases are decided
+before any atom is read:
+
+* (a) the form of b|P, its D joined with e*d(M), is already e.  Then
+  gcd(min Delta(b|P), min Delta(M)) = 1, so one of them is nonzero, b|M is
+  not half-factorial, and its min Delta divides each nonzero one, so it
+  divides their gcd, 1.
+* (b) a list that M reads holds the marker (b, None).  A child b|S that
+  folds to min Delta 1 files this marker in place of its entry, and b|S is
+  inside b|M.
+
+In (b) the child that filed the marker recorded min Delta 1.  In (a), when
+min Delta(b|P) is 1, b|P recorded it, or was settled after it was recorded.
+When both values in (a) exceed 1, the sweeps of every group of order <= 48
+had recorded min Delta 1 already.  So a settle before min Delta 1 is
+recorded raises `ConsistencyError`, rather than leave 1 out of Delta*: a
+form whose D is e on a child whose min Delta is not 1 shows up there.
+
+Nothing a folded child reads is skipped:
+
+* A settled child's entry, or the entry a marker replaces, would be read
+  only by child b of a later node N that contains M and has the same
+  lowest bit.  That child contains b|M, and it is settled too.  If b|M
+  folded to min Delta 1 or was settled by a marker, N reads that marker,
+  since the marker's mask is a proper submask of N with N's lowest bit.
+  If b|M was settled by its sibling, the sibling of N's child b is b|P',
+  with P' = N minus its lowest bit, which contains P.  A superset of a
+  non-half-factorial set is non-half-factorial, with a min Delta that
+  divides the set's.  So min Delta(b|P') divides min Delta(b|P) if that is
+  nonzero, and min Delta(N) divides min Delta(M) if that is nonzero.  So
+  gcd(min Delta(b|P'), min Delta(N)) divides each nonzero one of min
+  Delta(b|P) and min Delta(M), hence their gcd, 1, and the form of b|P'
+  settles N's child b.
+* The form a settled child hands on is read only by child b of its own
+  children.  Each of them contains it and is settled by that form.  So the
+  flags it hands on are never read.
+* `index` is read only by the extremal reports, at the submasks of a
+  minimal non-half-factorial set: that set and half-factorial ones.  A
+  settled child is neither, since it properly contains a non-half-factorial
+  set: b|P or M in (a), b|S in (b).
+* A half-factorial child is never settled, so both routes to
+  half-factoriality are checked on each one.
+
+With `records`, every child folds, since its record needs the `lcn` flag
+that the skipped entries feed.
+
 The extremal reports read the whole-group support's span table, on position
 masks, and the index entries of an LCN set's submasks, with the cross
 numbers, scaled to integers by the support's `cross_scale`, that the index
@@ -79,6 +131,7 @@ keeps beside them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple
 
 from .atoms import EMPTY_ZF, MaskAtoms, child_entry, zero_sum_free
@@ -163,8 +216,9 @@ def delta_star(group: FiniteAbelianGroup, *,
     # the entry of every computed mask that has atoms, filed when it is formed
     index: dict[int, MaskAtoms] = {}
     # for every node descended into, (b, the entry of b plus its mask) for
-    # each child that has atoms, in ascending b
-    kids: dict[int, list[tuple[int, MaskAtoms]]] = {}
+    # each child that has atoms, in ascending b; without records, a child
+    # that folds to min Delta 1 files the marker (b, None) instead
+    kids: dict[int, list[tuple[int, MaskAtoms | None]]] = {}
     prefix = support.prefix_spans
 
     # the record of every computed subset with `records`, else of every
@@ -182,6 +236,9 @@ def delta_star(group: FiniteAbelianGroup, *,
     # the weights W_i of the current chain, at the positions of its mask: a
     # child writes slot b, and its subtree writes only below b
     weights = [0] * k
+    # the final state handed on by a settled child; its flags are never
+    # read, since every child that starts from this form is settled by it
+    settled_form = ((0, 0, e), True, True)
 
     def descend(mask: int, low: int, positions: tuple[int, ...], d: int,
                 has_nonunit: bool, has_light: bool, zf, sib: list):
@@ -196,16 +253,32 @@ def delta_star(group: FiniteAbelianGroup, *,
         lowbit = mask & -mask
         parent = mask ^ lowbit
         buckets = [[] for _ in range(low)]
+        # bit b is set once a list read holds the marker (b, None)
+        settled = 0
         sub = parent
         while sub:
             sub = (sub - 1) & parent
             for b, entry in kids.get(sub | lowbit, ()):
-                buckets[b].append(entry)
+                if entry is None:
+                    settled |= 1 << b
+                else:
+                    buckets[b].append(entry)
         filed = kids[mask] = []
         forms = []
+        ed = e * d
         for b, entries in enumerate(buckets):
             new_mask = mask | 1 << b
             start, nu, nl = sib[b]
+            if not records and (settled >> b & 1 or gcd(start[2], ed) == e):
+                # min Delta 1, by a marker or by the sibling form: no
+                # entry, no step, no record (see the module docstring)
+                if 1 not in seen:
+                    raise ConsistencyError(
+                        f"subset mask {new_mask} settled at min Delta 1 "
+                        f"before min Delta 1 was recorded")
+                forms.append(settled_form)
+                pruned[0] += (1 << b) - 1
+                continue
             nu = nu or has_nonunit
             nl = nl or has_light
             for entry in entries:
@@ -217,7 +290,6 @@ def delta_star(group: FiniteAbelianGroup, *,
             own = child_entry(support, zf, b, positions) if zf else None
             if own is not None:
                 index[new_mask] = own
-                filed.append((b, own))
                 if own.nonunit:
                     minimal = not nu
                     nu = True
@@ -227,6 +299,10 @@ def delta_star(group: FiniteAbelianGroup, *,
             # read only in this child's subtree
             child_d, weights[b], form = child_step(e, d, entries, weights, start)
             forms.append((form, nu, nl))
+            if child_d == 1 and not records:
+                filed.append((b, None))
+            elif own is not None:
+                filed.append((b, own))
             if (child_d == 0) == nu:
                 raise ConsistencyError(
                     f"half-factoriality routes disagree on subset mask {new_mask}")

@@ -268,8 +268,9 @@ RECORDS_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
 
 class TestRecordsOnRequest:
     """A sweep without records reads max Delta*, m(G) and the extremal sets
-    off the minimal non-half-factorial records alone: the same report as
-    with every computed subset's record, records aside."""
+    off the minimal non-half-factorial records alone, and settles each
+    child that contains a subset with min Delta 1 without a step: the same
+    report as with every computed subset's record, records aside."""
 
     @pytest.mark.parametrize("group", RECORDS_GROUPS,
                              ids=lambda g: g.spec_string())
@@ -282,6 +283,46 @@ class TestRecordsOnRequest:
         # m(G) over every LCN record, not just the minimal ones
         assert full.m_of_g == max(
             (rec.min_delta for rec in full.records if rec.lcn), default=0)
+
+
+class TestSettledChildren:
+    """Without records, a child that contains a subset with min Delta 1 is
+    settled, by its sibling's form or by a filed marker, and takes no child
+    step; TestRecordsOnRequest checks that the reports agree."""
+
+    def test_fewer_steps_and_none_settled_by_its_start(self, monkeypatch):
+        group = FiniteAbelianGroup((2, 2, 2, 3))
+        fold = kernel.child_step
+        steps = {True: 0, False: 0}
+        records = True
+
+        def counted(e, d, entries, weights, start):
+            steps[records] += 1
+            if not records:
+                assert gcd(start[2], e * d) != e
+            return fold(e, d, entries, weights, start)
+
+        monkeypatch.setattr(sweep, "child_step", counted)
+        full = delta_star(group, records=True)
+        records = False
+        summary = delta_star(group)
+        assert steps[True] == full.counters["subsets_computed"]
+        assert 0 < steps[False] < steps[True]
+        assert summary == replace(full, records=())
+
+    def test_settle_before_min_delta_one_is_trapped(self, monkeypatch):
+        # a half-factorial child that hands on a form with D = e settles
+        # its sibling-derived children at min Delta 1 before any min Delta
+        # 1 was recorded
+        fold = kernel.child_step
+
+        def lying(e, d, entries, weights, start):
+            child_d, w, (g, big_s, big_d) = fold(e, d, entries, weights, start)
+            return child_d, w, (g, big_s, e if child_d == 0 else big_d)
+
+        monkeypatch.setattr(sweep, "child_step", lying)
+        with pytest.raises(ConsistencyError, match="before min Delta 1"):
+            delta_star(FiniteAbelianGroup((3,)))
 
 
 class TestMembershipAndBounds:
