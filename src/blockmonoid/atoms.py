@@ -12,9 +12,13 @@ one copy of g to w:
     PS(wg) = PS(w) | (PS(w) + g) | {g},    sigma(wg) = sigma(w) + g,
 
 with | for union and X + g = {x + g : x in X}; the empty vector has
-sigma = 0 and PS empty.  Raising an exponent of a zero-sum-free vector one
-copy at a time ends once 0 lands in PS (no extension is zero-sum free), so
-it never passes ord(g) copies.
+sigma = 0 and PS empty.  The zero-sum test comes before the step: for v
+zero-sum free and g != 0, 0 is in PS(vg) iff -g is in PS(v), since 0 is
+not in PS(v), 0 = x + g iff x = -g, and g != 0.  So raising an exponent of
+a zero-sum-free vector one copy at a time stops before the first copy
+whose PS would hold 0, when -g is in PS, and no copy that fails is ever
+translated; the chain never passes ord(g) - 1 copies, as -g is the
+(ord(g) - 1)-th multiple of g.
 
 The solved-position lemma.  Let v be zero-sum free over the positions of a
 mask M, and b a position outside M with element g.  Some g^c v, c >= 1, sums
@@ -34,9 +38,11 @@ N_c)) and one AND per vector.
 
 `enumerate_atoms` walks the tree of position masks in which a mask's
 parent drops its lowest position.  Each mask M it enters carries ZF(M): its
-zero-sum-free vectors, each exponent at least 1, each with its sigma and
-PS, built from its parent's by raising the new position's exponent one
-copy at a time (`zero_sum_free`), and kept only where sigma lies in the span
+zero-sum-free vectors, each exponent at least 1, each with its sigma, PS
+and scaled cross number n k(v) = sum W_i v_i (the support's `cross_scale`),
+built from its parent's by raising the new position's exponent of each
+vector one copy at a time, one chain per vector, adding W_b to n k with
+each copy (`zero_sum_free`), and kept only where sigma lies in the span
 of the positions below M's lowest, the only sums a position added below can
 cancel.  Each child b plus M, b below M, gets the entry `child_entry` reads
 off ZF(M), and is entered when its own list is nonempty: a mask with no
@@ -47,12 +53,13 @@ g_b^c, c < ord(g_b), and its child b has the one atom g_b^ord(g_b).  Every
 mask is formed once, so the entries it gets are the index
 `AtomSet.mask_index`, each (`MaskAtoms`) holding exponent tuples over the
 mask's positions, never a k-tuple, with cross numbers scaled to integers by
-the support's `cross_scale`.  The half-factorial, LCN and minimality flags,
-min Delta, the Davenport constant and the largest cross number are read off
-the index.  The whole-group sweep walks the same tree with the same two
-steps and prunes it.  The brute-force grid filter and the walk that raised
-one exponent at a time from the empty vector, in the test suite, anchor
-both.
+the support's `cross_scale`: n k(g_b^c v) = n k(v) + c W_b, read off the
+carried n k(v) with no dot product.  The half-factorial, LCN and minimality
+flags, min Delta, the Davenport constant and the largest cross number are
+read off the index.  The whole-group sweep walks the same tree with the
+same two steps and prunes it.  The brute-force grid filter and the walk
+that raised one exponent at a time from the empty vector, in the test
+suite, anchor both.
 
 The sets are bitmasks.  Every subsequence sum lies in the subgroup <S> that
 the support generates; the support's codec (`_Span` in `sequences`) numbers
@@ -69,32 +76,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import mul
 
 from .errors import BudgetError, ContractError, format_bound
 from .sequences import SequenceVec, SupportSet
 
 # the zero-sum-free vectors of the empty mask: the empty vector alone, with
-# sigma = 0 (bit 0) and PS empty
-EMPTY_ZF = ((1, 0, ()),)
+# sigma = 0 (bit 0), PS empty and cross number 0
+EMPTY_ZF = ((1, 0, (), 0),)
 
 
 class MaskAtoms:
     """The atoms with one support mask, from nonempty `vectors`, each atom's
-    exponents at the mask's `positions` of `support`, the first the lowest:
-    kept as they are, beside `above`, the positions after the first; their
-    cross numbers n k(A), on the support's scale n (`scaled`, in the same
-    order); whether some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
+    exponents at the mask's positions, the first the lowest: kept as they
+    are, beside `above`, the positions after the first; their cross numbers
+    n k(A), on the support's scale n (`scaled`, in the same order); whether
+    some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
 
     __slots__ = ("above", "vectors", "scaled", "nonunit", "light")
 
-    def __init__(self, support: SupportSet, positions: tuple[int, ...],
-                 vectors: list[tuple[int, ...]]):
-        n, weights = support.cross_scale
-        weights = [weights[p] for p in positions]
-        self.above = positions[1:]
+    def __init__(self, n: int, above: tuple[int, ...],
+                 vectors: list[tuple[int, ...]], scaled: list[int]):
+        self.above = above
         self.vectors = vectors
-        self.scaled = scaled = [sum(map(mul, vec, weights)) for vec in vectors]
+        self.scaled = scaled
         self.light = min(scaled) < n
         self.nonunit = self.light or max(scaled) > n
 
@@ -204,19 +208,25 @@ def child_entry(support: SupportSet, zf: Sequence, b: int,
 
     Each such atom is g_b^c v with v in zf, and v decides c and whether
     g_b^c v is an atom: the solved-position lemma, one lookup and one AND
-    per v.  Over the empty mask the one atom is g_b^ord(g_b)."""
+    per v; its cross number n k(g_b^c v) is n k(v) + c W_b.  Over the empty
+    mask the one atom is g_b^ord(g_b), with n k = n."""
+    n, weights = support.cross_scale
     if not positions:
-        return MaskAtoms(support, (b,), [(support.orders[b],)])
+        return MaskAtoms(n, (), [(support.orders[b],)], [n])
     table = support.multiples(b)
+    weight = weights[b]
     found = []
-    for sig, ps, vec in zf:
+    for sig, ps, vec, nk in zf:
         hit = table.get(sig)
         if hit is not None and not ps & hit[1]:
-            found.append((hit[0],) + vec)
+            c = hit[0]
+            found.append(((c,) + vec, nk + c * weight))
     if not found:
         return None
+    # the exponent tuples are distinct, so the pairs sort by them alone
     found.sort()
-    return MaskAtoms(support, (b,) + positions, found)
+    return MaskAtoms(n, positions, [vec for vec, _ in found],
+                     [nk for _, nk in found])
 
 
 def zero_sum_free(support: SupportSet, zf: Sequence, b: int,
@@ -227,25 +237,29 @@ def zero_sum_free(support: SupportSet, zf: Sequence, b: int,
 
     The zero-sum-free vectors of a mask are its exponent vectors v, each
     exponent at least 1, with 0 not in PS(v); each is (sigma, PS, the
-    exponents at the mask's positions, the last one added first), and the
-    list is sorted by exponents.  The empty mask has one, the empty vector
-    (`EMPTY_ZF`).  Each vector of the new mask is g_b^c v with c >= 1 and v
-    zero-sum free over the mask, so it is reached by raising b's exponent
-    of some v in `zf` one copy at a time, the translation step, until 0
-    lands in PS.  The walk and the sweep put b below the mask and pass the
-    span of the positions below b (`SupportSet.prefix_spans`): only a sigma
-    there can a later position cancel.  The filter drops nothing a later
-    step needs: if g_b^c v has sigma in the span below b, sigma(v) lies in
-    the span of the positions up to b, all below the mask, so v passed the
-    mask's own filter."""
+    exponents at the mask's positions, the last one added first, n k(v) =
+    sum W_i v_i on the support's scale n).  The empty mask has one, the
+    empty vector (`EMPTY_ZF`).  Each vector of the new mask is g_b^c v with
+    c >= 1 and v zero-sum free over the mask, so it is reached by raising
+    b's exponent of some v in `zf` one copy at a time, the translation step;
+    the chain of each v stops before the copy that would put 0 in PS, which
+    is the first one with -g_b in PS (see the module docstring).  The list
+    holds each v's chain in turn, c ascending, in the order of `zf`.  The
+    walk and the sweep put b below the mask and pass the span of the
+    positions below b (`SupportSet.prefix_spans`): only a sigma there can a
+    later position cancel.  The filter drops nothing a later step needs: if
+    g_b^c v has sigma in the span below b, sigma(v) lies in the span of the
+    positions up to b, all below the mask, so v passed the mask's own
+    filter."""
     steps, bit = support.steps[b], support.bits[b]
+    # the bit of -g_b: each nonzero digit t of g_b, radix m and stride s, is
+    # m - t in -g_b, and the step of that digit shifts down by (m - t)*s
+    neg = 1 << sum(down for _, _, down in steps)
+    weight = support.cross_scale[1][b]
     out = []
-    # one copy more per round, so the vectors come out sorted
-    level, c = zf, 0
-    while level:
-        c += 1
-        raised = []
-        for sig, ps, vec in level:
+    for sig, ps, vec, nk in zf:
+        c = 0
+        while not ps & neg:
             moved = ps
             for low, up, down in steps:
                 lo = moved & low
@@ -253,9 +267,8 @@ def zero_sum_free(support: SupportSet, zf: Sequence, b: int,
                 lo = sig & low
                 sig = (lo << up) | ((sig ^ lo) >> down)
             ps |= moved | bit
-            if not ps & 1:
-                raised.append((sig, ps, vec))
-                if sig & span:
-                    out.append((sig, ps, (c,) + vec))
-        level = raised
+            c += 1
+            nk += weight
+            if sig & span:
+                out.append((sig, ps, (c,) + vec, nk))
     return out

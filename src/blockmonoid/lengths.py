@@ -48,17 +48,25 @@ def _length_layers(atoms: AtomSet, caps, max_len: int,
     1 + L(D/A) over the atoms A that divide D; so the pass adds 1 + L(D) to
     the entry of D*A for every atom A, and a layer is complete, and counted
     against `memo_limit` (the empty D aside), once every shorter one is
-    read.  Only pending layers are kept.  D is packed as room - D: one field
-    of max(caps).bit_length() + 1 bits per position holds the room left
-    under a set guard bit, so subtracting an atom borrows across no field
-    and D*A <= caps iff every guard bit survives.
+    read.  Only pending layers are kept.  The atoms are read off the
+    support-mask index, each at its entry's positions.  D is packed as
+    room - D: one field of max(caps).bit_length() + 1 bits per position
+    holds the room left under a set guard bit, so subtracting an atom
+    borrows across no field and D*A <= caps iff every guard bit survives.
     """
     width = max(caps, default=0).bit_length() + 1
     shifts = range(0, width * len(caps), width)
     guards = sum(1 << (width - 1 + s) for s in shifts)
-    columns = [(a.length, sum(c << s for c, s in zip(a.exponents, shifts)))
-               for a in atoms.atoms
-               if a.length <= max_len and all(map(le, a.exponents, caps))]
+    columns = []
+    for mask, entry in atoms.mask_index.items():
+        at = ((mask & -mask).bit_length() - 1, *entry.above)
+        room = [caps[i] for i in at]
+        fields = [shifts[i] for i in at]
+        for vec in entry.vectors:
+            size = sum(vec)
+            if size <= max_len and all(map(le, vec, room)):
+                columns.append(
+                    (size, sum(c << s for c, s in zip(vec, fields))))
     pending = {0: {guards + sum(c << s for c, s in zip(caps, shifts)): 1}}
     filed = -1
     while pending:

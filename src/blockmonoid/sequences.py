@@ -2,9 +2,10 @@
 
 A `SupportSet` also answers every question about what a sub-family of its
 elements spans.  `_Span` gives the subgroup <S> that the whole support
-generates mixed-radix coordinates, read off a diagonal form of the support's
-coordinate matrix, so its elements are numbered 0 .. |<S>| - 1 and a set of
-elements of <S> is a Python int with one bit per element.  The subgroup
+generates mixed-radix coordinates, read off a diagonal form mod exp(G) of
+the support's coordinate matrix, so its elements are numbered
+0 .. |<S>| - 1 and a set of elements of <S> is a Python int with one bit per
+element.  The subgroup
 spanned by the elements at a set of positions T (a bitmask over positions) is
 `span_mask(T)`, built from H = span_mask(T minus its highest position i) by
 OR-ing the cosets H + t*g_i until a translate contains 0 again; the table is
@@ -18,94 +19,105 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import ContractError
 from .groups import Element, FiniteAbelianGroup
 
 
-def _diagonalize(matrix) -> tuple[list[list[int]], list[int]]:
-    """(P, d) with P unimodular and P A Q = diag(d) for some unimodular Q.
+def _diagonalize(a: list[list[int]],
+                 e: int) -> tuple[list[list[int]], list[int]]:
+    """(P, d) with P invertible mod e and P A Q = diag(p) mod e for some Q
+    invertible mod e, d_j = gcd(p_j, e).
 
-    A is an integer r x m matrix of rank r, given as rows.  Each pivot is a
-    least nonzero entry, and Euclid steps by row and column operations clear
-    its row and column; only the row operations are recorded.  The column
-    lattice of A is {P^-1 y : d_j | y_j}.
+    A is an r x m integer matrix, given as rows with entries in [0, e) and
+    consumed: the lattice it stands for is its column lattice plus e*Z^r,
+    whose columns are never built.  Each pivot is a least nonzero entry, and
+    Euclid steps by row and column operations mod e clear its row and
+    column (a remainder below the pivot is already reduced).  Each row
+    carries its row of P after its m entries, so a row operation updates
+    both; the column operations touch the entries alone.  Where every entry
+    left is 0 the pivot is 0 and d_j = e.  The lattice is
+    {P^-1 y : d_j | y_j} mod e.
     """
-    a = [list(row) for row in matrix]
     r = len(a)
-    p = [[int(i == j) for j in range(r)] for i in range(r)]
+    m = len(a[0]) if a else 0
+    for i, row in enumerate(a):
+        row += [0] * i + [1] + [0] * (r - 1 - i)
     diag = []
     for t in range(r):
         # rows above t are already zero from column t on
         while True:
-            _, i, j = min((abs(x), i, j) for i in range(t, r)
-                          for j, x in enumerate(a[i][t:], t) if x)
-            a[t], a[i] = a[i], a[t]
-            p[t], p[i] = p[i], p[t]
+            pivot = 0
+            for i in range(t, r):
+                x = min(filter(None, a[i][t:m]), default=0)
+                if x and (not pivot or x < pivot):
+                    pivot, at = x, i
+            if not pivot:
+                break
+            a[t], a[at] = a[at], a[t]
+            top = a[t]
+            j = top.index(pivot, t)
             for row in a[t:]:
                 row[t], row[j] = row[j], row[t]
-            pivot = a[t][t]
             clear = True
             for i in range(t + 1, r):
                 if a[i][t]:
                     q = a[i][t] // pivot
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    p[i] = [x - q * y for x, y in zip(p[i], p[t])]
-                    clear = clear and not a[i][t]
-            for j in range(t + 1, len(a[t])):
-                if a[t][j]:
-                    q = a[t][j] // pivot
+                    a[i] = row = [(x - q * y) % e for x, y in zip(a[i], top)]
+                    clear = clear and not row[t]
+            for j in range(t + 1, m):
+                if top[j]:
+                    q = top[j] // pivot
                     for row in a[t:]:
-                        row[j] -= q * row[t]
-                    clear = clear and not a[t][j]
+                        row[j] = (row[j] - q * row[t]) % e
+                    clear = clear and not top[j]
             if clear:
                 break
-        if pivot < 0:
-            p[t] = [-x for x in p[t]]
-        diag.append(abs(pivot))
-    return p, diag
+        diag.append(gcd(pivot, e))
+    return [row[m:] for row in a], diag
 
 
 class _Span:
     """Mixed-radix coordinates on the subgroup <S> generated by a support.
 
     Scaling component c by e/n_c, e = exp(G), embeds G in (Z/e)^r; the
-    preimage of <S> in Z^r is the column lattice of A = [scaled generators |
-    e*I].  With P A Q = diag(d), y = P x carries that lattice onto the
-    product of the d_j Z, so digit j of x in <S> is (P x)_j / d_j in radix
-    m_j = e/d_j, and the digits give an isomorphism of <S> onto the product
-    of the Z/m_j.  Digits with m_j = 1 are dropped; the last digit is least
-    significant.  The width, prod m_j bits, is |<S>|.  A set of elements of
-    <S> is an int mask with bit `encode(x)` set for each member.
+    preimage of <S> in Z^r is the lattice L spanned by the scaled generators
+    and e*Z^r.  `_diagonalize` works on the scaled generators mod e alone:
+    with P invertible mod e and P A Q = diag(p) mod e, y = P x carries L/e*Z^r
+    onto the product of the d_j Z/e*Z, d_j = gcd(p_j, e), so digit j of x in
+    <S> is (P x)_j / d_j in radix m_j = e/d_j, and the digits give an
+    isomorphism of <S> onto the product of the Z/m_j.  Digits with m_j = 1
+    are dropped; the last digit is least significant.  The width, prod m_j
+    bits, is |<S>|.  A set of elements of <S> is an int mask with bit
+    `encode(x)` set for each member.
     """
 
     def __init__(self, group: FiniteAbelianGroup, gens):
         e = group.exponent
         scale = [e // n for n in group.orders]
-        r = len(scale)
+        # a scaled coordinate g_c * e/n_c lies in [0, e) already
         p, diag = _diagonalize(
-            [[g[c] * scale[c] for g in gens] + [e * (c == j) for j in range(r)]
-             for c in range(r)])
-        kept = [(row, d) for row, d in zip(p, diag) if d < e]
-        self.radices = tuple(e // d for _, d in kept)
-        strides = []
-        width = 1
-        for m in reversed(self.radices):
-            strides.append(width)
-            width *= m
-        self.strides = tuple(reversed(strides))
-        self.width = width
+            [[g[c] * s for g in gens] for c, s in enumerate(scale)], e)
         # digit j reads row j of P on the unscaled coordinates, kept as its
         # nonzero (c, weight) terms; reducing a weight mod e keeps (P x)_j
         # mod e, hence the digit
-        rows = []
-        for (row, d), stride in zip(kept, self.strides):
-            weights = [w * s % e for w, s in zip(row, scale)]
-            terms = tuple((c, w) for c, w in enumerate(weights) if w)
-            rows.append((terms, d, e // d, stride))
-        self._digit_rows = tuple(rows)
+        radices, rows = [], []
+        for row, d in zip(p, diag):
+            if d < e:
+                radices.append(e // d)
+                weights = [w * s % e for w, s in zip(row, scale)]
+                rows.append([tuple((c, w) for c, w in enumerate(weights) if w),
+                             d, e // d, 0])
+        width = 1
+        for row in reversed(rows):
+            row[3] = width
+            width *= row[2]
+        self.radices = tuple(radices)
+        self.strides = tuple(row[3] for row in rows)
+        self.width = width
+        self._digit_rows = tuple(map(tuple, rows))
 
     def encode(self, x: Element) -> int:
         code = 0
@@ -143,36 +155,31 @@ class _Span:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """An ordered set of distinct nonzero elements; the order fixes exponent indexing."""
+    """An ordered set of distinct nonzero elements; the order fixes exponent
+    indexing.  Construction also sets `orders`, the order of each element,
+    and `cross_scale`."""
 
     group: FiniteAbelianGroup
     elements: tuple[Element, ...]
 
     def __post_init__(self):
         elems = tuple(self.group.element(g) for g in self.elements)
-        object.__setattr__(self, "elements", elems)
         if any(not any(g) for g in elems):
             raise ContractError("support sets must not contain 0")
-        if len(set(elems)) != len(elems):
+        index = {g: i for i, g in enumerate(elems)}
+        if len(index) != len(elems):
             raise ContractError(f"support set has duplicate elements: {elems}")
-        # the memos of `multiples` and `span_mask`
-        object.__setattr__(self, "_multiples", {})
-        object.__setattr__(self, "_span_masks", {0: 1})
-
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(self.group.order_of(g) for g in self.elements)
-
-    @cached_property
-    def cross_scale(self) -> tuple[int, tuple[int, ...]]:
-        """(n, W): n the least common multiple of the orders and
-        W_i = n / ord(g_i), so that n k(S) = sum W_i v_i is an integer."""
-        n = lcm(*self.orders)
-        return n, tuple(n // o for o in self.orders)
-
-    @cached_property
-    def _index(self) -> dict[Element, int]:
-        return {g: i for i, g in enumerate(self.elements)}
+        orders = tuple(self.group.order_of(g) for g in elems)
+        n = lcm(*orders)
+        # set as plain attributes, past the frozen __setattr__:
+        # `cross_scale` is (n, W), n the least common multiple of the orders
+        # and W_i = n / ord(g_i), so that n k(S) = sum W_i v_i is an
+        # integer; `_multiples` and `_span_masks` are the memos of
+        # `multiples` and `span_mask`
+        vars(self).update(
+            elements=elems, orders=orders, _index=index,
+            cross_scale=(n, tuple(n // o for o in orders)),
+            _multiples={}, _span_masks={0: 1})
 
     def __len__(self) -> int:
         return len(self.elements)

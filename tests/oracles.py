@@ -69,12 +69,17 @@ def regroup(support: SupportSet, vectors) -> AtomSet:
     support mask: the body of `AtomSet.mask_index` before `enumerate_atoms`
     filed the index itself, kept apart from taking tuples; each entry keeps
     its atoms in the order given."""
+    n, weights = support.cross_scale
     filed: dict[tuple, list] = {}
     for exps in vectors:
         at = tuple(i for i, c in enumerate(exps) if c)
         filed.setdefault(at, []).append(tuple(exps[i] for i in at))
-    return AtomSet(support, {sum(1 << i for i in at): MaskAtoms(support, at, vecs)
-                             for at, vecs in filed.items()})
+    index = {}
+    for at, vecs in filed.items():
+        # the cross numbers by a dot product with the weights, not carried
+        scaled = [sum(weights[i] * v for i, v in zip(at, vec)) for vec in vecs]
+        index[sum(1 << i for i in at)] = MaskAtoms(n, at[1:], vecs, scaled)
+    return AtomSet(support, index)
 
 
 def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
@@ -149,13 +154,17 @@ def grid_zero_sum_free(support: SupportSet, positions, span: int) -> list:
     """The zero-sum-free vectors at `positions`, ascending, by filtering the
     grid of exponent vectors with 1 <= v_i <= ord(g_i): those with 0 not in
     PS, and sigma in the subgroup mask `span`, each as (sigma, PS,
-    exponents), sorted by exponents."""
+    exponents, n k), sorted by exponents; n k = sum v_i n / ord(g_i), n the
+    least common multiple of the orders of the whole support."""
+    orders = support.orders
+    n = lcm(*orders)
     out = []
-    for vec in itertools.product(*(range(1, support.orders[i] + 1)
+    for vec in itertools.product(*(range(1, orders[i] + 1)
                                    for i in positions)):
         sig, ps, _ = vector_state(support, positions, vec)
         if not ps & 1 and sig & span:
-            out.append((sig, ps, vec))
+            nk = sum(v * n // orders[i] for i, v in zip(positions, vec))
+            out.append((sig, ps, vec, nk))
     return out
 
 

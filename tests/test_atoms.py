@@ -385,7 +385,8 @@ class TestOnDemandIndex:
         whole = support.span_mask(0b111)
         single = zero_sum_free(support, EMPTY_ZF, 2, whole)
         pair = zero_sum_free(support, single, 1, whole)
-        assert [vec for _, _, vec in pair] == [(1, 1)]
+        # (sigma, PS, exponents, n k): n = 2 and W = (1, 1, 1) on C2^2
+        assert [(vec, nk) for _, _, vec, nk in pair] == [((1, 1), 2)]
         entry = child_entry(support, pair, 0, (1, 2))
         assert entry.vectors == [(1, 1, 1)]
         assert entry.above == (1, 2)
@@ -418,8 +419,10 @@ class TestZeroSumFree:
         mask = data.draw(st.integers(1, (1 << k) - 1))
         positions = tuple(i for i in range(k) if mask >> i & 1)
         zf = chain_zf(support, positions)
-        assert zf == grid_zero_sum_free(support, positions,
-                                        prefix_span(support, positions[0]))
+        # grouped by the vector each chain is raised from: the same vectors,
+        # each once, as the grid filter finds them
+        assert sorted(zf) == sorted(grid_zero_sum_free(
+            support, positions, prefix_span(support, positions[0])))
         atoms = grid_atoms(support)
         for b in range(positions[0]):
             exact = [tuple(a[i] for i in (b, *positions)) for a in atoms
@@ -440,8 +443,8 @@ class TestEmptyVector:
         whole = support.span_mask((1 << len(support)) - 1)
         for b in range(len(support)):
             for span in (prefix_span(support, b), whole):
-                assert zero_sum_free(support, EMPTY_ZF, b, span) == \
-                    grid_zero_sum_free(support, (b,), span)
+                assert sorted(zero_sum_free(support, EMPTY_ZF, b, span)) == \
+                    sorted(grid_zero_sum_free(support, (b,), span))
             entry = child_entry(support, EMPTY_ZF, b, ())
             assert (entry.above, entry.vectors) == ((), [(support.orders[b],)])
 
@@ -456,10 +459,14 @@ def translate(mask, steps):
 
 @st.composite
 def span_cases(draw):
-    """(group, generators, <generators>, a subset A of it, an element g)."""
-    orders = draw(st.lists(st.integers(2, 6), max_size=3).map(tuple))
+    """(group, generators, <generators>, a subset A of it, an element g):
+    up to 4 components of order 2-12 and up to 6 generators, so composite
+    exponents and more generators than components reach the elimination
+    mod exp(G)."""
+    orders = draw(st.lists(st.integers(2, 12), max_size=4).map(tuple))
     group = FiniteAbelianGroup(orders)
-    gens = draw(st.lists(st.sampled_from(list(group.elements())), max_size=3))
+    element = st.tuples(*(st.integers(0, n - 1) for n in orders))
+    gens = draw(st.lists(element, max_size=6))
     span = sorted(group.subgroup_closure(gens))
     subset = draw(st.sets(st.sampled_from(span)))
     g = draw(st.sampled_from(span))
@@ -500,6 +507,16 @@ class TestSpanCodec:
                 break
             mask = grown
         assert mask == encode_set(codec, span)
+
+    @pytest.mark.parametrize("r, width, size",
+                             [(3, 729, 2187), (4, 2187, 19683)])
+    def test_remark_4_6_1(self, r, width, size):
+        # the family spans a subgroup of index 3^(r - 2), so the masks are
+        # |G| / 3^(r - 2) bits wide; its atoms still match the walking search
+        support = build_named_set("remark-4.6.1", r=r)
+        assert support.group.size == size
+        assert support.codec.width == width == size // 3 ** (r - 2)
+        assert assert_matches_walk(support)
 
 
 # the groups the queries benchmark draws its supports from
