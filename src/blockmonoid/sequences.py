@@ -100,24 +100,24 @@ class _Span:
         # a scaled coordinate g_c * e/n_c lies in [0, e) already
         p, diag = _diagonalize(
             [[g[c] * s for g in gens] for c, s in enumerate(scale)], e)
+        kept = [(row, d) for row, d in zip(p, diag) if d < e]
+        self.radices = tuple(e // d for _, d in kept)
+        strides = []
+        width = 1
+        for m in reversed(self.radices):
+            strides.append(width)
+            width *= m
+        self.strides = tuple(reversed(strides))
+        self.width = width
         # digit j reads row j of P on the unscaled coordinates, kept as its
         # nonzero (c, weight) terms; reducing a weight mod e keeps (P x)_j
         # mod e, hence the digit
-        radices, rows = [], []
-        for row, d in zip(p, diag):
-            if d < e:
-                radices.append(e // d)
-                weights = [w * s % e for w, s in zip(row, scale)]
-                rows.append([tuple((c, w) for c, w in enumerate(weights) if w),
-                             d, e // d, 0])
-        width = 1
-        for row in reversed(rows):
-            row[3] = width
-            width *= row[2]
-        self.radices = tuple(radices)
-        self.strides = tuple(row[3] for row in rows)
-        self.width = width
-        self._digit_rows = tuple(map(tuple, rows))
+        rows = []
+        for (row, d), stride in zip(kept, self.strides):
+            weights = [w * s % e for w, s in zip(row, scale)]
+            terms = tuple((c, w) for c, w in enumerate(weights) if w)
+            rows.append((terms, d, e // d, stride))
+        self._digit_rows = tuple(rows)
 
     def encode(self, x: Element) -> int:
         code = 0
