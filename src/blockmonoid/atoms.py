@@ -88,9 +88,10 @@ EMPTY_ZF = ((1, 0, (), 0),)
 class MaskAtoms:
     """The atoms with one support mask, from nonempty `vectors`, each atom's
     exponents at the mask's positions, the first the lowest: kept as they
-    are, beside `above`, the positions after the first; their cross numbers
-    n k(A), on the support's scale n (`scaled`, in the same order); whether
-    some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
+    are, in the order the walk reached them (unsorted; `AtomSet.atoms`
+    sorts), beside `above`, the positions after the first; their cross
+    numbers n k(A), on the support's scale n (`scaled`, in the same order);
+    whether some has k(A) != 1 (`nonunit`) or k(A) < 1 (`light`)."""
 
     __slots__ = ("above", "vectors", "scaled", "nonunit", "light")
 
@@ -208,25 +209,26 @@ def child_entry(support: SupportSet, zf: Sequence, b: int,
 
     Each such atom is g_b^c v with v in zf, and v decides c and whether
     g_b^c v is an atom: the solved-position lemma, one lookup and one AND
-    per v; its cross number n k(g_b^c v) is n k(v) + c W_b.  Over the empty
-    mask the one atom is g_b^ord(g_b), with n k = n."""
+    per v; its cross number n k(g_b^c v) is n k(v) + c W_b.  The exponent
+    tuples and cross numbers go straight onto the entry's two lists, in
+    walk order, the order of zf.  Over the empty mask the one atom is
+    g_b^ord(g_b), with n k = n."""
     n, weights = support.cross_scale
     if not positions:
         return MaskAtoms(n, (), [(support.orders[b],)], [n])
     table = support.multiples(b)
     weight = weights[b]
-    found = []
+    vectors = []
+    scaled = []
     for sig, ps, vec, nk in zf:
         hit = table.get(sig)
         if hit is not None and not ps & hit[1]:
             c = hit[0]
-            found.append(((c,) + vec, nk + c * weight))
-    if not found:
+            vectors.append((c,) + vec)
+            scaled.append(nk + c * weight)
+    if not vectors:
         return None
-    # the exponent tuples are distinct, so the pairs sort by them alone
-    found.sort()
-    return MaskAtoms(n, positions, [vec for vec, _ in found],
-                     [nk for _, nk in found])
+    return MaskAtoms(n, positions, vectors, scaled)
 
 
 def zero_sum_free(support: SupportSet, zf: Sequence, b: int,

@@ -236,6 +236,10 @@ def delta_star(group: FiniteAbelianGroup, *,
     # the weights W_i of the current chain, at the positions of its mask: a
     # child writes slot b, and its subtree writes only below b
     weights = [0] * k
+    # the weights forced under a half-factorial mask, W_i = e / ord(g_i):
+    # the whole group's cross scale n is e, so `child_step` reads them with
+    # u = e / n = 1
+    forced = support.cross_scale[1]
     # the final state handed on by a settled child; its flags are never
     # read, since every child that starts from this form is settled by it
     settled_form = ((0, 0, e), True, True)
@@ -297,7 +301,8 @@ def delta_star(group: FiniteAbelianGroup, *,
                 entries.insert(0, own)
             # W_b is None when child_d = 1, which always prunes: slot b is
             # read only in this child's subtree
-            child_d, weights[b], form = child_step(e, d, entries, weights, start)
+            child_d, weights[b], form = child_step(e, d, entries, weights, start,
+                                                   1, forced[b])
             forms.append((form, nu, nl))
             if child_d == 1 and not records:
                 filed.append((b, None))

@@ -34,7 +34,9 @@ that the sweep grows one position at a time.
 `exponent_matrix` and `entry_vectors` lay atoms out as full exponent
 vectors, which the package no longer stores: the atom matrix, and the
 atoms of one support-mask index entry, read off its exponent tuples over
-the entry's positions.
+the entry's positions.  `entry_pairs` and `dot_pairs` compare an entry's
+atoms with their cross numbers in sorted order, since an entry keeps them
+in the order the walk reached them.
 """
 from __future__ import annotations
 
@@ -101,10 +103,27 @@ def entry_vectors(mask: int, entry, k: int) -> list[tuple[int, ...]]:
 
 def entry_fields(entry):
     """Every field of an index entry, for comparing entries built by two
-    routes; None for no entry."""
+    routes, its atoms as `entry_pairs`; None for no entry."""
     if entry is None:
         return None
-    return entry.above, entry.vectors, entry.scaled, entry.nonunit, entry.light
+    return entry.above, entry_pairs(entry), entry.nonunit, entry.light
+
+
+def entry_pairs(entry) -> list[tuple[tuple[int, ...], int]]:
+    """The atoms of an index entry as (exponent tuple, scaled cross number)
+    pairs, sorted: an entry keeps its atoms in the order its route reached
+    them, and two routes reach them in different orders."""
+    assert len(entry.vectors) == len(entry.scaled)
+    return sorted(zip(entry.vectors, entry.scaled))
+
+
+def dot_pairs(support: SupportSet, positions, vectors) -> list:
+    """Exponent tuples over `positions` as `entry_pairs` gives them, each
+    with its cross number scaled by the support's `cross_scale`, by a dot
+    product with the weights."""
+    weights = support.cross_scale[1]
+    return sorted((vec, sum(weights[i] * v for i, v in zip(positions, vec)))
+                  for vec in vectors)
 
 
 def grid_atoms(support: SupportSet) -> list[tuple[int, ...]]:

@@ -14,9 +14,10 @@ from blockmonoid import (BudgetError, ContractError,
 from blockmonoid.atoms import EMPTY_ZF, child_entry, zero_sum_free
 from blockmonoid.errors import format_bound
 from blockmonoid.sequences import _Span
-from oracles import (encode_set, entry_fields, entry_vectors, grid_atoms,
-                     grid_zero_sum_free, regroup, seed_enumerate_atoms,
-                     vector_state, walk_enumerate_atoms, walk_search)
+from oracles import (dot_pairs, encode_set, entry_fields, entry_pairs,
+                     entry_vectors, grid_atoms, grid_zero_sum_free, regroup,
+                     seed_enumerate_atoms, vector_state, walk_enumerate_atoms,
+                     walk_search)
 
 C5 = FiniteAbelianGroup((5,))
 C33 = FiniteAbelianGroup((3, 3))
@@ -364,9 +365,10 @@ def every_entry(support):
 class TestOnDemandIndex:
     """Each support mask's entry built from the zero-sum-free vectors of the
     mask without its lowest position, against the seed enumeration of the
-    whole support filed by `AtomSet.mask_index`: the same atoms in the same
-    order, the same scaled cross numbers and flags, and None exactly where
-    the eager index has no key."""
+    whole support filed by `AtomSet.mask_index`: the same atoms with the
+    same scaled cross numbers (compared sorted, as each entry keeps the
+    order its route reached them in), the same flags, and None exactly
+    where the eager index has no key."""
 
     @pytest.mark.parametrize("group", ON_DEMAND_GROUPS,
                              ids=lambda g: g.spec_string())
@@ -410,7 +412,8 @@ class TestOnDemandIndex:
 class TestZeroSumFree:
     """The zero-sum-free vectors grown one position at a time against the
     brute-force filter of the exponent grid, and the entries read off them
-    against the brute-force grid atoms with exactly that support."""
+    against the brute-force grid atoms with exactly that support, with
+    their scaled cross numbers, both sorted."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_support(), st.data())
@@ -429,7 +432,8 @@ class TestZeroSumFree:
                      if all(bool(a[i]) == (i == b or i in positions)
                             for i in range(k))]
             got = child_entry(support, zf, b, positions)
-            assert (got.vectors if got else []) == exact
+            assert (entry_pairs(got) if got else []) == \
+                dot_pairs(support, (b, *positions), exact)
 
 
 class TestEmptyVector:
@@ -554,9 +558,9 @@ class TestSolvedLastPosition:
     """Each entry is solved at its lowest position from the table of
     multiples of that position's element; the DFS that raises every
     exponent one copy at a time, `oracles.walk_search`, must give the same
-    atoms in the same order: `enumerate_atoms` as the walk from the empty
-    vector, and the entry of a mask as the walk from the mask's 0/1
-    vector."""
+    atoms: `enumerate_atoms` in the same order as the walk from the empty
+    vector, and the entry of a mask, with its scaled cross numbers, as the
+    walk from the mask's 0/1 vector, both sorted."""
 
     @settings(max_examples=150, deadline=None)
     @given(query_support())
@@ -577,7 +581,8 @@ class TestSolvedLastPosition:
         if entry is None:
             assert found == []
         else:
-            assert (entry.above, entry.vectors) == (above, found)
+            assert (entry.above, entry_pairs(entry)) == \
+                (above, dot_pairs(support, positions, found))
 
     def test_one_element_support(self):
         # one copy of g at the only position, solved to g^ord(g) at once
@@ -616,7 +621,8 @@ class TestOneFramePerPosition:
     at a time (`oracles.walk_search`) and the brute-force grid filter, on
     one-element supports too; and the entry read off zero-sum-free vectors
     grown in any chain order, with no span filter, against the walk from
-    the 0/1 vector of the same positions."""
+    the 0/1 vector of the same positions, with the scaled cross numbers,
+    both sorted."""
 
     @settings(max_examples=60, deadline=None)
     @given(query_support(min_size=1), st.data())
@@ -638,15 +644,17 @@ class TestOneFramePerPosition:
         if entry is None:
             assert found == []
         else:
-            assert (entry.above, entry.vectors) == (above, found)
+            assert (entry.above, entry_pairs(entry)) == \
+                (above, dot_pairs(support, positions, found))
 
 
 def assert_matches_walk(support) -> int:
     """`enumerate_atoms` gives the atoms of `oracles.walk_search` in the same
     order, and the index it files as it walks the zero-sum-free vectors
     equals those atoms filed by support mask (`oracles.regroup`): the same
-    masks, and at each the same positions, exponent tuples, scaled cross
-    numbers and flags; the number of atoms."""
+    masks, and at each the same positions, exponent tuples with their
+    scaled cross numbers (as sorted pairs) and flags; the number of
+    atoms."""
     atoms = enumerate_atoms(support)
     walked = walk_enumerate_atoms(support)
     assert [a.exponents for a in atoms] == walked

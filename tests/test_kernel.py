@@ -1,10 +1,10 @@
 import importlib
 import random
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmonoid import (ConsistencyError, ContractError,
@@ -356,6 +356,14 @@ class TestMinDelta:
         basis = integer_kernel(exponent_matrix(atoms))
         assert min_delta(atoms) == gcd(*map(sum, basis))
 
+    # supports whose lcm n of the orders is a proper divisor of exp(G), so
+    # each half-factorial step reads n k(A) scaled by e/n: min Delta 1 and 2
+    # at n = 4, e = 8, half-factorial at n = 3, e = 6, and min Delta 1 at
+    # n = 2, e = 12
+    @example(SupportSet(FiniteAbelianGroup((2, 8)), ((0, 2), (1, 0), (1, 2))))
+    @example(SupportSet(FiniteAbelianGroup((2, 8)), ((0, 2), (0, 6), (1, 0))))
+    @example(SupportSet(FiniteAbelianGroup((3, 6)), ((0, 2), (1, 4), (2, 0))))
+    @example(SupportSet(FiniteAbelianGroup((4, 6)), ((2, 0), (0, 3), (2, 3))))
     @settings(max_examples=100, deadline=None)
     @given(small_support(max_size=5))
     def test_matches_echelon_readout(self, support):
@@ -375,6 +383,9 @@ class TestMinDelta:
         atoms = enumerate_atoms(support)
         k = len(support)
         e = support.group.exponent
+        # n k(A) is read on the support's scale n = lcm of the orders, so
+        # under a half-factorial parent B = e - (e/n)*n k(A) + c*e/ord(g_b)
+        u = e // lcm(*support.orders)
         joining = [[] for _ in range(k)]
         for mask, entry in atoms.mask_index.items():
             joining[(mask & -mask).bit_length() - 1].append(entry)
@@ -386,14 +397,15 @@ class TestMinDelta:
                      for entry in joining[b] for vec in entry.vectors]
             inside = {i for i in range(b + 1, k) if rng.random() < 0.5}
             first = [entry for entry in joining[b] if inside.issuperset(entry.above)]
-            rest = [SimpleNamespace(above=entry.above, vectors=[vec])
+            rest = [SimpleNamespace(above=entry.above, vectors=[vec], scaled=[nk])
                     for entry in joining[b] if not inside.issuperset(entry.above)
-                    for vec in entry.vectors]
+                    for vec, nk in zip(entry.vectors, entry.scaled)]
             rng.shuffle(rest)
+            forced = e // support.orders[b]
             whole_d, whole_w, whole_form = child_step(e, d, joining[b], weights,
-                                                      (0, 0, 0))
-            _, _, form = child_step(e, d, first, weights, (0, 0, 0))
-            child_d, w, form = child_step(e, d, rest, weights, form)
+                                                      (0, 0, 0), u, forced)
+            _, _, form = child_step(e, d, first, weights, (0, 0, 0), u, forced)
+            child_d, w, form = child_step(e, d, rest, weights, form, u, forced)
             assert child_d == whole_d
             assert form[2] == whole_form[2] == e * child_d
             if child_d == 1:

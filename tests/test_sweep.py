@@ -165,59 +165,78 @@ class TestEchelonOracle:
         assert_matches_full_descent(sweep_cache(group), echelon_delta_star(group))
 
 
+def assert_steps_match_batch(group: FiniteAbelianGroup) -> SweepReport:
+    """Every child step of the sweep with records against the batch step it
+    replaced, fed the start pair (g, S), the (c, B) of all the new atoms,
+    each B recomputed from the weights and the exponents, and e*d joined
+    with the start D: the same lattice, so the same d', the same W_b when
+    d' = 0 and mod e*d' when d' > 1, and a final D of e*d'; every child
+    with d' = 1, whose W_b is None, is pruned; and every step from d = 0 to
+    d' = 0 returns the forced weight W_b = e / ord(g_b).  The sweep's
+    report."""
+    fold = sweep.child_step
+    steps = []
+
+    def checked(e, d, entries, weights, start, u, w_b):
+        atoms = [(entry.above, vec) for entry in entries
+                 for vec in entry.vectors]
+        g, big_s, big_d = start
+        cs = [g] if g else []
+        bs = [big_s] if g else []
+        cs += [vec[0] for _, vec in atoms]
+        bs += [e - sum(weights[i] * v for i, v in zip(above, vec[1:]))
+               for above, vec in atoms]
+        child_d, w, form = fold(e, d, entries, weights, start, u, w_b)
+        want_d, want_w = batch_child_step(e, gcd(e * d, big_d) // e, cs, bs)
+        assert child_d == want_d
+        assert form[2] == e * child_d
+        if child_d == 0:
+            assert w == want_w
+        elif child_d > 1:
+            assert (w - want_w) % (e * child_d) == 0
+        else:
+            assert w is None
+        steps.append((d, child_d, w))
+        return child_d, w, form
+
+    sweep.child_step = checked
+    try:
+        report = delta_star(group, sweep_max_group=None, records=True)
+    finally:
+        sweep.child_step = fold
+    assert len(report.records) == report.counters["subsets_computed"] == len(steps)
+    # with records, each child's record is kept right after its step, so
+    # the lowest position of the record's mask is the step's b
+    e = group.exponent
+    for (d, child_d, w), rec in zip(steps, report.records):
+        assert rec.min_delta == child_d
+        if d == 0 and child_d == 0:
+            b = (rec.mask & -rec.mask).bit_length() - 1
+            assert w == e // group.order_of(report.elements[b]), rec.mask
+    # the records come in preorder, so a computed subset below a record
+    # would be the next record
+    for rec, after in zip(report.records, report.records[1:]):
+        if rec.min_delta == 1:
+            low = rec.mask & -rec.mask
+            assert after.mask & -low != rec.mask
+    return report
+
+
 BATCH_STEP_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
 BATCH_STEP_GROUPS.append(FiniteAbelianGroup((2, 2, 2, 3)))
 
 
 class TestBatchStepOracle:
     """Every child step of the sweep, which folds the atoms one at a time
-    from its sibling's form and stops at D = e, against the batch step it
-    replaced, fed the start pair (g, S), the (c, B) of all the new atoms and
-    e*d joined with the start D: the same lattice, so the same d', the same
-    W_b when d' = 0 and mod e*d' when d' > 1, and a final D of e*d'; and
-    every child with d' = 1, whose W_b is None, is pruned."""
+    from its sibling's form, stops at D = e, and under a half-factorial
+    parent reads each B off the carried cross number, against the batch
+    step it replaced, which takes every B from the weights
+    (`assert_steps_match_batch`)."""
 
     @pytest.mark.parametrize("group", BATCH_STEP_GROUPS,
                              ids=lambda g: g.spec_string())
-    def test_every_child_step(self, monkeypatch, sweep_cache, group):
-        expected = sweep_cache(group)
-        fold = kernel.child_step
-        calls = 0
-
-        def checked(e, d, entries, weights, start):
-            nonlocal calls
-            calls += 1
-            atoms = [(entry.above, vec) for entry in entries
-                     for vec in entry.vectors]
-            g, big_s, big_d = start
-            cs = [g] if g else []
-            bs = [big_s] if g else []
-            cs += [vec[0] for _, vec in atoms]
-            bs += [e - sum(weights[i] * v for i, v in zip(above, vec[1:]))
-                   for above, vec in atoms]
-            child_d, w, form = fold(e, d, entries, weights, start)
-            want_d, want_w = batch_child_step(e, gcd(e * d, big_d) // e, cs, bs)
-            assert child_d == want_d
-            assert form[2] == e * child_d
-            if child_d == 0:
-                assert w == want_w
-            elif child_d > 1:
-                assert (w - want_w) % (e * child_d) == 0
-            else:
-                assert w is None
-            return child_d, w, form
-
-        monkeypatch.setattr(sweep, "child_step", checked)
-        report = delta_star(group, sweep_max_group=None, records=True)
-        assert report == expected
-        assert len(report.records) == report.counters["subsets_computed"]
-        assert calls == report.counters["subsets_computed"]
-        # the records come in preorder, so a computed subset below a record
-        # would be the next record
-        for rec, after in zip(report.records, report.records[1:]):
-            if rec.min_delta == 1:
-                low = rec.mask & -rec.mask
-                assert after.mask & -low != rec.mask
+    def test_every_child_step(self, sweep_cache, group):
+        assert assert_steps_match_batch(group) == sweep_cache(group)
 
 
 def assert_entries_match_index(group: FiniteAbelianGroup) -> SweepReport:
@@ -296,11 +315,11 @@ class TestSettledChildren:
         steps = {True: 0, False: 0}
         records = True
 
-        def counted(e, d, entries, weights, start):
+        def counted(e, d, entries, weights, start, u, w_b):
             steps[records] += 1
             if not records:
                 assert gcd(start[2], e * d) != e
-            return fold(e, d, entries, weights, start)
+            return fold(e, d, entries, weights, start, u, w_b)
 
         monkeypatch.setattr(sweep, "child_step", counted)
         full = delta_star(group, records=True)
@@ -316,8 +335,9 @@ class TestSettledChildren:
         # 1 was recorded
         fold = kernel.child_step
 
-        def lying(e, d, entries, weights, start):
-            child_d, w, (g, big_s, big_d) = fold(e, d, entries, weights, start)
+        def lying(e, d, entries, weights, start, u, w_b):
+            child_d, w, (g, big_s, big_d) = fold(e, d, entries, weights, start,
+                                                 u, w_b)
             return child_d, w, (g, big_s, e if child_d == 0 else big_d)
 
         monkeypatch.setattr(sweep, "child_step", lying)
@@ -490,8 +510,8 @@ class TestHalfFactorialityTrap:
     def test_generator_forced_to_zero(self, monkeypatch):
         child_step = kernel.child_step
 
-        def forced(e, d, entries, weights, start):
-            _, w, form = child_step(e, d, entries, weights, start)
+        def forced(e, d, entries, weights, start, u, w_b):
+            _, w, form = child_step(e, d, entries, weights, start, u, w_b)
             return 0, w, form
 
         monkeypatch.setattr(sweep, "child_step", forced)
@@ -510,17 +530,21 @@ class TestHalfFactorialityTrap:
             delta_star(FiniteAbelianGroup((3,)))
 
 
-def fake_entry(above, *vectors):
-    """A stand-in index entry: the positions `above` b and one exponent
-    tuple per atom, a_b first."""
-    return SimpleNamespace(above=above, vectors=list(vectors))
+def fake_entry(above, *vectors, scaled=None):
+    """A stand-in index entry: the positions `above` b, one exponent tuple
+    per atom, a_b first, and one scaled cross number per atom, None unless
+    given (the fold reads them only at d = 0)."""
+    return SimpleNamespace(above=above, vectors=list(vectors),
+                           scaled=scaled or [None] * len(vectors))
 
 
 class TestDualStateTraps:
     """The child step's consistency checks, each fed atoms that no set of
     atoms produces: an atom a comes as an exponent tuple, c = a_b first and
     then a_i at the entry's positions i above b, and the fold computes
-    B = e - sum W_i a_i from the weights given."""
+    B = e - sum W_i a_i from the weights given at d > 0, and
+    B = e - u*n k(a) + c*W_b from the cross number, u and W_b given at
+    d = 0.  Whatever a step does not read is passed as None."""
 
     def test_exponent_divides_d(self):
         # B = 0, then 4 + 2 = 6: g = 1, S = 0 and D = gcd(12, 0 - 6) = 6, which
@@ -528,18 +552,21 @@ class TestDualStateTraps:
         with pytest.raises(ConsistencyError, match="does not divide D = 6"):
             kernel.child_step(4, 3, [fake_entry((0,), (1, 1)),
                                      fake_entry((1,), (1, 1))], [4, -2],
-                              (0, 0, 0))
+                              (0, 0, 0), None, None)
 
     def test_g_divides_s_when_half_factorial(self):
-        # B = 4 - 3 = 1: g = 2, S = 1 and D stays 0, but 2 does not divide 1
+        # B = 4 - 1*9 + 2*3 = 1: g = 2, S = 1 and D stays 0, but 2 does not
+        # divide 1
         with pytest.raises(ConsistencyError, match="half-factorial child"):
-            kernel.child_step(4, 0, [fake_entry((0,), (2, 1))], [3], (0, 0, 0))
+            kernel.child_step(4, 0, [fake_entry((0,), (2, 1), scaled=[9])], None,
+                              (0, 0, 0), 1, 3)
 
     def test_weight_congruence_solvable(self):
         # B = 2 - 1 = 1: g = 2, S = 1 and D = 4, but gcd(2, 4) does not
         # divide 1 (d = 1 would end the fold before it read the atom)
         with pytest.raises(ConsistencyError, match=r"gcd\(2, 4\) does not divide 1"):
-            kernel.child_step(2, 2, [fake_entry((0,), (2, 1))], [1], (0, 0, 0))
+            kernel.child_step(2, 2, [fake_entry((0,), (2, 1))], [1], (0, 0, 0),
+                              None, None)
 
     def test_d_below_exponent_partway(self):
         # B = 0, 2, 1: D = gcd(8, 0 - 2) = 2 at the second atom, which is no
@@ -548,7 +575,7 @@ class TestDualStateTraps:
         with pytest.raises(ConsistencyError, match="does not divide D = 2$"):
             kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1)),
                                      fake_entry((2,), (1, 1))], [4, 2, 3],
-                              (0, 0, 0))
+                              (0, 0, 0), None, None)
 
 
 class TestEarlyExit:
@@ -558,13 +585,14 @@ class TestEarlyExit:
     def test_at_the_last_atom(self):
         # B = 0, then 4 - 0 = 4: g = 1, S = 0 and D = gcd(8, 0 - 4) = 4 = e
         assert kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1))],
-                                 [4, 0], (0, 0, 0)) == (1, None, (1, 0, 4))
+                                 [4, 0], (0, 0, 0), None, None) == (1, None, (1, 0, 4))
 
     def test_later_atoms_unread(self):
         # the third atom's weight is None, which it would fail to read
         assert kernel.child_step(4, 2, [fake_entry((0, 1), (1, 1, 0), (1, 0, 1)),
                                         fake_entry((2,), (1, 1))],
-                                 [4, 0, None], (0, 0, 0)) == (1, None, (1, 0, 4))
+                                 [4, 0, None], (0, 0, 0), None, None) == \
+            (1, None, (1, 0, 4))
 
     @pytest.mark.parametrize("d,start,form", [
         (2, (1, 0, 4), (1, 0, 4)),    # the sibling ended at D = e
@@ -576,7 +604,8 @@ class TestEarlyExit:
             raise AssertionError("the fold read an entry")
             yield
 
-        assert kernel.child_step(4, d, unread(), None, start) == (1, None, form)
+        assert kernel.child_step(4, d, unread(), None, start, None, None) == \
+            (1, None, form)
 
     def test_min_delta_stops_inside_a_position(self, monkeypatch):
         # on the whole of C3^2 the first position brings 4 atoms, and D = e
@@ -584,7 +613,7 @@ class TestEarlyExit:
         fold = kernel.child_step
         steps = []
 
-        def counted(e, d, entries, weights, start):
+        def counted(e, d, entries, weights, start, u, w_b):
             read = 0
 
             def walk(vectors):
@@ -594,8 +623,9 @@ class TestEarlyExit:
                     yield atom
 
             out = fold(e, d, [SimpleNamespace(above=entry.above,
-                                              vectors=walk(entry.vectors))
-                              for entry in entries], weights, start)
+                                              vectors=walk(entry.vectors),
+                                              scaled=entry.scaled)
+                              for entry in entries], weights, start, u, w_b)
             steps.append((out[0], read, sum(len(entry.vectors) for entry in entries)))
             return out
 
