@@ -88,12 +88,31 @@ before any atom is read:
   folds to min Delta 1 files this marker in place of its entry, and b|S is
   inside b|M.
 
+M decides all its settled children at once, as a bitmask, before it steps
+any.  Each node hands its children, beside its list of final forms, the
+bits `ones` of its children whose final form has D = e, the settled ones
+with their (0, 0, e) among them.  The bit is read off the form, not off the
+min Delta the step returns, so a form with D = e on a child whose min Delta
+is not 1 still reaches the trap below.  Those of the bits below `low` are
+the children that (a) settles with D = e alone.  At d(M) = 0 that is all of
+(a), and no gcd is taken: the join is a gcd with e*d(M) = 0, which leaves D
+as it is.  At d(M) > 0 a D = e*x with x > 1 prime to d(M) settles too, so
+each sibling not yet settled is tested by a gcd.  The markers of (b) come
+in as bits while M reads its lists.  The settled children add 2^b - 1 to
+the pruned count each, settle - popcount(settle) in all, their slots of the
+list of forms hold (0, 0, e) from the start, and the per-child loop runs
+over the other bits only, in ascending order.
+
 In (b) the child that filed the marker recorded min Delta 1.  In (a), when
 min Delta(b|P) is 1, b|P recorded it, or was settled after it was recorded.
 When both values in (a) exceed 1, the sweeps of every group of order <= 48
 had recorded min Delta 1 already.  So a settle before min Delta 1 is
 recorded raises `ConsistencyError`, rather than leave 1 out of Delta*: a
-form whose D is e on a child whose min Delta is not 1 shows up there.
+form whose D is e on a child whose min Delta is not 1 shows up there.  The
+trap is checked where a loop over every child would meet the lowest settled
+one: after the stepped children below it and their subtrees have run, since
+they may record min Delta 1 first.  The values recorded only grow, so the
+lowest settled child is the one to check, and the error names its mask.
 
 Nothing a folded child reads is skipped:
 
@@ -124,14 +143,16 @@ With `records`, every child folds, since its record needs the `lcn` flag
 that the skipped entries feed.
 
 The extremal reports read the whole-group support's span table, on position
-masks, and the index entries of an LCN set's submasks, with the cross
+masks, one span per unordered pair of the set's elements and one per
+element, and the index entries of an LCN set's submasks, with the cross
 numbers, scaled to integers by the support's `cross_scale`, that the index
 keeps beside them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 from typing import NamedTuple
 
 from .atoms import EMPTY_ZF, MaskAtoms, child_entry, zero_sum_free
@@ -245,11 +266,12 @@ def delta_star(group: FiniteAbelianGroup, *,
     settled_form = ((0, 0, e), True, True)
 
     def descend(mask: int, low: int, positions: tuple[int, ...], d: int,
-                has_nonunit: bool, has_light: bool, zf, sib: list):
+                has_nonunit: bool, has_light: bool, zf, sib: list, ones: int):
         # the node `mask`, its lowest position `low` (k at the root), its
-        # positions ascending, its zero-sum-free vectors, and sib[b], for
+        # positions ascending, its zero-sum-free vectors, sib[b], for
         # b < low, the final (form, nonunit, light) of the child b|P of its
-        # parent P = mask minus `low`; first the entries b|S of the
+        # parent P = mask minus `low`, and `ones`, the bits b of P's
+        # children whose final form has D = e; first the entries b|S of the
         # children b < low, `low` in S and S a proper submask, each child's
         # in descending S, from the lists S filed
         nonlocal computed
@@ -257,32 +279,46 @@ def delta_star(group: FiniteAbelianGroup, *,
         lowbit = mask & -mask
         parent = mask ^ lowbit
         buckets = [[] for _ in range(low)]
-        # bit b is set once a list read holds the marker (b, None)
-        settled = 0
+        # the children settled at min Delta 1, with no entry, step or
+        # record (see the module docstring): those whose sibling form has
+        # D = e, those named by a marker (b, None) in a list read, and at
+        # d > 0 those whose sibling form's D joined with e*d is e
+        settle = 0 if records else ones & ((1 << low) - 1)
         sub = parent
         while sub:
             sub = (sub - 1) & parent
             for b, entry in kids.get(sub | lowbit, ()):
                 if entry is None:
-                    settled |= 1 << b
+                    settle |= 1 << b
                 else:
                     buckets[b].append(entry)
+        if d and not records:
+            ed = e * d
+            for b in range(low):
+                if not settle >> b & 1 and gcd(sib[b][0][2], ed) == e:
+                    settle |= 1 << b
+        # the settle trap is checked at the lowest settled child, once the
+        # children below it and their subtrees have run
+        trap = low
+        if settle:
+            pruned[0] += settle - settle.bit_count()
+            if 1 not in seen:
+                trap = (settle & -settle).bit_length() - 1
         filed = kids[mask] = []
-        forms = []
-        ed = e * d
-        for b, entries in enumerate(buckets):
-            new_mask = mask | 1 << b
+        forms = [settled_form] * low
+        # from here on, the bits of this node's own children with D = e
+        ones = settle
+        todo = ((1 << low) - 1) ^ settle
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            b = bit.bit_length() - 1
+            if b > trap:
+                _check_settle(seen, mask | 1 << trap)
+                trap = low
+            new_mask = mask | bit
+            entries = buckets[b]
             start, nu, nl = sib[b]
-            if not records and (settled >> b & 1 or gcd(start[2], ed) == e):
-                # min Delta 1, by a marker or by the sibling form: no
-                # entry, no step, no record (see the module docstring)
-                if 1 not in seen:
-                    raise ConsistencyError(
-                        f"subset mask {new_mask} settled at min Delta 1 "
-                        f"before min Delta 1 was recorded")
-                forms.append(settled_form)
-                pruned[0] += (1 << b) - 1
-                continue
             nu = nu or has_nonunit
             nl = nl or has_light
             for entry in entries:
@@ -303,7 +339,9 @@ def delta_star(group: FiniteAbelianGroup, *,
             # read only in this child's subtree
             child_d, weights[b], form = child_step(e, d, entries, weights, start,
                                                    1, forced[b])
-            forms.append((form, nu, nl))
+            forms[b] = (form, nu, nl)
+            if form[2] == e:
+                ones |= bit
             if child_d == 1 and not records:
                 filed.append((b, None))
             elif own is not None:
@@ -325,12 +363,15 @@ def delta_star(group: FiniteAbelianGroup, *,
             elif b:  # a mask with position 0 has no children
                 descend(new_mask, b, (b,) + positions, child_d, nu, nl,
                         zero_sum_free(support, zf, b, prefix[b]) if zf else zf,
-                        forms)
+                        forms, ones)
+        if trap < low:
+            _check_settle(seen, mask | 1 << trap)
         if not filed:
             del kids[mask]  # a missing list reads as empty
 
     # the root's children fold from the empty form
-    descend(0, k, (), 0, False, False, EMPTY_ZF, [((0, 0, 0), False, False)] * k)
+    descend(0, k, (), 0, False, False, EMPTY_ZF,
+            [((0, 0, 0), False, False)] * k, 0)
 
     total = (1 << k) - 1
     if computed + sum(pruned) != total:
@@ -366,6 +407,15 @@ def delta_star(group: FiniteAbelianGroup, *,
     )
 
 
+def _check_settle(seen: set[int], mask: int) -> None:
+    """The settle trap: the child at `mask` was settled at min Delta 1, so
+    min Delta 1 must be recorded by now."""
+    if 1 not in seen:
+        raise ConsistencyError(
+            f"subset mask {mask} settled at min Delta 1 "
+            f"before min Delta 1 was recorded")
+
+
 def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
                      rec: SubsetRecord) -> ExtremalSetReport:
     """The structural checks on one subset of the whole-group support, read
@@ -382,12 +432,20 @@ def _extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
                and subset_elems[1] == group.neg(subset_elems[0])
                and support.orders[positions[0]] == n)
 
-    # spans of the subset minus one or two of its elements, as masks over G
-    no_gap = not any(support.in_span(i, mask ^ (1 << i) ^ (1 << j))
-                     for i in positions for j in positions if j != i)
+    # spans of the subset minus two of its elements, one per unordered pair,
+    # and minus one, as masks over <S>: no_gap asks that neither element of
+    # a pair lies in the span of the rest, and the rest of a set minus g is
+    # independent iff its span has the product of their orders as its size
+    bits = support.bits
+    span_mask = support.span_mask
+    no_gap = not any(span_mask(mask ^ 1 << i ^ 1 << j) & (bits[i] | bits[j])
+                     for i, j in combinations(positions, 2))
 
+    orders = support.orders
+    size = prod(orders[i] for i in positions)
     independent_complement = any(
-        support.is_independent(mask ^ (1 << i)) for i in positions)
+        span_mask(mask ^ 1 << i).bit_count() * orders[i] == size
+        for i in positions)
 
     unit_bound: bool | None = None
     heavy_bound: bool | None = None

@@ -15,7 +15,9 @@ was before it folded the atoms in one at a time: it takes every new atom's
 (c, B) at once.  `echelon_min_delta` reads min Delta off one atom set;
 `echelon_delta_star` is the descent in which each node copies its parent's
 basis and inserts the rows of its new atoms, and decides minimality from the
-set of half-factorial masks formed so far.  `seed_is_minimal_non_half_factorial`
+set of half-factorial masks formed so far, and builds its extremal reports
+with `span_extremal_report`, the report as it was before it read one span
+per unordered pair.  `seed_is_minimal_non_half_factorial`
 decides it by one rescan of the `Fraction` cross numbers per support position.
 `hnf_integer_kernel` is the integer kernel that also put the kernel basis in
 Hermite form, and `kernel_basis_witness` the min Delta witness that built a
@@ -52,7 +54,7 @@ from blockmonoid.atoms import MaskAtoms
 from blockmonoid.classify import ReductionStep
 from blockmonoid.kernel import (MinDeltaWitness, echelon_insert,
                                 lattice_tail_generator)
-from blockmonoid.sweep import SubsetRecord, _extremal_report
+from blockmonoid.sweep import SubsetRecord, _complement_is_atom
 
 
 def exponent_matrix(atoms: AtomSet) -> tuple[tuple[int, ...], ...]:
@@ -766,7 +768,8 @@ def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
     apart from the budget check and the returned shape: a node copies its
     parent's pivot-indexed basis on its first insert, inserts the echelon
     rows of every new support mask, stops inserting once the tail generator
-    reaches 1, and reads min Delta off that generator."""
+    reaches 1, and reads min Delta off that generator.  Its extremal
+    reports come from `span_extremal_report`."""
     elements = group.nonzero_elements
     k = len(elements)
     if k == 0:
@@ -848,7 +851,7 @@ def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
     maximum = dstar[-1] if dstar else 0
     m_of_g = max((rec.min_delta for rec in records if rec.lcn), default=0)
     extremal = tuple(
-        _extremal_report(support, index, rec)
+        span_extremal_report(support, index, rec)
         for rec in records
         if rec.minimal_non_hf and rec.min_delta == maximum and maximum > 0)
 
@@ -860,6 +863,66 @@ def echelon_delta_star(group: FiniteAbelianGroup) -> dict:
         "subsets_computed": len(records),
         "subsets_pruned": pruned,
     }
+
+
+# -- the extremal report as it stood before it read one span per pair -------------
+
+def span_extremal_report(support: SupportSet, index: dict[int, MaskAtoms],
+                         rec: SubsetRecord) -> ExtremalSetReport:
+    """The sweep's extremal report before it read one span per unordered
+    pair, kept verbatim apart from the name: `SupportSet.in_span` for each
+    ordered pair (i, j) and `SupportSet.is_independent` for each one-element
+    complement."""
+    group = support.group
+    n = group.exponent
+    scale = support.cross_scale[0]
+    r = group.rank
+    mask = rec.mask
+    positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    subset_elems = tuple(support.elements[i] for i in positions)
+
+    pm_pair = (len(positions) == 2
+               and subset_elems[1] == group.neg(subset_elems[0])
+               and support.orders[positions[0]] == n)
+
+    # spans of the subset minus one or two of its elements, as masks over G
+    no_gap = not any(support.in_span(i, mask ^ (1 << i) ^ (1 << j))
+                     for i in positions for j in positions if j != i)
+
+    independent_complement = any(
+        support.is_independent(mask ^ (1 << i)) for i in positions)
+
+    unit_bound: bool | None = None
+    heavy_bound: bool | None = None
+    if rec.lcn:
+        # the atoms over the subset are those filed under its submasks, with
+        # their cross numbers scaled by `scale`
+        unit_bound = heavy_bound = True
+        sub = mask
+        while sub:
+            entry = index.get(sub)
+            if entry is not None:
+                low = (sub & -sub).bit_length() - 1
+                for atom, scaled in zip(entry.vectors, entry.scaled):
+                    if scaled == scale:
+                        unit_bound = unit_bound and 2 * sub.bit_count() <= n
+                    elif scaled > scale and heavy_bound:
+                        heavy_bound = scaled < r * scale and _complement_is_atom(
+                            support.orders, positions, index,
+                            (low, *entry.above), atom)
+            sub = (sub - 1) & mask
+
+    return ExtremalSetReport(
+        subset=subset_elems,
+        min_delta=rec.min_delta,
+        lcn=rec.lcn,
+        pm_pair_full_order=pm_pair,
+        size_is_rank_plus_one=len(positions) == r + 1,
+        no_two_element_span_gap=no_gap,
+        has_independent_complement=independent_complement,
+        unit_atoms_support_bound=unit_bound,
+        heavy_atoms_complement_atom=heavy_bound,
+    )
 
 
 # -- the extremal report as it stood before it read the support-mask index --------

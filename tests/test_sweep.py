@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from blockmonoid import kernel, sweep
 from blockmonoid.atoms import child_entry
 from oracles import (batch_child_step, echelon_delta_star, echelon_min_delta,
                      entry_fields, regroup, seed_delta_star,
-                     seed_extremal_report)
+                     seed_extremal_report, span_extremal_report)
 
 
 class TestDeltaStarExamples:
@@ -310,10 +311,11 @@ class TestSettledChildren:
     step; TestRecordsOnRequest checks that the reports agree."""
 
     def test_fewer_steps_and_none_settled_by_its_start(self, monkeypatch):
-        group = FiniteAbelianGroup((2, 2, 2, 3))
+        # C2^3xC3 settles the most children of the groups tier 1 sweeps; on
+        # C30 a sibling form with D = e*x, x > 1, settles a child of a node
+        # with d > 0 by the gcd with e*d alone, the one settle that the bits
+        # of the forms with D = e do not carry
         fold = kernel.child_step
-        steps = {True: 0, False: 0}
-        records = True
 
         def counted(e, d, entries, weights, start, u, w_b):
             steps[records] += 1
@@ -322,12 +324,16 @@ class TestSettledChildren:
             return fold(e, d, entries, weights, start, u, w_b)
 
         monkeypatch.setattr(sweep, "child_step", counted)
-        full = delta_star(group, records=True)
-        records = False
-        summary = delta_star(group)
-        assert steps[True] == full.counters["subsets_computed"]
-        assert 0 < steps[False] < steps[True]
-        assert summary == replace(full, records=())
+        for orders in ((2, 2, 2, 3), (30,)):
+            group = FiniteAbelianGroup(orders)
+            steps = {True: 0, False: 0}
+            records = True
+            full = delta_star(group, records=True)
+            records = False
+            summary = delta_star(group)
+            assert steps[True] == full.counters["subsets_computed"]
+            assert 0 < steps[False] < steps[True]
+            assert summary == replace(full, records=())
 
     def test_settle_before_min_delta_one_is_trapped(self, monkeypatch):
         # a half-factorial child that hands on a form with D = e settles
@@ -343,6 +349,44 @@ class TestSettledChildren:
         monkeypatch.setattr(sweep, "child_step", lying)
         with pytest.raises(ConsistencyError, match="before min Delta 1"):
             delta_star(FiniteAbelianGroup((3,)))
+
+    @staticmethod
+    def lie_at(monkeypatch, mask: int) -> list:
+        """Make the step of `mask` hand on a form with D = e, and return the
+        list that grows by one per step.  Until min Delta 1 is first
+        recorded nothing is pruned or settled, and the masks are formed in
+        increasing order, so the n-th step is that of mask n."""
+        fold = kernel.child_step
+        calls = []
+
+        def lying(e, d, entries, weights, start, u, w_b):
+            calls.append(None)
+            child_d, w, (g, big_s, big_d) = fold(e, d, entries, weights, start,
+                                                 u, w_b)
+            return child_d, w, (g, big_s, e if len(calls) == mask else big_d)
+
+        monkeypatch.setattr(sweep, "child_step", lying)
+        return calls
+
+    def test_trap_fires_at_the_lowest_settled_child(self, monkeypatch):
+        # C12 at positions 0 .. 10 holds 1 .. 11, and min Delta 1 is first
+        # recorded at mask 21.  The half-factorial {3} (mask 4) hands on
+        # D = e, so its sibling {4} (mask 8) settles its child {3, 4} (mask
+        # 12), after it has stepped {1, 4}, {2, 4} and {1, 2, 4} (masks 9 to
+        # 11): the trap names mask 12 after 11 steps
+        calls = self.lie_at(monkeypatch, 4)
+        with pytest.raises(ConsistencyError,
+                           match="subset mask 12 settled at min Delta 1 before"):
+            delta_star(FiniteAbelianGroup((12,)))
+        assert len(calls) == 11
+
+    def test_no_trap_once_a_child_below_records_min_delta_one(self, monkeypatch):
+        # the half-factorial {4} (mask 8) hands on D = e, so its sibling {5}
+        # (mask 16) settles its child {4, 5} (mask 24); before that it steps
+        # its children below, and {1, 3, 5} (mask 21), in the subtree of
+        # {3, 5}, records the sweep's first min Delta 1
+        self.lie_at(monkeypatch, 8)
+        assert 1 in delta_star(FiniteAbelianGroup((12,))).delta_star
 
 
 class TestMembershipAndBounds:
@@ -502,6 +546,36 @@ class TestExtremalReports:
         got = sweep._extremal_report(support, atoms.mask_index, rec)
         assert got == seed_extremal_report(group, support.elements, atoms, rec)
         assert got.heavy_atoms_complement_atom is True
+
+
+class TestExtremalSpanReads:
+    """The report reads one span per unordered pair and one per element of
+    the set, against `span_extremal_report`, which asks `in_span` for each
+    ordered pair and `is_independent` for each one-element complement."""
+
+    def test_random_subsets_up_to_order_32(self):
+        rng = random.Random(32)
+        flags = set()
+        for group in [g for n in range(2, 33) for g in abelian_groups_of_order(n)]:
+            elements = group.nonzero_elements
+            # one support per path, so each memo holds only its own reads
+            fast = SupportSet(group, elements)
+            slow = SupportSet(group, elements)
+            for _ in range(100):
+                size = rng.randint(1, min(len(elements), 7))
+                mask = sum(1 << i for i in rng.sample(range(len(elements)), size))
+                rec = SubsetRecord(mask, rng.randint(1, 5), False,
+                                   rng.random() < 0.5, True)
+                got = sweep._extremal_report(fast, {}, rec)
+                assert got == span_extremal_report(slow, {}, rec), \
+                    (group.spec_string(), mask)
+                flags.add((got.no_two_element_span_gap,
+                           got.has_independent_complement))
+            # every span mask read is one the ordered-pair checks read too
+            # (they may read more before the first element in span), so the
+            # whole-group memo does not grow
+            assert fast._span_masks.keys() <= slow._span_masks.keys()
+        assert len(flags) == 4
 
 
 class TestHalfFactorialityTrap:
